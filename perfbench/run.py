@@ -1,6 +1,6 @@
 """Benchmark of homfib's verdict pipelines, driven the way its users drive it.
 
-    python3 perfbench/run.py --workload group-completion --seed 1 --seconds 33 --trace 0
+    python3 perfbench/run.py --workload group-completion --seed 1 --seconds 60 --trace 0
 
 Every job is one command-line pipeline run in-process: `homfib.dsl.parse`
 on a generated document, `homfib.cli.run`, `homfib.cli.emit(stable=True)`.
@@ -47,7 +47,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 
-SETUP_REPEATS = 7
+SETUP_REPEATS = 9
 
 # What a fresh process does before its first job can start: import the
 # command surface and parse the job's document.
@@ -129,33 +129,30 @@ def run_job(cli, dsl, job) -> tuple[float, str | None, str | None]:
 
 
 def quantile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile: the smallest sample with a share q at or below it.
-
-    Every pass holds the same jobs, so the rank lands on the same place in
-    a pass's cost order whatever the number of passes; interpolating would
-    mix two different jobs.
-    """
+    """Nearest-rank percentile: the smallest value with a share q at or below it."""
     ordered = sorted(values)
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def untraced(cli, dsl, jobs, seconds: float) -> tuple[dict, int, int]:
-    # Set-up is sampled between jobs, spread over the run like the jobs;
-    # the first spawn also writes the bytecode caches and is not kept.
+    # The first spawn also writes the bytecode caches and is not kept; the
+    # kept ones are spread evenly over the run, like the jobs.
     ready_seconds(jobs[0].text)
-    setups, samples, failed = [], [], 0
+    setups, failed = [], 0
+    per_job = [[] for _ in jobs]
     start = time.perf_counter()
     passes = 0
     while True:
         pass_start = time.perf_counter()
-        for job in jobs:
+        for times, job in zip(per_job, jobs):
             elapsed, out, error = run_job(cli, dsl, job)
-            samples.append(elapsed)
+            times.append(elapsed)
             error = error or job.problem(out)
             if error:
                 failed += 1
                 print(f"FAIL {job.command} {job.label}: {error}", file=sys.stderr)
-            if len(setups) < SETUP_REPEATS:
+            if len(setups) < SETUP_REPEATS and \
+                    time.perf_counter() - start >= len(setups) * seconds / SETUP_REPEATS:
                 setups.append(ready_seconds(jobs[0].text))
         passes += 1
         now = time.perf_counter()
@@ -164,19 +161,26 @@ def untraced(cli, dsl, jobs, seconds: float) -> tuple[dict, int, int]:
     while len(setups) < SETUP_REPEATS:
         setups.append(ready_seconds(jobs[0].text))
     wall = time.perf_counter() - start
-    attempted = len(samples)
+    attempted = passes * len(jobs)
+    busy = sum(map(sum, per_job))
+    # A job's verdict time is its best over the passes, as timeit reports.
+    # On a shared host the speed switches between a fast and a slow mode
+    # every few seconds, and the share of time in the slow mode drifts over
+    # minutes; the fast mode's speed holds.  A mean or a median moves with
+    # that share, the best of several passes hardly does.
+    verdict_s = [min(times) for times in per_job]
     metrics = {
-        "verdicts_per_s": (attempted - failed) / sum(samples),
-        "verdict_s.p50": quantile(samples, 0.5),
-        "verdict_s.p90": quantile(samples, 0.9),
+        "verdicts_per_s": (attempted - failed) / passes / sum(verdict_s),
+        "verdict_s.p50": quantile(verdict_s, 0.5),
+        "verdict_s.p90": quantile(verdict_s, 0.9),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "setup_s": statistics.median(setups),
         "ok_rate": (attempted - failed) / attempted,
     }
-    print(f"passes {passes}, jobs {attempted} ({len(jobs)} per pass), {sum(samples):.3f} s "
-          f"in jobs of {wall:.3f} s wall, "
-          f"verdict_s over {attempted} samples, error_rate {failed / attempted:.4f}, "
-          f"setup_s median of {SETUP_REPEATS}")
+    print(f"passes {passes}, jobs {attempted} ({len(jobs)} per pass), {busy:.3f} s "
+          f"in jobs of {wall:.3f} s wall ({(attempted - failed) / busy:.4g} verdicts/s "
+          f"over all passes), verdict_s best of {passes} passes for each of {len(jobs)} "
+          f"jobs, error_rate {failed / attempted:.4f}, setup_s median of {len(setups)}")
     return metrics, attempted, failed
 
 

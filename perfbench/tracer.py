@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-WORKLOADS = ("group-completion", "classify", "subdivide")
+WORKLOADS = ("group-completion", "classify")
 
 
 @dataclass(frozen=True)
@@ -44,40 +44,40 @@ class Wrapped:
         return f"{self.module}.{self.qualname}"
 
 
-GC, CL, SD = WORKLOADS
+GC, CL = WORKLOADS
 WRAPPED = (
     # sset: simplex arithmetic, products and pullbacks
-    Wrapped("sset", "pullback", ("verdicts_per_s", "verdict_s.p90"), (GC, SD), (CL,)),
+    Wrapped("sset", "pullback", ("verdicts_per_s", "verdict_s.p90"), (GC,), (CL,)),
     Wrapped("sset", "product_many", ("verdicts_per_s", "peak_rss_mb"), (CL, GC)),
-    Wrapped("sset", "validate", ("verdict_s.p50",), (SD,)),
+    Wrapped("sset", "validate", ("verdict_s.p50",), (GC,)),
     # fibration: preimages dp(sigma) and comparison maps
-    Wrapped("fibration", "weak_fibration_check", ("verdicts_per_s",), (GC, SD), (CL,)),
-    Wrapped("fibration", "strong_check_via_known_fiber", ("verdicts_per_s",), (GC,), (CL, SD)),
-    Wrapped("fibration", "PreimageCalculator.record", ("verdicts_per_s",), (GC, SD), (CL,)),
-    Wrapped("fibration", "PreimageCalculator.comparison", ("verdicts_per_s",), (GC, SD), (CL,)),
-    Wrapped("fibration", "classify_image", ("verdicts_per_s",), (GC, SD), (CL,)),
+    Wrapped("fibration", "weak_fibration_check", ("verdicts_per_s",), (GC,), (CL,)),
+    Wrapped("fibration", "strong_check_via_known_fiber", ("verdicts_per_s",), (GC,), (CL,)),
+    Wrapped("fibration", "PreimageCalculator.record", ("verdicts_per_s",), (GC,), (CL,)),
+    Wrapped("fibration", "PreimageCalculator.comparison", ("verdicts_per_s",), (GC,), (CL,)),
+    Wrapped("fibration", "classify_image", ("verdicts_per_s",), (GC,), (CL,)),
     # homology: normalized chains, homology groups, iso certificates
-    Wrapped("homology", "is_homology_iso", ("verdict_s.p50",), (GC, SD)),
+    Wrapped("homology", "is_homology_iso", ("verdict_s.p50",), (GC,)),
     Wrapped("homology", "homology", ("verdict_s.p50",), WORKLOADS),
     Wrapped("homology", "normalized_chains", ("verdict_s.p50",), WORKLOADS),
-    Wrapped("homology", "induced", ("verdict_s.p50",), (GC, SD)),
-    Wrapped("homology", "induced_map_kernel_cokernel", ("verdict_s.p50",), (GC, SD)),
+    Wrapped("homology", "induced", ("verdict_s.p50",), (GC,)),
+    Wrapped("homology", "induced_map_kernel_cokernel", ("verdict_s.p50",), (GC,)),
     # no job of these workloads reaches is_acyclic; a change that starts
     # calling it shows up as calls where none were predicted
     Wrapped("homology", "is_acyclic", ("verdict_s.p50",), (), WORKLOADS),
-    # snf: many tiny matrices on group-completion, a few large on subdivide
+    # snf: many tiny matrices on group-completion, few on classify
     Wrapped("snf", "smith_normal_form", ("verdicts_per_s", "verdict_s.p90"), WORKLOADS),
     # borel: Borel constructions, realizations, the four gates
-    Wrapped("borel", "group_completion_check", ("verdicts_per_s",), (GC,), (CL, SD)),
-    Wrapped("borel", "borel_total", ("verdicts_per_s",), (GC,), (CL, SD)),
-    Wrapped("borel", "classifying_space", ("verdicts_per_s",), (CL,), (GC, SD)),
-    Wrapped("borel", "thick_realize", ("verdicts_per_s",), (CL, GC), (SD,)),
-    Wrapped("borel", "vertex_fiber_isomorphic", ("verdicts_per_s",), (GC,), (CL, SD)),
-    # subdivision
-    Wrapped("subdivision", "sd", ("verdict_s.p50",), (SD,), (GC, CL)),
-    Wrapped("subdivision", "sd_over_simplex", ("verdict_s.p50",), (SD,), (GC, CL)),
-    Wrapped("subdivision", "star_retraction", ("verdict_s.p50",), (SD,), (GC, CL)),
-    Wrapped("subdivision", "barycenter_preimage", ("verdict_s.p50",), (SD,), (GC, CL)),
+    Wrapped("borel", "group_completion_check", ("verdicts_per_s",), (GC,), (CL,)),
+    Wrapped("borel", "borel_total", ("verdicts_per_s",), (GC,), (CL,)),
+    Wrapped("borel", "classifying_space", ("verdicts_per_s",), (CL,), (GC,)),
+    Wrapped("borel", "thick_realize", ("verdicts_per_s",), (CL, GC)),
+    Wrapped("borel", "vertex_fiber_isomorphic", ("verdicts_per_s",), (GC,), (CL,)),
+    # subdivision: the subdivide, star-lemma and barycenter jobs of group-completion
+    Wrapped("subdivision", "sd", ("verdict_s.p50",), (GC,), (CL,)),
+    Wrapped("subdivision", "sd_over_simplex", ("verdict_s.p50",), (GC,), (CL,)),
+    Wrapped("subdivision", "star_retraction", ("verdict_s.p50",), (GC,), (CL,)),
+    Wrapped("subdivision", "barycenter_preimage", ("verdict_s.p50",), (GC,), (CL,)),
     # the declaration format and the command surface
     Wrapped("dsl", "parse", ("setup_s", "verdict_s.p50"), WORKLOADS),
     Wrapped("cli", "run", ("verdict_s.p50",), WORKLOADS),
