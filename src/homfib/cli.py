@@ -7,16 +7,18 @@ Every command produces a Report whose JSON rendering is the contract:
 
 Reports are deterministic given a document and flags; timing_ms is the one
 field outside the byte-for-byte guarantee and is zeroed under --stable.
-The process exits 0 exactly when every verdict in the report passed.
-HOMFIB_JOBS > 1 spreads the fibration checks over a thread pool; it is the
-only environment variable read.
+--seed is recorded in params and draws nothing.  No environment variable
+is read.
+
+Exit codes: 0 when every verdict in the report passed, 1 when some verdict
+failed, 2 on parse or usage errors, 3 on an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from . import borel as bor
 from . import subdivision as sub
 from .dsl import Document, DslError, parse
 from .fibration import weak_fibration_check
-from .homology import homology, is_acyclic, is_homology_iso
+from .homology import _is_prime, homology, is_acyclic, is_homology_iso
 from .sset import (
     SimplicialMap,
     SimplicialSet,
@@ -37,6 +39,8 @@ from .sset import (
 
 COMMANDS = ("homology", "check-weakfib", "subdivide", "star-lemma", "barycenter",
             "borel", "classify", "group-completion", "validate")
+# commands whose constructions need at least one simplicial level
+_LEVELED = ("borel", "classify", "group-completion")
 
 
 @dataclass
@@ -115,17 +119,6 @@ def _coefficients(flag: str) -> int:
     raise CommandError(f"bad coefficient ring {flag!r} (use Z or Zp, p prime)")
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _homology_rows(space_name: str, X: SimplicialSet, up_to: int,
                    coefficients: int) -> list[dict]:
     """One row per nontrivial group; absent degrees are zero."""
@@ -185,9 +178,11 @@ def run(command: str, doc: Document, flags: dict) -> Report:
     """Execute one pipeline; deterministic for a fixed document and flags."""
     started = time.monotonic()
     n_bound = int(flags.get("max_dim", 4))
+    least = 1 if command in _LEVELED else 0
+    if n_bound < least:
+        raise CommandError(f"--max-dim must be at least {least} for {command}, not {n_bound}")
     coefficients = _coefficients(flags.get("coefficients", "Z"))
     deep = bool(flags.get("deep_ops", False))
-    jobs = int(flags.get("jobs", 1))
     target = flags.get("target", "")
     params = {"target": target, "max_dim": n_bound,
               "coefficients": flags.get("coefficients", "Z"),
@@ -226,7 +221,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         f = _need(doc, "maps", target)
         up_to = max(0, min(n_bound, f.source.max_dim))
         valid_up_to = up_to
-        report = weak_fibration_check(f, up_to, deep_ops=deep, jobs=jobs)
+        report = weak_fibration_check(f, up_to, deep_ops=deep)
         checks.append(_check("weak homology fibration", report.verdict,
                              [f"({c.sigma!r}, {c.op}) at degree "
                               f"{[t.degree for t in c.certificates if not t.ok]}"
@@ -248,7 +243,6 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         sf = sub.sd_over_simplex(f)
         up_to = min(n_bound, f.source.max_dim)
         valid_up_to = f.source.max_dim - 1
-        import itertools
         for size in range(1, sf.n + 2):
             for alpha in itertools.combinations(range(sf.n + 1), size):
                 try:
@@ -277,7 +271,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         E = f.source
         up_to = min(n_bound, E.max_dim)
         valid_up_to = E.max_dim - 1
-        weak = weak_fibration_check(f, up_to, jobs=jobs)
+        weak = weak_fibration_check(f, up_to)
         checks.append(_check("weak homology fibration", weak.verdict,
                              [f"{c.sigma!r},{c.op}" for c in weak.failures()[:5]]))
         sf = sub.sd_over_simplex(f)
@@ -345,22 +339,12 @@ def main(argv=None) -> int:
     ap.add_argument("--deep-ops", action="store_true", dest="deep_ops",
                     help="audit all operator words, not just generators")
     ap.add_argument("--seed", default=None,
-                    help="recorded for reproducibility of sampling audits")
+                    help="recorded in the report's params; draws nothing")
     ap.add_argument("--stable", action="store_true",
                     help="zero out timing for byte-reproducible output")
     ap.add_argument("--diagram", default=None,
                     help="diagram name for group-completion (default: restriction)")
     args = ap.parse_args(argv)
-
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            doc = parse(fh.read())
-    except FileNotFoundError:
-        print(f"homfib: cannot open {args.file!r}", file=sys.stderr)
-        return 2
-    except DslError as exc:
-        print(f"homfib: {args.file}:{exc}", file=sys.stderr)
-        return 2
 
     flags = {
         "target": args.target,
@@ -369,13 +353,24 @@ def main(argv=None) -> int:
         "deep_ops": args.deep_ops,
         "seed": args.seed,
         "diagram": args.diagram,
-        "jobs": max(1, int(os.environ.get("HOMFIB_JOBS", "1"))),
     }
     try:
+        with open(args.file, encoding="utf-8") as fh:
+            doc = parse(fh.read())
         report = run(args.command, doc, flags)
+    except OSError:
+        print(f"homfib: cannot open {args.file!r}", file=sys.stderr)
+        return 2
+    except DslError as exc:
+        print(f"homfib: {args.file}:{exc}", file=sys.stderr)
+        return 2
     except (CommandError, ValueError) as exc:
         print(f"homfib: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not a verdict: keep it off exit 1
+        message = " ".join(str(exc).split())
+        print(f"homfib: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     print(emit(report, args.format, stable=args.stable))
     return 0 if report.all_pass else 1
 

@@ -183,6 +183,19 @@ class _Parser:
                 raise self.unresolved(tok, f"simplex in {owner!r}", names)
             return word, tok.text, tok
 
+    def resolve_face_expr(self, face, names: dict[str, int], expected: int,
+                          what: str) -> SimplexRef:
+        """The simplex a parsed face expression names, checked to have
+        dimension expected; errors point at the expression."""
+        word, target, tok = face
+        try:
+            ref = apply_degeneracies(SimplexRef(target, (), names[target]), word)
+        except IndexError as exc:
+            self.error(tok, str(exc))
+        if ref.dim != expected:
+            self.error(tok, f"{what} has dimension {ref.dim}, expected {expected}")
+        return ref
+
     def parse_sset(self):
         name = self.ident("sset name")
         self.declare("sset", name)
@@ -230,18 +243,9 @@ class _Parser:
         for s, dim, faces, tok in entries:
             if dim == 0:
                 continue
-            refs = []
-            for word, target, ftok in faces:
-                ref = SimplexRef(target, (), dims[target])
-                try:
-                    ref = apply_degeneracies(ref, tuple(word))
-                except IndexError as exc:
-                    self.error(ftok, str(exc))
-                if ref.dim != dim - 1:
-                    self.error(ftok,
-                               f"face of {s!r} has dimension {ref.dim}, expected {dim - 1}")
-                refs.append(ref)
-            faces_table[s] = tuple(refs)
+            faces_table[s] = tuple(
+                self.resolve_face_expr(face, dims, dim - 1, f"face of {s!r}")
+                for face in faces)
         max_dim = max(generators, default=0)
         self.doc.ssets[name.text] = SimplicialSet(max_dim, generators, faces_table)
 
@@ -265,14 +269,10 @@ class _Parser:
             if simplex.text not in src.dim_of:
                 raise self.unresolved(simplex, f"simplex of {src_tok.text!r}", src.dim_of)
             self.expect("->")
-            word, target, ftok = self.parse_face_expr(dst_dims, name.text)
+            face = self.parse_face_expr(dst_dims, name.text)
             self.expect(";")
-            ref = apply_degeneracies(SimplexRef(target, (), dst.dim_of[target]),
-                                     tuple(word))
-            if ref.dim != src.dim_of[simplex.text]:
-                self.error(ftok, f"image of {simplex.text!r} has dimension {ref.dim}, "
-                                 f"expected {src.dim_of[simplex.text]}")
-            assignment[simplex.text] = ref
+            assignment[simplex.text] = self.resolve_face_expr(
+                face, dst_dims, src.dim_of[simplex.text], f"image of {simplex.text!r}")
         self.expect("}")
         missing = [g for g in src.all_gens() if g not in assignment]
         if missing:

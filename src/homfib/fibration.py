@@ -11,6 +11,9 @@ operator-word audit sits behind the deep_ops flag.
 Homotopy fibres are never computed: known fibres are registered explicitly
 and compared against vertex preimages, which is what the weak => strong
 theorem licenses.
+
+Each map keeps one PreimageCalculator per truncation bound, so all checks
+on one map share the preimages they build.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
-    canonical_key,
     degenerate,
     pullback,
     representing_map,
@@ -95,6 +97,14 @@ class PreimageCalculator:
         return SimplicialMap(src.space, dst.space, assignment)
 
 
+def preimage_calculator(p: SimplicialMap, max_dim: int | None = None) -> PreimageCalculator:
+    """The PreimageCalculator of p at this bound, built once and kept on p."""
+    key = ("preimages", max_dim)
+    if key not in p._cache:
+        p._cache[key] = PreimageCalculator(p, max_dim)
+    return p._cache[key]
+
+
 def classify_image(B: SimplicialSet, rho: SimplexRef, phi: SimplicialMap) -> SimplexRef:
     """The simplex rho . phi, i.e. the image of phi's top simplex under rho-hat."""
     top = tuple(range(phi.source.max_dim + 1))
@@ -110,7 +120,7 @@ def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None,
     ('d', i) runs dp(d_i sigma) -> dp(sigma), ('s', i) is the section
     dp(sigma) -> dp(s_i sigma).
     """
-    calc = PreimageCalculator(p, max_dim)
+    calc = preimage_calculator(p, max_dim)
     rec = calc.record(sigma)
     if with_comparisons:
         for op, rho, phi in _generating_comparisons(calc, sigma):
@@ -132,8 +142,7 @@ def dp_along(p: SimplicialMap, f: SimplicialMap, max_dim: int | None = None):
 @dataclass
 class ComparisonCheck:
     sigma: SimplexRef
-    op: tuple[str, int] | str
-    target: SimplexRef
+    op: tuple[str, int] | tuple[str, tuple[int, ...]]
     ok: bool
     certificates: list[IsoCertificate]
 
@@ -177,41 +186,25 @@ def _operator_word_comparisons(calc: PreimageCalculator, sigma: SimplexRef):
 
 
 def weak_fibration_check(p: SimplicialMap, up_to: int,
-                         deep_ops: bool = False,
-                         jobs: int = 1) -> WeakFibrationReport:
+                         deep_ops: bool = False) -> WeakFibrationReport:
     """Test the weak homology fibration property on generating operators.
 
     For a face operator the canonical comparison runs dp(d_i sigma) ->
     dp(sigma); for a degeneracy it is the canonical section dp(sigma) ->
     dp(s_i sigma).  Both count as the comparison between dp(sigma) and
-    dp(theta sigma); the predicate is direction-symmetric.  With jobs > 1
-    the per-simplex work runs on a thread pool; certificates are merged in
-    canonical simplex order either way.
+    dp(theta sigma), named by (sigma, op); the predicate is
+    direction-symmetric.  Checks come in canonical simplex order.
     """
-    calc = PreimageCalculator(p, up_to + 1)
+    calc = preimage_calculator(p, up_to + 1)
     B = p.target
-    sigmas = [B.ref(g) for k in range(B.max_dim + 1)
-              for g in sorted(B.gens(k), key=canonical_key)]
-
-    def check_sigma(sigma: SimplexRef) -> list[ComparisonCheck]:
-        out = []
+    checks = []
+    for g in B.all_gens():
+        sigma = B.ref(g)
         gens = _operator_word_comparisons(calc, sigma) if deep_ops \
             else _generating_comparisons(calc, sigma)
         for op, rho, phi in gens:
-            f = calc.comparison(rho, phi)
-            tau = classify_image(B, rho, phi)
-            ok, certs = is_homology_iso(f, up_to)
-            target = rho if op[0] == "s" else tau
-            out.append(ComparisonCheck(sigma, op, target, ok, certs))
-        return out
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(check_sigma, sigmas))
-    else:
-        blocks = [check_sigma(sigma) for sigma in sigmas]
-    checks = [c for block in blocks for c in block]
+            ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to)
+            checks.append(ComparisonCheck(sigma, op, ok, certs))
     verdict = all(c.ok for c in checks)
     return WeakFibrationReport(verdict, up_to, checks)
 
@@ -265,13 +258,12 @@ def fiber_homology_over_contractible(p: SimplicialMap, up_to: int) -> Contractib
     weak = weak_fibration_check(p, up_to)
     inclusion_checks = []
     verdict = weak.verdict
-    calc = PreimageCalculator(p, up_to + 1)
-    for k in range(B.max_dim + 1):
-        for g in sorted(B.gens(k), key=canonical_key):
-            rec = calc.record(B.ref(g))
-            ok, _ = is_homology_iso(rec.total_map, up_to)
-            inclusion_checks.append((rec.sigma, ok))
-            verdict = verdict and ok
+    calc = preimage_calculator(p, up_to + 1)
+    for g in B.all_gens():
+        rec = calc.record(B.ref(g))
+        ok, _ = is_homology_iso(rec.total_map, up_to)
+        inclusion_checks.append((rec.sigma, ok))
+        verdict = verdict and ok
     table = [homology(E, k).summary() for k in range(up_to + 1)]
     return ContractibleBaseReport(verdict, table, weak.checks,
                                   inclusion_checks, warnings)
@@ -329,26 +321,24 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
     if spec.vertex not in components:
         raise ValueError(f"unknown base vertex {spec.vertex!r}")
     comp = components[spec.vertex]
-    calc = PreimageCalculator(p, up_to + 1)
+    calc = preimage_calculator(p, up_to + 1)
     declared = [homology(spec.fiber, k).summary() for k in range(up_to + 1)]
     base_rec = calc.record(B.ref(spec.vertex))
     vertex_table = [homology(base_rec.space, k).summary() for k in range(up_to + 1)]
     table_ok = declared == vertex_table
     comparisons = []
     verdict = table_ok
-    for k in range(B.max_dim + 1):
-        for g in sorted(B.gens(k), key=canonical_key):
-            sigma = B.ref(g)
-            first_vertex = B.vertices_of(sigma)[0].gen
-            if components[first_vertex] != comp:
-                continue
-            if k == 0:
-                rec = calc.record(sigma)
-                ok = [homology(rec.space, d).summary() for d in range(up_to + 1)] == declared
-            else:
-                phi = standard_map(0, k, [0], calc.simplex(0), calc.simplex(k))
-                f = calc.comparison(sigma, phi)
-                ok, _ = is_homology_iso(f, up_to)
-            comparisons.append((sigma, ok))
-            verdict = verdict and ok
+    for g in B.all_gens():
+        sigma = B.ref(g)
+        if components[B.vertices_of(sigma)[0].gen] != comp:
+            continue
+        k = sigma.dim
+        if k == 0:
+            rec = calc.record(sigma)
+            ok = [homology(rec.space, d).summary() for d in range(up_to + 1)] == declared
+        else:
+            phi = standard_map(0, k, [0], calc.simplex(0), calc.simplex(k))
+            ok, _ = is_homology_iso(calc.comparison(sigma, phi), up_to)
+        comparisons.append((sigma, ok))
+        verdict = verdict and ok
     return StrongFiberReport(verdict, table_ok, comparisons, declared, vertex_table)

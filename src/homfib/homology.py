@@ -1,4 +1,4 @@
-"""Integral (and mod-p) homology of finite simplicial sets.
+"""Integral and mod-p homology of finite simplicial sets.
 
 Chains are normalized: the degree-k module is free on the nondegenerate
 k-generators and faces landing on degenerate simplices contribute zero to
@@ -6,11 +6,16 @@ the boundary.  Homology groups come with explicit cycle representatives,
 which makes induced maps computable; the isomorphism test presents the
 kernel and cokernel of an induced map and reduces those presentations,
 so torsion is handled exactly rather than by comparing invariants.
+
+Z/p results are read off the same two integer Smith forms per degree that
+the integral ones use (see _DegreeData), so there is one elimination
+engine for every coefficient ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Any
 
 from .snf import IntMatrix, smith_normal_form
@@ -31,7 +36,6 @@ class ChainComplex:
     gens: dict[int, tuple]            # degree -> ordered generator ids
     index: dict[int, dict[Any, int]]  # degree -> generator -> column
     boundaries: dict[int, IntMatrix]  # k -> matrix C_k -> C_{k-1}
-    ring: int = Z
 
     def dim(self, k: int) -> int:
         return len(self.gens.get(k, ()))
@@ -44,9 +48,9 @@ class ChainComplex:
         return IntMatrix(rows, self.dim(k))
 
 
-def normalized_chains(X: SimplicialSet, ring: int = Z) -> ChainComplex:
-    """Normalized chain complex of X; verifies that boundaries compose to zero."""
-    key = ("chains", ring)
+def normalized_chains(X: SimplicialSet) -> ChainComplex:
+    """Normalized integer chain complex of X; verifies that d d = 0."""
+    key = "chains"
     if key in X._cache:
         return X._cache[key]
     gens = {k: X.gens(k) for k in range(X.max_dim + 1)}
@@ -68,7 +72,7 @@ def normalized_chains(X: SimplicialSet, ring: int = Z) -> ChainComplex:
     for k in range(2, X.max_dim + 1):
         if not boundaries[k - 1].matmul(boundaries[k]).is_zero():
             raise ValueError(f"boundary squared is nonzero in degree {k}")
-    cc = ChainComplex(X.max_dim, gens, index, boundaries, ring)
+    cc = ChainComplex(X.max_dim, gens, index, boundaries)
     X._cache[key] = cc
     return cc
 
@@ -105,7 +109,15 @@ class HomologyGroup:
 
 
 class _DegreeData:
-    """SNF bookkeeping for one degree of one complex (integer coefficients)."""
+    """SNF bookkeeping for one degree of one complex.
+
+    With U1 d_k V1 = D1 and U2 Y V2 = D2, where Y holds the boundaries of
+    degree k+1 in the cycle coordinates (rows >= rank of V1^-1 d_{k+1}),
+    the columns of V1 from the rank on span the integer cycles and U2^-1
+    e_j is a homology generator of order D2_jj.  Over Z/p the same forms
+    give a basis: V1 e_j for j < rank with p | D1_jj (cycles mod p only),
+    then the kept generators whose order p divides (0 counts).
+    """
 
     def __init__(self, cc: ChainComplex, k: int):
         self.k = k
@@ -143,14 +155,33 @@ class _DegreeData:
         t = self.snf1.v_inv.apply(w)
         if any(i < self.rank1 for i in t):
             raise ValueError("vector is not a cycle")
-        y = {i - self.rank1: v for i, v in t.items()}
-        c = self.snf2.u.apply(y)
-        out = []
-        for pos, j in enumerate(self.kept):
-            v = c.get(j, 0)
-            d = self.orders[pos]
-            out.append(v % d if d else v)
-        return out
+        c = self.snf2.u.apply({i - self.rank1: v for i, v in t.items()})
+        return _reduce_coords([c.get(j, 0) for j in self.kept], self.orders)
+
+    def mod_p_positions(self, p: int) -> tuple[list[int], list[int]]:
+        """Pivots j with p | D1_jj, and kept positions with p | order."""
+        diag = self.snf1.diagonal
+        return ([j for j in range(self.rank1) if diag[j] % p == 0],
+                [pos for pos, d in enumerate(self.orders) if d % p == 0])
+
+    def mod_p_cycles(self, p: int) -> list[dict[int, int]]:
+        """The Z/p homology basis as cycles mod p in chain coordinates."""
+        lows, highs = self.mod_p_positions(p)
+        cycles = ([self.snf1.v.column(j) for j in lows]
+                  + [self.cycle_of(pos) for pos in highs])
+        return [{i: v % p for i, v in c.items() if v % p} for c in cycles]
+
+    def mod_p_coords(self, w: dict[int, int], p: int) -> list[int]:
+        """Coordinates of a cycle mod p in the basis of mod_p_cycles."""
+        lows, highs = self.mod_p_positions(p)
+        diag = self.snf1.diagonal
+        t = self.snf1.v_inv.apply(w)
+        if any(i < self.rank1 and v % p and diag[i] % p for i, v in t.items()):
+            raise ValueError("vector is not a cycle mod p")
+        c = self.snf2.u.apply({i - self.rank1: v for i, v in t.items()
+                               if i >= self.rank1})
+        return ([t.get(j, 0) % p for j in lows]
+                + [c.get(self.kept[pos], 0) % p for pos in highs])
 
 
 def _degree_data(X: SimplicialSet, k: int) -> _DegreeData:
@@ -158,6 +189,16 @@ def _degree_data(X: SimplicialSet, k: int) -> _DegreeData:
     if key not in X._cache:
         X._cache[key] = _DegreeData(normalized_chains(X), k)
     return X._cache[key]
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _field(p: int) -> int:
+    if not _is_prime(p):
+        raise ValueError(f"coefficients must be the integers or Z/p for a prime p, not {p}")
+    return p
 
 
 def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
@@ -168,24 +209,19 @@ def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
     key = ("hom", k, coefficients)
     if key in X._cache:
         return X._cache[key]
+    data = _degree_data(X, k)
+    names = normalized_chains(X).gens[k]
     if coefficients:
-        group = _homology_mod_p(X, k, coefficients, valid)
+        cycles = data.mod_p_cycles(_field(coefficients))
+        free_rank, torsion = len(cycles), []
     else:
-        data = _degree_data(X, k)
-        cc = normalized_chains(X)
-        torsion = [d for d in data.orders if d > 1]
+        cycles = [data.cycle_of(j) for j in range(len(data.kept))]
         free_rank = sum(1 for d in data.orders if d == 0)
-        basis = []
-        for j in range(len(data.kept)):
-            cyc = data.cycle_of(j)
-            basis.append({cc.gens[k][i]: v for i, v in cyc.items()})
-        group = HomologyGroup(k, free_rank, torsion, basis, valid)
+        torsion = [d for d in data.orders if d > 1]
+    basis = [{names[i]: v for i, v in c.items()} for c in cycles]
+    group = HomologyGroup(k, free_rank, torsion, basis, valid, coefficients)
     X._cache[key] = group
     return group
-
-
-def homology_table(X: SimplicialSet, up_to: int, coefficients: int = Z) -> list[HomologyGroup]:
-    return [homology(X, k, coefficients) for k in range(up_to + 1)]
 
 
 def is_acyclic(X: SimplicialSet, up_to: int, coefficients: int = Z) -> bool:
@@ -242,14 +278,14 @@ def _reduce_coords(col: list[int], invariants: list[int]) -> list[int]:
 
 def induced(f: SimplicialMap, k: int, coefficients: int = Z) -> InducedMap:
     """The map induced by f on degree-k homology."""
-    if coefficients:
-        return _induced_mod_p(f, k, coefficients)
     src, dst = _degree_data(f.source, k), _degree_data(f.target, k)
     t = chain_map_matrix(f, k)
-    cols = []
-    for j in range(len(src.kept)):
-        w = t.apply(src.cycle_of(j))
-        cols.append(_reduce_coords(dst.coords(w), dst.orders))
+    if coefficients:
+        p = _field(coefficients)
+        cols = [dst.mod_p_coords(t.apply(c), p) for c in src.mod_p_cycles(p)]
+        m = sum(map(len, dst.mod_p_positions(p)))
+        return InducedMap(k, cols, [p] * len(cols), [p] * m, p)
+    cols = [dst.coords(t.apply(src.cycle_of(j))) for j in range(len(src.kept))]
     return InducedMap(k, cols, list(src.orders), list(dst.orders))
 
 
@@ -261,30 +297,31 @@ def _column_matrix(cols: list[dict[int, int]], nrows: int) -> IntMatrix:
     return m
 
 
-def _presentation_trivial(rel: IntMatrix) -> tuple[bool, list[int]]:
-    """Is the cokernel of a relation matrix the trivial group?"""
+def _cokernel(rel: IntMatrix) -> list[int]:
+    """Invariant factors (0 = Z) of the cokernel of a relation matrix."""
     form = smith_normal_form(rel)
-    factors = form.invariant_factors()
-    trivial = form.rank == rel.nrows and all(d == 1 for d in factors)
-    return trivial, [d for d in factors if d != 1] + [0] * (rel.nrows - form.rank)
+    factors = [d for d in form.invariant_factors() if d != 1]
+    return factors + [0] * (rel.nrows - form.rank)
+
+
+def _diagonal(invariants: list[int]) -> IntMatrix:
+    m = IntMatrix(len(invariants), len(invariants))
+    for j, d in enumerate(invariants):
+        m[j, j] = d
+    return m
+
+
+def _matrix_of(ind: InducedMap) -> IntMatrix:
+    return _column_matrix([dict(enumerate(col)) for col in ind.matrix],
+                          len(ind.dst_invariants))
 
 
 def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
     """Invariant factors (0 = Z) of the kernel and cokernel presentations."""
     m_x, m_y = len(ind.src_invariants), len(ind.dst_invariants)
-    mat = IntMatrix(m_y, m_x)
-    for j, col in enumerate(ind.matrix):
-        for i, v in enumerate(col):
-            if v:
-                mat[i, j] = v
-    rel_x = IntMatrix(m_x, m_x)
-    for j, d in enumerate(ind.src_invariants):
-        if d:
-            rel_x[j, j] = d
-    rel_y = IntMatrix(m_y, m_y)
-    for j, d in enumerate(ind.dst_invariants):
-        if d:
-            rel_y[j, j] = d
+    mat = _matrix_of(ind)
+    rel_x = _diagonal(ind.src_invariants)
+    rel_y = _diagonal(ind.dst_invariants)
 
     # cokernel: Z^{m_y} modulo the image of [matrix | target relations]
     coker_rel = IntMatrix(m_y, m_x + m_y)
@@ -292,7 +329,7 @@ def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
         coker_rel[i, j] = v
     for i, j, v in rel_y.entries():
         coker_rel[i, m_x + j] = v
-    _, coker = _presentation_trivial(coker_rel)
+    coker = _cokernel(coker_rel)
 
     # kernel: lattice of x with (matrix)x in im(target relations), modulo
     # the source relations.  Generators: projections of the block kernel
@@ -331,8 +368,14 @@ def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
             pres[i, j] = v
     for j in range(m_x):
         pres[len(wcols) + j, len(syz) + j] = 1
-    _, kernel = _presentation_trivial(pres)
-    return kernel, coker
+    return _cokernel(pres), coker
+
+
+def _invertible_mod_p(ind: InducedMap, p: int) -> bool:
+    """A square matrix is invertible mod p when p divides no Smith invariant."""
+    if len(ind.dst_invariants) != len(ind.src_invariants):
+        return False
+    return all(d % p for d in smith_normal_form(_matrix_of(ind)).diagonal)
 
 
 @dataclass
@@ -355,7 +398,7 @@ def is_homology_iso(f: SimplicialMap, up_to: int,
         ht = homology(f.target, k, coefficients)
         ind = induced(f, k, coefficients)
         if coefficients:
-            ok = _gfp_invertible(ind, coefficients)
+            ok = _invertible_mod_p(ind, coefficients)
             kernel = [] if ok else [coefficients]
             coker = []
         else:
@@ -365,166 +408,3 @@ def is_homology_iso(f: SimplicialMap, up_to: int,
                                            kernel, coker, ok))
         verdict = verdict and ok
     return verdict, certificates
-
-
-# ---------------------------------------------------------------------------
-# Mod-p coefficients
-# ---------------------------------------------------------------------------
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-class _GFpSolver:
-    """Dense row-reduction workspace over Z/p, p prime."""
-
-    def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"coefficients must be the integers or Z/p for a prime p, not {p}")
-        self.p = p
-
-    def rref(self, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-        p = self.p
-        rows = [[v % p for v in r] for r in rows]
-        pivots = []
-        r = 0
-        ncols = len(rows[0]) if rows else 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = pow(rows[r][c], p - 2, p)
-            rows[r] = [(v * inv) % p for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    coef = rows[i][c]
-                    rows[i] = [(a - coef * b) % p for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return rows, pivots
-
-    def kernel_basis(self, mat: list[list[int]], ncols: int) -> list[list[int]]:
-        if not mat:
-            return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-        rows, pivots = self.rref(mat)
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = []
-        for c in free:
-            vec = [0] * ncols
-            vec[c] = 1
-            for r, pc in enumerate(pivots):
-                vec[pc] = (-rows[r][c]) % self.p
-            basis.append(vec)
-        return basis
-
-    def solve(self, cols: list[list[int]], w: list[int]) -> list[int] | None:
-        """One solution of (columns) x = w, or None."""
-        n = len(w)
-        aug = [[cols[j][i] for j in range(len(cols))] + [w[i]] for i in range(n)]
-        rows, pivots = self.rref(aug)
-        sol = [0] * len(cols)
-        for r, pc in enumerate(pivots):
-            if pc == len(cols):
-                return None
-            sol[pc] = rows[r][len(cols)]
-        return sol
-
-
-class _GFpData:
-    """Homology data over Z/p for one space and degree."""
-
-    def __init__(self, X: SimplicialSet, k: int, p: int):
-        cc = normalized_chains(X)
-        self.p = p
-        self.n = cc.dim(k)
-        solver = _GFpSolver(p)
-        d_k = cc.boundary(k) if k >= 1 else IntMatrix(0, self.n)
-        rows = [[d_k[i, j] % p for j in range(self.n)] for i in range(d_k.nrows)]
-        kernel = solver.kernel_basis(rows, self.n)
-        d_k1 = cc.boundary(k + 1)
-        img = [[d_k1[i, j] % p for i in range(self.n)] for j in range(d_k1.ncols)]
-        # grow an image basis, then extend by kernel vectors; the extension
-        # vectors represent homology classes
-        basis: list[list[int]] = []
-        echelon: list[list[int]] = []
-        self.img_size = 0
-
-        def try_add(vec) -> bool:
-            row = list(vec)
-            for e in echelon:
-                lead = next(i for i, v in enumerate(e) if v)
-                if row[lead]:
-                    c = row[lead]
-                    row = [(a - c * b) % p for a, b in zip(row, e)]
-            if any(row):
-                lead = next(i for i, v in enumerate(row) if v)
-                inv = pow(row[lead], p - 2, p)
-                echelon.append([(v * inv) % p for v in row])
-                basis.append(list(vec))
-                return True
-            return False
-
-        for vec in img:
-            if try_add(vec):
-                self.img_size += 1
-        self.hom_gens = [vec for vec in kernel if try_add(vec)]
-        self.basis = basis  # image basis followed by homology generators
-        self.solver = solver
-
-    def coords(self, w: list[int]) -> list[int]:
-        cols = [[c[i] for i in range(self.n)] for c in self.basis]
-        sol = self.solver.solve(cols, [v % self.p for v in w])
-        if sol is None:
-            raise ValueError("vector is not a cycle mod p")
-        return sol[self.img_size:]
-
-
-def _gfp_data(X: SimplicialSet, k: int, p: int) -> _GFpData:
-    key = ("gfp", k, p)
-    if key not in X._cache:
-        X._cache[key] = _GFpData(X, k, p)
-    return X._cache[key]
-
-
-def _homology_mod_p(X: SimplicialSet, k: int, p: int, valid: bool) -> HomologyGroup:
-    data = _gfp_data(X, k, p)
-    cc = normalized_chains(X)
-    basis = []
-    for vec in data.hom_gens:
-        basis.append({cc.gens[k][i]: v for i, v in enumerate(vec) if v})
-    return HomologyGroup(k, len(data.hom_gens), [], basis, valid, p)
-
-
-def _induced_mod_p(f: SimplicialMap, k: int, p: int) -> InducedMap:
-    src, dst = _gfp_data(f.source, k, p), _gfp_data(f.target, k, p)
-    t = chain_map_matrix(f, k)
-    cols = []
-    for vec in src.hom_gens:
-        w = t.apply({i: v for i, v in enumerate(vec) if v})
-        dense = [0] * dst.n
-        for i, v in w.items():
-            dense[i] = v % p
-        cols.append(dst.coords(dense))
-    inv = [p] * len(src.hom_gens)
-    return InducedMap(k, cols, inv, [p] * len(dst.hom_gens), p)
-
-
-def _gfp_invertible(ind: InducedMap, p: int) -> bool:
-    m, n = len(ind.dst_invariants), len(ind.src_invariants)
-    if m != n:
-        return False
-    if n == 0:
-        return True
-    rows = [[ind.matrix[j][i] % p for j in range(n)] for i in range(m)]
-    _, pivots = _GFpSolver(p).rref(rows)
-    return len(pivots) == n

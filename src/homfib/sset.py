@@ -201,12 +201,6 @@ class SimplicialSet:
         entry = self.faces[ref.gen][residual]
         return apply_degeneracies(entry, word)
 
-    def apply_word(self, ref: SimplexRef, ops: Iterable[tuple[str, int]]) -> SimplexRef:
-        """Apply a sequence of ('d', i) / ('s', i) operators, outermost last."""
-        for kind, i in ops:
-            ref = self.face(ref, i) if kind == "d" else degenerate(ref, i)
-        return ref
-
     def vertices_of(self, ref: SimplexRef) -> tuple[SimplexRef, ...]:
         """The ordered tuple of vertices of a simplex."""
         out = []
@@ -300,6 +294,7 @@ class SimplicialMap:
         for g, r in self.assignment.items():
             if source.dim_of[g] != r.dim:
                 raise ValueError(f"image of {g!r} has dimension {r.dim}, want {source.dim_of[g]}")
+        self._cache: dict = {}
 
     def __call__(self, ref: SimplexRef) -> SimplexRef:
         return apply_degeneracies(self.assignment[ref.gen], ref.word)

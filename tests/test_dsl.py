@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import homfib as hf
+from homfib import cli
 from homfib.cli import CommandError, Report, emit, main, parse_report, run
 from homfib.dsl import Document, DslError, parse
 
@@ -111,6 +112,22 @@ def test_map_missing_assignment_rejected():
 def test_map_dimension_mismatch_rejected():
     with pytest.raises(DslError):
         parse(CIRCLE + "map f : circle -> circle { v -> v; e -> v; }")
+
+
+@pytest.mark.parametrize("body", [
+    "map m : circle -> circle { v -> s3 v; e -> e; }",
+    "sset bad { v : dim 0 faces []; e : dim 1 faces [s3 v, v]; }",
+])
+def test_out_of_range_degeneracy_positioned(body, capsys, tmp_path):
+    # a map image and a face list report the same mistake the same way
+    with pytest.raises(DslError) as err:
+        parse(CIRCLE + body)
+    assert "s_3 out of range" in str(err.value)
+    assert (err.value.line, err.value.col) == (6, body.index("s3 v") + 4)
+    path = tmp_path / "bad.hfd"
+    path.write_text(CIRCLE + body)
+    assert main(["homology", "circle", "-f", str(path)]) == 2
+    assert "bad.hfd:6:" in capsys.readouterr().err
 
 
 def test_parse_monoid_and_unit_autofill():
@@ -340,3 +357,35 @@ def test_composite_coefficient_ring_rejected():
     doc = parse(CIRCLE)
     with pytest.raises(CommandError):
         run("homology", doc, {"target": "circle", "coefficients": "Z4"})
+
+
+@pytest.mark.parametrize("command,target,fixture,max_dim", [
+    ("homology", "circle", "circle.hfd", -1),
+    ("validate", "cone", "degenerate_face.hfd", -1),
+    ("borel", "Z2", "z2.hfd", -2),
+    ("borel", "Z2", "z2.hfd", 0),
+    ("classify", "Z2", "z2.hfd", 0),
+    ("group-completion", "Z2", "z2.hfd", 0),
+])
+def test_max_dim_out_of_range_is_usage_error(command, target, fixture, max_dim, capsys):
+    path = str(FIXTURES / fixture)
+    assert main([command, target, "-f", path, "--max-dim", str(max_dim)]) == 2
+    assert "--max-dim must be at least" in capsys.readouterr().err
+
+
+def test_max_dim_lower_limits_accepted(capsys):
+    assert main(["homology", "circle", "-f", str(FIXTURES / "circle.hfd"),
+                 "--max-dim", "0"]) == 0
+    assert main(["classify", "Z2", "-f", str(FIXTURES / "z2.hfd"), "--max-dim", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(command, doc, flags):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(["homology", "circle", "-f", str(FIXTURES / "circle.hfd")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "homfib: internal error: RuntimeError: boom second line\n"

@@ -7,6 +7,7 @@ from homfib.fibration import (
     dp,
     dp_along,
     fiber_homology_over_contractible,
+    preimage_calculator,
     pullback_fibration,
     strong_check_via_known_fiber,
     vertex_components,
@@ -219,6 +220,21 @@ def test_strong_check_product():
     assert strong_check_via_known_fiber(p, spec, 1).verdict
 
 
+def test_checks_on_one_map_share_preimages():
+    # the weak check builds every dp(sigma) at bound up_to + 1; the strong
+    # check and dp at that bound reuse those records instead of rebuilding
+    p = hf.cyclic_cover_map(6, 3)
+    assert weak_fibration_check(p, 1).verdict
+    calc = preimage_calculator(p, 2)
+    built = dict(calc._records)
+    spec = KnownFiberSpec(("v", 0), two_points(), "covering fiber")
+    assert strong_check_via_known_fiber(p, spec, 1).verdict
+    assert calc._records == built
+    sigma = p.target.ref(("e", 0))
+    assert dp(p, sigma, max_dim=2) is built[sigma]
+    assert preimage_calculator(p, 1) is not calc
+
+
 def test_strong_check_detects_wrong_fiber():
     p = hf.cyclic_cover_map(6, 3)
     spec = KnownFiberSpec(("v", 0), hf.point(), "wrong fiber")
@@ -274,15 +290,6 @@ def test_dp_comparison_functorial_on_composite_words():
     inner = calc.comparison(edge, d1_of_edge)
     direct = calc.comparison(sigma, composite)
     assert direct.assignment == outer.compose(inner).assignment
-
-
-def test_thread_pool_matches_sequential():
-    p = hf.cyclic_cover_map(6, 3)
-    seq = weak_fibration_check(p, 1, jobs=1)
-    par = weak_fibration_check(p, 1, jobs=3)
-    assert seq.verdict == par.verdict
-    assert [(c.sigma, c.op, c.ok) for c in seq.checks] \
-        == [(c.sigma, c.op, c.ok) for c in par.checks]
 
 
 def test_suspension_of_point_over_interval_has_point_fibers():

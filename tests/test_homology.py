@@ -74,16 +74,21 @@ def test_homology_validity_flag():
 
 
 def test_basis_elements_are_cycles():
-    for X in [hf.boundary(2), hf.boundary(3), hf.presentation_complex(["a", "b"], [["a", "b", "a-", "b-"]])]:
+    # over Z the basis cycles have zero boundary; over Z/p, zero mod p
+    spaces = [hf.boundary(2), hf.boundary(3),
+              hf.presentation_complex(["a", "b"], [["a", "b", "a-", "b-"]]),
+              hf.presentation_complex(["a", "b"], [["a", "b", "a", "b-"]]),
+              hf.presentation_complex(["a"], [["a"] * 6])]
+    for X in spaces:
         cc = normalized_chains(X)
-        for k in range(X.max_dim + 1):
-            h = hf.homology(X, k)
-            for cycle in h.basis:
-                if k == 0:
-                    continue
+        for p in (0, 2, 3, 5):
+            for k in range(1, X.max_dim + 1):
+                h = hf.homology(X, k, coefficients=p)
                 m = cc.boundary(k)
-                vec = {cc.index[k][g]: v for g, v in cycle.items()}
-                assert not m.apply(vec)
+                for cycle in h.basis:
+                    vec = {cc.index[k][g]: v for g, v in cycle.items()}
+                    assert all(v % p == 0 if p else v == 0
+                               for v in m.apply(vec).values())
 
 
 def test_torus_like_presentation():
@@ -303,3 +308,39 @@ def test_projective_plane_presentation():
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
         hf.homology(hf.boundary(2), 1, coefficients=4)
+
+
+# ---------------------------------------------------------------------------
+# mod-p coefficients against known answers
+# ---------------------------------------------------------------------------
+
+def iso_over(f, up_to, p):
+    return hf.is_homology_iso(f, up_to, coefficients=p)[0]
+
+
+def test_double_cover_iso_exactly_away_from_two():
+    f = hf.cyclic_cover_map(6, 3)
+    assert not iso_over(f, 1, 0)
+    assert not iso_over(f, 1, 2)
+    assert iso_over(f, 1, 3)
+    assert iso_over(f, 1, 5)
+
+
+def test_triple_cover_iso_exactly_away_from_three():
+    f = hf.cyclic_cover_map(9, 3)
+    assert not iso_over(f, 1, 3)
+    assert iso_over(f, 1, 2)
+
+
+def test_projective_plane_to_simplex_iso_exactly_away_from_two():
+    rp2 = hf.presentation_complex(["a"], [["a", "a"]])
+    f = hf.sset.constant_map(rp2, hf.standard_simplex(3), (0,))
+    assert not iso_over(f, 2, 2)
+    assert iso_over(f, 2, 3)
+
+
+def test_moore_space_of_z6_mod_p_ranks():
+    moore = hf.presentation_complex(["a"], [["a"] * 6])
+    for p, ranks in ((2, [1, 1, 1]), (3, [1, 1, 1]), (5, [1, 0, 0])):
+        got = [hf.homology(moore, k, coefficients=p).free_rank for k in range(3)]
+        assert got == ranks, p
