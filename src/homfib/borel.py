@@ -805,11 +805,25 @@ def _vertex_gen(construction: BorelConstruction, i):
 
 
 def _level_fiber_isomorphic(cat, diag, construction, n, comp) -> bool:
-    """dp of the level projection over the component's identity vertex."""
+    """dp of the level projection over one base vertex of the component.
+
+    The vertex takes, in each factor hom(i_{t+1}, i_t), the identity when
+    i_{t+1} = i_t and the first morphism vertex otherwise; an empty hom-set
+    leaves the component empty, with no fibre to compare.
+    """
     src = construction.total_space.levels[n]
     pi_n = construction.pi_levels[n]
     F = diag.value(comp[0])
-    vertex_refs = tuple(cat.identity_ref(comp[t + 1]) for t in range(n))[::-1]
+    vertex_refs = []
+    for t in range(n):
+        if comp[t + 1] == comp[t]:
+            vertex_refs.append(cat.identity_ref(comp[t]))
+        else:
+            hom = cat.hom(comp[t + 1], comp[t])
+            if not hom.gens(0):
+                return True
+            vertex_refs.append(hom.ref(hom.gens(0)[0]))
+    vertex_refs = tuple(vertex_refs[::-1])
     calc = preimage_calculator(pi_n, F.max_dim)
     dst = construction.base_space.levels[n]
     point = SimplexRef(comp[0], (), 0)

@@ -13,7 +13,12 @@ and compared against vertex preimages, which is what the weak => strong
 theorem licenses.
 
 Each map keeps one PreimageCalculator per truncation bound, so all checks
-on one map share the preimages they build.
+on one map share the preimages they build.  A preimage reads only the part
+of E over sigma, from the fibre index that pullback keeps on p.  Each
+calculator owns one content pool that every preimage it builds shares:
+identical chain complexes are put through Smith normal form once, and
+identical induced maps get their kernel/cokernel presentation once.  The
+pool lives and dies with the calculator, and so with its map.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from .homology import IsoCertificate, homology, is_acyclic, is_homology_iso
+from .homology import IsoCertificate, homology, is_acyclic, is_homology_iso, share_pool
 from .sset import (
     SimplexRef,
     SimplicialMap,
@@ -64,6 +69,7 @@ class PreimageCalculator:
         self.max_dim = max_dim
         self._records: dict[SimplexRef, PreimageRecord] = {}
         self._simplices: dict[int, SimplicialSet] = {}
+        self.pool: dict = {}
 
     def simplex(self, n: int) -> SimplicialSet:
         if n not in self._simplices:
@@ -81,6 +87,7 @@ class PreimageCalculator:
         if bound is None:
             bound = n + self.p.source.max_dim
         pb = pullback(classifying, self.p, bound)
+        share_pool(pb.space, self.pool)
         rec = PreimageRecord(sigma, pb.space, pb.to_left, pb.to_right)
         self._records[sigma] = rec
         return rec

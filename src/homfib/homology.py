@@ -10,6 +10,14 @@ so torsion is handled exactly rather than by comparing invariants.
 Z/p results are read off the same two integer Smith forms per degree that
 the integral ones use (see _DegreeData), so there is one elimination
 engine for every coefficient ring.
+
+A space may share a content pool (share_pool).  Its per-degree Smith
+form data is then looked up by exact content, the degree and every
+nonzero entry of the two boundary matrices it reads, and so are the
+kernel/cokernel invariants of its induced maps, by matrix and invariants.
+Both results are index-based, so they serve every space with the same
+content; generator names are applied afterwards.  The pool belongs to its
+owner (one per PreimageCalculator), and there is no process-wide cache.
 """
 
 from __future__ import annotations
@@ -184,10 +192,44 @@ class _DegreeData:
                 + [c.get(self.kept[pos], 0) % p for pos in highs])
 
 
+# ---------------------------------------------------------------------------
+# Content pools
+# ---------------------------------------------------------------------------
+
+_POOL = "content pool"
+
+
+def share_pool(X: SimplicialSet, pool: dict) -> None:
+    """Let X's Smith form work be looked up in, and added to, pool.
+
+    A pool maps the exact content a computation reads (degree, shapes and
+    every nonzero entry of its matrices) to the index-based result, so
+    spaces with identical chain complexes reduce them once.  Whoever owns
+    the pool decides how long it lives; nothing here outlives it.
+    """
+    X._cache[_POOL] = pool
+
+
+def _pooled(pool: dict | None, key: tuple, build):
+    if pool is None:
+        return build()
+    if key not in pool:
+        pool[key] = build()
+    return pool[key]
+
+
+def _content(m: IntMatrix) -> tuple:
+    return (m.nrows, m.ncols, tuple(sorted(m.entries())))
+
+
 def _degree_data(X: SimplicialSet, k: int) -> _DegreeData:
     key = ("hdata", k)
     if key not in X._cache:
-        X._cache[key] = _DegreeData(normalized_chains(X), k)
+        cc = normalized_chains(X)
+        pool = X._cache.get(_POOL)
+        content = None if pool is None else \
+            ("hdata", k, _content(cc.boundary(k)), _content(cc.boundary(k + 1)))
+        X._cache[key] = _pooled(pool, content, lambda: _DegreeData(cc, k))
     return X._cache[key]
 
 
@@ -402,7 +444,11 @@ def is_homology_iso(f: SimplicialMap, up_to: int,
             kernel = [] if ok else [coefficients]
             coker = []
         else:
-            kernel, coker = induced_map_kernel_cokernel(ind)
+            content = ("kernel/cokernel", tuple(map(tuple, ind.matrix)),
+                       tuple(ind.src_invariants), tuple(ind.dst_invariants))
+            kernel, coker = _pooled(f.source._cache.get(_POOL), content,
+                                    lambda: induced_map_kernel_cokernel(ind))
+            kernel, coker = list(kernel), list(coker)
             ok = not kernel and not coker
         certificates.append(IsoCertificate(k, hs.summary(), ht.summary(),
                                            kernel, coker, ok))

@@ -137,11 +137,21 @@ class SimplicialSet:
     def __init__(self, max_dim: int,
                  generators: dict[int, Iterable[Any]],
                  faces: dict[Any, tuple[SimplexRef, ...]]):
+        self._fill(max_dim, {k: tuple(sorted(generators.get(k, ()), key=canonical_key))
+                             for k in range(max_dim + 1)}, faces)
+
+    @classmethod
+    def _in_canonical_order(cls, max_dim: int, generators: dict[int, tuple],
+                           faces: dict[Any, tuple[SimplexRef, ...]]) -> "SimplicialSet":
+        """A SimplicialSet whose per-degree generator tuples are already sorted
+        by canonical_key, as the constructor would sort them."""
+        X = cls.__new__(cls)
+        X._fill(max_dim, {k: generators.get(k, ()) for k in range(max_dim + 1)}, faces)
+        return X
+
+    def _fill(self, max_dim, generators, faces):
         self.max_dim = max_dim
-        self.generators = {
-            k: tuple(sorted(generators.get(k, ()), key=canonical_key))
-            for k in range(max_dim + 1)
-        }
+        self.generators = generators
         self.faces = dict(faces)
         self.dim_of = {}
         for k, gs in self.generators.items():
@@ -543,32 +553,78 @@ class PullbackResult:
     to_right: SimplicialMap
 
 
+def _canonical_ranks(X: SimplicialSet) -> dict[Any, int]:
+    """Each generator's place in canonical_key order over all degrees of X.
+
+    Generators with equal keys share a rank, so a stable sort by rank is a
+    stable sort by canonical_key.  Computed once and kept on X.
+    """
+    ranks = X._cache.get("ranks")
+    if ranks is None:
+        keys = {g: canonical_key(g) for g in X.all_gens()}
+        ranks, previous, r = {}, None, -1
+        for g in sorted(keys, key=keys.__getitem__):
+            if keys[g] != previous:
+                r, previous = r + 1, keys[g]
+            ranks[g] = r
+        X._cache["ranks"] = ranks
+    return ranks
+
+
+def _faced_refs(X: SimplicialSet, n: int) -> list[tuple[SimplexRef, tuple[SimplexRef, ...]]]:
+    """Every n-simplex of X (degenerate included) with its faces d_0..d_n."""
+    key = ("faced", n)
+    if key not in X._cache:
+        X._cache[key] = [(r, tuple(X.face(r, i) for i in range(n + 1)) if n else ())
+                         for r in X.refs_of_dim(n)]
+    return X._cache[key]
+
+
+def _fibre_index(g: SimplicialMap, n: int) -> dict[SimplexRef, list]:
+    """The n-simplices of g's source, with their faces, by their image under g.
+
+    Built once per degree and kept on g, so every pullback along g reads
+    only the part of the source over the simplices it asks about.
+    """
+    key = ("fibres", n)
+    if key not in g._cache:
+        over: dict[SimplexRef, list] = {}
+        for entry in _faced_refs(g.source, n):
+            over.setdefault(g(entry[0]), []).append(entry)
+        g._cache[key] = over
+    return g._cache[key]
+
+
 def pullback(f: SimplicialMap, g: SimplicialMap, N: int | None = None) -> PullbackResult:
-    """Levelwise fiber product of f and g over their common target."""
+    """Levelwise fiber product of f and g over their common target.
+
+    For each n-simplex a of f's source, the n-simplices of g's source over
+    f(a) come from g's fibre index.  Generators (a, b) are sorted by the
+    canonical ranks of a.gen and b.gen and the words, which is their
+    canonical_key order.
+    """
     if f.target is not g.target and f.target != g.target:
         raise ValueError("pullback legs must share a target")
     X, Y = f.source, g.source
     if N is None:
         N = X.max_dim + Y.max_dim
-    generators: dict[int, list] = {k: [] for k in range(N + 1)}
+    rank_x, rank_y = _canonical_ranks(X), _canonical_ranks(Y)
+    generators: dict[int, tuple] = {}
+    pair_faces = []
     for n in range(N + 1):
-        by_image: dict[SimplexRef, list[SimplexRef]] = {}
-        for a in X.refs_of_dim(n):
-            by_image.setdefault(f(a), []).append(a)
-        for b in Y.refs_of_dim(n):
-            for a in by_image.get(g(b), ()):
+        over = _fibre_index(g, n)
+        found = []
+        for a, a_faces in _faced_refs(X, n):
+            for b, b_faces in over.get(f(a), ()):
                 if not (set(a.word) & set(b.word)):
-                    generators[n].append((a, b))
-    P = SimplicialSet(N, generators, {})
-    faces = {}
-    for n in range(1, N + 1):
-        for gen in P.gens(n):
-            a, b = gen
-            entries = []
-            for i in range(n + 1):
-                entries.append(tuple_into(P, (X.face(a, i), Y.face(b, i))))
-            faces[gen] = tuple(entries)
-    P.faces.update(faces)
+                    found.append(((rank_x[a.gen], a.word, rank_y[b.gen], b.word),
+                                  (a, b), a_faces, b_faces))
+        found.sort(key=lambda entry: entry[0])
+        generators[n] = tuple(entry[1] for entry in found)
+        pair_faces.extend(entry[1:] for entry in found if n)
+    P = SimplicialSet._in_canonical_order(N, generators, {})
+    P.faces.update({gen: tuple(tuple_into(P, pieces) for pieces in zip(a_faces, b_faces))
+                    for gen, a_faces, b_faces in pair_faces})
     to_left = SimplicialMap(P, X, {g: g[0] for g in P.all_gens()})
     to_right = SimplicialMap(P, Y, {g: g[1] for g in P.all_gens()})
     return PullbackResult(P, to_left, to_right)

@@ -7,6 +7,7 @@ from homfib.borel import (
     borel_level,
     borel_space,
     borel_total,
+    build_category,
     classifying_space,
     constant_diagram,
     constant_space,
@@ -23,7 +24,7 @@ from homfib.borel import (
     validate_simplicial_space,
     vertex_fiber_isomorphic,
 )
-from homfib.sset import SimplexRef, SimplicialMap
+from homfib.sset import SimplexRef, SimplicialMap, apply_degeneracies
 
 from oracles import bar_resolution_homology, cyclic_table
 
@@ -300,6 +301,34 @@ def test_gates_fail_on_corrupted_action():
     gate = rep.gates[0]
     assert gate.name == "morphism-actions" and not gate.ok
     assert ("1", "1", "e") in gate.witnesses
+
+
+def two_object_category(indiscrete: bool):
+    """Objects a and b.  Indiscrete: one morphism (i, j) between any two
+    objects, (i, i) the identity.  Otherwise only the identities."""
+    objects = ("a", "b")
+    homs = {(i, j): discrete_space([(i, j)] if indiscrete or i == j else [])
+            for i in objects for j in objects}
+
+    def compose_gen(i, j, k, g, f):
+        return apply_degeneracies(SimplexRef((i, k), (), 0), tuple(range(g.dim - 1, -1, -1)))
+
+    return build_category(objects, homs, {i: (i, i) for i in objects}, compose_gen)
+
+
+@pytest.mark.parametrize("indiscrete,diagram", [
+    (True, "trivial"), (True, "a"), (True, "b"), (False, "trivial"), (False, "a")])
+def test_gates_pass_for_two_object_categories(indiscrete, diagram):
+    # the levelwise gate picks its base vertex from hom(i_{t+1}, i_t): for
+    # two objects that hom-set may hold no identity, or nothing at all
+    cat = two_object_category(indiscrete)
+    assert validate_category(cat) == []
+    diag = trivial_diagram(cat) if diagram == "trivial" else restriction_diagram(cat, diagram)
+    assert validate_diagram(diag) == []
+    rep = group_completion_check(cat, diag, 2)
+    assert [g.name for g in rep.gates] == [
+        "morphism-actions", "levelwise-projections", "d0-fiber-maps", "realized-fibration"]
+    assert rep.verdict, [(g.name, g.witnesses) for g in rep.gates if not g.ok]
 
 
 def test_realize_map_of_levelwise_identity():

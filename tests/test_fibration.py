@@ -1,6 +1,10 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 import homfib as hf
+from homfib import cli, dsl
 from homfib.fibration import (
     KnownFiberSpec,
     PreimageCalculator,
@@ -13,9 +17,14 @@ from homfib.fibration import (
     vertex_components,
     weak_fibration_check,
 )
-from homfib.sset import SimplexRef, SimplicialMap, constant_map, standard_map
+from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet, constant_map, standard_map
 
 from corpus import collapse_circle_to_interval, projection_over_simplex, two_points
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the package exports a function named homology, so reach the modules by path
+homology_module = importlib.import_module("homfib.homology")
+fibration_module = importlib.import_module("homfib.fibration")
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +242,90 @@ def test_checks_on_one_map_share_preimages():
     sigma = p.target.ref(("e", 0))
     assert dp(p, sigma, max_dim=2) is built[sigma]
     assert preimage_calculator(p, 1) is not calc
+
+
+# ---------------------------------------------------------------------------
+# the content pool of a preimage calculator
+# ---------------------------------------------------------------------------
+
+def unpooled(X):
+    """X rebuilt from its generators and faces: no pool, nothing cached."""
+    return SimplicialSet(X.max_dim, X.generators, X.faces)
+
+
+def test_twin_preimages_share_one_reduction():
+    # over the two ends of Delta[1] the projection Delta[1] x S^1 -> Delta[1]
+    # has identical chain complexes; the second end reads the first one's
+    # Smith forms from the pool, and every answer equals one made without it
+    p = projection_over_simplex(1, hf.boundary(2))
+    calc = preimage_calculator(p, 2)
+    B = p.target
+    ends = [calc.record(B.ref((0,))), calc.record(B.ref((1,)))]
+    data = homology_module._degree_data
+    for k in range(3):
+        assert data(ends[0].space, k) is data(ends[1].space, k)
+        for rec in ends:
+            pooled, fresh = hf.homology(rec.space, k), hf.homology(unpooled(rec.space), k)
+            assert (pooled.summary(), pooled.basis) == (fresh.summary(), fresh.basis)
+    edge = B.ref((0, 1))
+    for i in (0, 1):
+        phi = standard_map(0, 1, [1 - i], calc.simplex(0), calc.simplex(1))
+        f = calc.comparison(edge, phi)
+        fresh = SimplicialMap(unpooled(f.source), unpooled(f.target), f.assignment)
+        assert hf.is_homology_iso(f, 1) == hf.is_homology_iso(fresh, 1)
+
+
+def test_pooled_certificates_are_fresh_lists():
+    p = collapse_circle_to_interval()
+    first = weak_fibration_check(p, 1)
+    second = weak_fibration_check(p, 1)
+    assert first == second and not first.verdict
+    for check in first.checks:
+        for cert in check.certificates:
+            cert.kernel.append(-1)
+            cert.cokernel.append(-1)
+    assert weak_fibration_check(p, 1) == second
+    assert all(-1 not in cert.kernel + cert.cokernel
+               for check in second.checks for cert in check.certificates)
+
+
+def test_pools_belong_to_one_map():
+    p, q = hf.cyclic_cover_map(6, 3), hf.cyclic_cover_map(6, 3)
+    assert p == q
+    cp, cq = preimage_calculator(p, 2), preimage_calculator(q, 2)
+    assert weak_fibration_check(p, 1).verdict
+    assert cp.pool and not cq.pool
+    size = len(cp.pool)
+    hf.homology(cq.record(q.target.ref(("e", 0))).space, 1)
+    assert cq.pool and len(cp.pool) == size
+    assert not any(pool is cp.pool for pool in (cq.pool, preimage_calculator(p, 1).pool))
+
+
+def test_group_completion_work_counts(monkeypatch):
+    # each distinct dp(sigma) is pulled back once per map and bound, and
+    # identical chain complexes are reduced once: 1,752 Smith forms on this
+    # job before the content pool, 200 with it
+    snf_calls, pullbacks = [], []
+    real_snf = homology_module.smith_normal_form
+    real_pullback = fibration_module.pullback
+
+    def counting_snf(m):
+        snf_calls.append(m)
+        return real_snf(m)
+
+    def counting_pullback(f, g, N=None):
+        sigma = f.assignment[tuple(range(f.source.max_dim + 1))]
+        pullbacks.append((g, sigma, N))
+        return real_pullback(f, g, N)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(fibration_module, "pullback", counting_pullback)
+    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
+    assert report.all_pass
+    assert len(snf_calls) <= 250
+    assert len(pullbacks) == 69
+    assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 69
 
 
 def test_strong_check_detects_wrong_fiber():
