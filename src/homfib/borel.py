@@ -459,7 +459,11 @@ class ThickRealization:
                     d = self.products[n].space.dim_of[pg]
                     generators[d].append(gen)
                     self.stage_of[gen] = n
-        space = SimplicialSet(N, generators, {})
+        # ("c", n, pg) in order of n, then of each product's own generator
+        # order: this is canonical_key order already
+        space = SimplicialSet._in_canonical_order(
+            N, {d: tuple(gs) for d, gs in generators.items()}, {})
+        self.space = space
         faces = {}
         for gen in space.all_gens():
             d = space.dim_of[gen]
@@ -473,7 +477,6 @@ class ThickRealization:
                     n, self.simplices[n].face(a, i), self.source.levels[n].face(b, i)))
             faces[gen] = tuple(entries)
         space.faces.update(faces)
-        self.space = space
 
     def assemble(self, n: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         """The class of a simplex (a, b) of Delta[n] x X_n in the realization."""
@@ -485,7 +488,7 @@ class ThickRealization:
                 m -= 1
         a = SimplexRef(tuple(range(m + 1)), a.word, a.dim)
         word, core = factor_common((a, b))
-        return SimplexRef(("c", m, core), word, a.dim - len(word))
+        return self.space.ref(("c", m, core), word)
 
     def stage_zero_inclusion(self) -> SimplicialMap:
         X = self.source.levels[0]

@@ -11,7 +11,8 @@ field outside the byte-for-byte guarantee and is zeroed under --stable.
 is read.
 
 Exit codes: 0 when every verdict in the report passed, 1 when some verdict
-failed, 2 on parse or usage errors, 3 on an internal error.
+failed, 2 on parse or usage errors (a map handed to check-weakfib,
+star-lemma or barycenter must be simplicial), 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -144,6 +145,15 @@ def _need(doc: Document, table: str, name: str):
     return pool[name]
 
 
+def _simplicial_map(doc: Document, name: str) -> SimplicialMap:
+    """The declared map, refused unless it commutes with every face operator."""
+    f = _need(doc, "maps", name)
+    report = validate_map(f)
+    if not report.ok:
+        raise CommandError(f"map {name!r} is not simplicial: {report.problems[0]}")
+    return f
+
+
 def _standardize(f: SimplicialMap) -> SimplicialMap:
     """Compose with the unique vertex-order isomorphism onto Delta[n]."""
     B = f.target
@@ -218,7 +228,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         rows = _homology_rows(target, X, up_to, coefficients)
 
     elif command == "check-weakfib":
-        f = _need(doc, "maps", target)
+        f = _simplicial_map(doc, target)
         up_to = max(0, min(n_bound, f.source.max_dim))
         valid_up_to = up_to
         report = weak_fibration_check(f, up_to, deep_ops=deep)
@@ -239,7 +249,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         rows = _homology_rows(f"Sd {target}", s.space, up_to, coefficients)
 
     elif command == "star-lemma":
-        f = _standardize(_need(doc, "maps", target))
+        f = _standardize(_simplicial_map(doc, target))
         sf = sub.sd_over_simplex(f)
         up_to = min(n_bound, f.source.max_dim)
         valid_up_to = f.source.max_dim - 1
@@ -267,7 +277,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
                                      [f"degree {c.degree}" for c in certs if not c.ok]))
 
     elif command == "barycenter":
-        f = _standardize(_need(doc, "maps", target))
+        f = _standardize(_simplicial_map(doc, target))
         E = f.source
         up_to = min(n_bound, E.max_dim)
         valid_up_to = E.max_dim - 1

@@ -11,6 +11,19 @@ A SimplicialSet records, per degree 0..max_dim, a finite set of generator
 identifiers and, for each generator of positive degree, the tuple of its
 faces d_0..d_n as SimplexRefs.  Degrees above max_dim are truncated away;
 degenerate simplices above the bound still exist implicitly through words.
+
+Simplices are looked up in dicts everywhere, so each comparison is kept
+shallow:
+- a SimplexRef computes its hash once, when it is made, and compares
+  identity, then hash, then fields;
+- X.ref(gen) hands out X's own stored generator object, so refs made by
+  X.ref and tuple_into meet the keys of X's dicts (and of the index dicts
+  built from X.gens) by identity, not by a walk through nested tuples;
+- products and pullbacks emit their generators in canonical_key order
+  directly, from per-space canonical ranks, instead of sorting by the
+  recursive canonical_key;
+- representing_map works out the faces of a base simplex once and keeps
+  them on the base.
 """
 
 from __future__ import annotations
@@ -69,13 +82,40 @@ def word_face(word: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int | Non
 # Simplex references
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SimplexRef:
-    """A simplex: degeneracy word applied to a nondegenerate generator."""
+    """A simplex: degeneracy word applied to a nondegenerate generator.
 
-    gen: Any
-    word: tuple[int, ...] = ()
-    dim: int = 0
+    Immutable, with its hash computed once at construction; the hash is
+    hash((gen, word, dim)), so sets and dicts of refs keep their order.
+    """
+
+    __slots__ = ("gen", "word", "dim", "_hash")
+
+    def __init__(self, gen: Any, word: tuple[int, ...] = (), dim: int = 0):
+        _set_gen(self, gen)
+        _set_word(self, word)
+        _set_dim(self, dim)
+        _set_hash(self, hash((gen, word, dim)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SimplexRef is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SimplexRef is immutable (cannot delete {name!r})")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not SimplexRef:
+            return NotImplemented
+        return (self._hash == other._hash and self.dim == other.dim
+                and self.word == other.word and self.gen == other.gen)
+
+    def __reduce__(self):
+        return (SimplexRef, (self.gen, self.word, self.dim))
 
     def is_degenerate(self) -> bool:
         return bool(self.word)
@@ -88,6 +128,12 @@ class SimplexRef:
             return f"<{self.gen}>"
         w = " ".join(f"s{a}" for a in self.word)
         return f"<{w} {self.gen}>"
+
+
+_set_gen = SimplexRef.gen.__set__
+_set_word = SimplexRef.word.__set__
+_set_dim = SimplexRef.dim.__set__
+_set_hash = SimplexRef._hash.__set__
 
 
 def canonical_key(x) -> tuple:
@@ -154,11 +200,13 @@ class SimplicialSet:
         self.generators = generators
         self.faces = dict(faces)
         self.dim_of = {}
+        self._own = {}
         for k, gs in self.generators.items():
             for g in gs:
                 if g in self.dim_of:
                     raise ValueError(f"duplicate generator identifier {g!r}")
                 self.dim_of[g] = k
+                self._own[g] = (g, k)
         self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
@@ -179,7 +227,9 @@ class SimplicialSet:
         return tuple(len(self.gens(k)) for k in range(self.max_dim + 1))
 
     def ref(self, gen: Any, word: tuple[int, ...] = ()) -> SimplexRef:
-        return SimplexRef(gen, word, self.dim_of[gen] + len(word))
+        """The simplex (gen, word), on this space's own generator object."""
+        gen, k = self._own[gen]
+        return SimplexRef(gen, word, k + len(word))
 
     def has_ref(self, ref: SimplexRef) -> bool:
         d = self.dim_of.get(ref.gen)
@@ -447,17 +497,31 @@ def standard_map(m: int, n: int, values: Iterable[int],
 
 def representing_map(B: SimplicialSet, ref: SimplexRef,
                      domain: SimplicialSet | None = None) -> SimplicialMap:
-    """The map Delta[n] -> B classifying a (possibly degenerate) n-simplex."""
-    n = ref.dim
-    dom = domain if domain is not None else standard_simplex(n)
-    assignment = {}
-    for g in dom.all_gens():
-        r = ref
-        for i in range(n, -1, -1):
-            if i not in g:
-                r = B.face(r, i)
-        assignment[g] = r
+    """The map Delta[n] -> B classifying a (possibly degenerate) n-simplex.
+
+    domain, when given, is the Delta[n] to use as the source.  The images
+    are built once per simplex and kept on B.
+    """
+    dom = domain if domain is not None else standard_simplex(ref.dim)
+    built = B._cache.setdefault("representing", {})
+    assignment = built.get(ref)
+    if assignment is None:
+        assignment = built[ref] = _representing_assignment(B, ref)
     return SimplicialMap(dom, B, assignment)
+
+
+def _representing_assignment(B: SimplicialSet, ref: SimplexRef) -> dict[tuple, SimplexRef]:
+    """Vertex set S of Delta[n] -> the face of ref spanned by S."""
+    n = ref.dim
+    assignment = {}
+    for k in range(n + 1):
+        for g in itertools.combinations(range(n + 1), k + 1):
+            r = ref
+            for i in range(n, -1, -1):
+                if i not in g:
+                    r = B.face(r, i)
+            assignment[g] = r
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -505,37 +569,57 @@ def tuple_into(space: SimplicialSet, refs: tuple[SimplexRef, ...],
     return apply_degeneracies(space.ref(gen), word)
 
 
+def _rank_ordered(X: SimplicialSet, n: int) -> list[SimplexRef]:
+    """The n-simplices of X by (canonical rank of the generator, word)."""
+    rank = _canonical_ranks(X)
+    return sorted(X.refs_of_dim(n), key=lambda r: (rank[r.gen], r.word))
+
+
+def _disjoint_combos(pools: list[list[SimplexRef]]) -> Iterator[tuple[SimplexRef, ...]]:
+    """The tuples of itertools.product(*pools), in its order, whose degeneracy
+    words have no index in common (a single ref: an empty word).
+
+    Which entries of the last pool fit a prefix depends only on the indices
+    all of the prefix's words hold, so each such list is filtered once.
+    """
+    *heads, last = pools
+    fitting: dict = {}
+    for prefix in itertools.product(*heads):
+        # None: an empty prefix, which holds every index
+        shared = frozenset(prefix[0].word).intersection(*(r.word for r in prefix[1:])) \
+            if prefix else None
+        if shared not in fitting:
+            fitting[shared] = [r for r in last if not (
+                r.word if shared is None else shared.intersection(r.word))]
+        for r in fitting[shared]:
+            yield prefix + (r,)
+
+
 def product_many(spaces: list[SimplicialSet], N: int | None = None) -> ProductResult:
     """Categorical product truncated at N, with projections.
 
     Nondegenerate n-simplices are tuples of n-simplices of the factors whose
-    degeneracy words have no index in common.
+    degeneracy words have no index in common.  Each factor's n-simplices
+    are taken in (canonical rank, word) order, so the tuples come out in
+    canonical_key order and need no sorting.
     """
     if not spaces:
         pt = SimplicialSet(0, {0: ["*"]}, {})
         return ProductResult(pt, ())
     if N is None:
         N = sum(X.max_dim for X in spaces)
-    generators: dict[int, list] = {k: [] for k in range(N + 1)}
-    faces = {}
-    for n in range(N + 1):
-        pools = [list(X.refs_of_dim(n)) for X in spaces]
-        for combo in itertools.product(*pools):
-            common = set(combo[0].word)
-            for r in combo[1:]:
-                common &= set(r.word)
-            if common:
-                continue
-            generators[n].append(tuple(combo))
-    P = SimplicialSet(N, generators, {})
+    generators = {n: tuple(_disjoint_combos([_rank_ordered(X, n) for X in spaces]))
+                  for n in range(N + 1)}
+    P = SimplicialSet._in_canonical_order(N, generators, {})
     for n in range(1, N + 1):
-        for gen in P.gens(n):
-            entries = []
-            for i in range(n + 1):
-                pieces = tuple(X.face(r, i) for X, r in zip(spaces, gen))
-                entries.append(tuple_into(P, pieces))
-            faces[gen] = tuple(entries)
-    P.faces.update(faces)
+        faces_of = [{} for _ in spaces]
+        for gen in generators[n]:
+            pieces = []
+            for X, known, r in zip(spaces, faces_of, gen):
+                if r not in known:
+                    known[r] = tuple(X.face(r, i) for i in range(n + 1))
+                pieces.append(known[r])
+            P.faces[gen] = tuple(tuple_into(P, face) for face in zip(*pieces))
     projections = []
     for t, X in enumerate(spaces):
         projections.append(SimplicialMap(P, X, {g: g[t] for g in P.all_gens()}))

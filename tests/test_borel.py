@@ -339,6 +339,20 @@ def test_realize_map_of_levelwise_identity():
     assert all(ident.assignment[g] == r.space.ref(g) for g in r.space.all_gens())
 
 
+def test_realize_map_with_degenerate_classes():
+    # the constant map Delta[1] -> point sends (s0 (0,), (0, 1)) to a class
+    # that is degenerate in the realization of the constant point
+    X = hf.standard_simplex(1)
+    rx = thick_realize(constant_space(X, 2), 2)
+    rp = thick_realize(constant_space(hf.point(), 2), 2)
+    collapse = hf.sset.constant_map(X, hf.point(), (0,))
+    f = realize_map(rx, rp, [collapse] * 3)
+    assert hf.validate_map(f).ok
+    image = f.assignment[("c", 0, (SimplexRef((0,), (0,), 1), X.ref((0, 1))))]
+    assert image == rp.space.ref(("c", 0, (SimplexRef((0,)), SimplexRef((0,)))), (0,))
+    assert image.dim == 1
+
+
 def test_stage_zero_inclusion_valid():
     cat = z2_category()
     bc = borel_total(cat, restriction_diagram(cat, "1"), 2)

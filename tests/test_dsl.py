@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,6 +276,25 @@ def test_group_completion_golden():
     assert got == golden
 
 
+@pytest.mark.parametrize("command,max_dim,golden", [
+    ("group-completion", 2, "group-completion_Z2.json"),
+    ("classify", 3, "classify_Z2.json"),
+])
+def test_golden_bytes_do_not_depend_on_hash_seed(command, max_dim, golden):
+    src = str(FIXTURES.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    expected = (FIXTURES / "golden" / golden).read_text()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run(
+            [sys.executable, "-m", "homfib.cli", command, "Z2",
+             "-f", str(FIXTURES / "z2.hfd"), "--max-dim", str(max_dim),
+             "--format", "json", "--stable"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == expected, f"PYTHONHASHSEED={seed}"
+
+
 def test_all_fixture_files_parse_and_validate():
     for path in sorted(FIXTURES.glob("*.hfd")):
         doc = parse(path.read_text())
@@ -389,3 +411,40 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "homfib: internal error: RuntimeError: boom second line\n"
+
+
+NOT_SIMPLICIAL = """
+sset a {
+  p : dim 0 faces [];
+  q : dim 0 faces [];
+  e : dim 1 faces [q, p];
+}
+
+sset b {
+  x : dim 0 faces [];
+  y : dim 0 faces [];
+  xy : dim 1 faces [y, x];
+}
+
+map f : a -> b { p -> x; q -> x; e -> xy; }
+"""
+
+
+def test_validate_flags_non_simplicial_map(capsys, tmp_path):
+    path = tmp_path / "f.hfd"
+    path.write_text(NOT_SIMPLICIAL)
+    assert main(["validate", "f", "-f", str(path), "--format", "json", "--stable"]) == 1
+    check, = json.loads(capsys.readouterr().out)["checks"]
+    assert check["witnesses"] == ["'e': f(d_0 x) = <x> but d_0 f(x) = <y>"]
+
+
+@pytest.mark.parametrize("command", ["check-weakfib", "star-lemma", "barycenter"])
+def test_non_simplicial_map_is_refused(command, capsys, tmp_path):
+    # d_0 e = q goes to x, but d_0 xy = y: no check may run on such a map
+    path = tmp_path / "f.hfd"
+    path.write_text(NOT_SIMPLICIAL)
+    assert main([command, "f", "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("homfib: map 'f' is not simplicial: "
+                            "'e': f(d_0 x) = <x> but d_0 f(x) = <y>\n")

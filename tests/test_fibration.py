@@ -25,6 +25,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the package exports a function named homology, so reach the modules by path
 homology_module = importlib.import_module("homfib.homology")
 fibration_module = importlib.import_module("homfib.fibration")
+sset_module = importlib.import_module("homfib.sset")
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +305,21 @@ def test_pools_belong_to_one_map():
 def test_group_completion_work_counts(monkeypatch):
     # each distinct dp(sigma) is pulled back once per map and bound, and
     # identical chain complexes are reduced once: 1,752 Smith forms on this
-    # job before the content pool, 200 with it
-    snf_calls, pullbacks = [], []
+    # job before the content pool, 200 with it.  The faces of a base simplex
+    # are worked out once: 180 representing maps on 68 distinct simplices.
+    snf_calls, pullbacks, representing, built = [], [], [], []
     real_snf = homology_module.smith_normal_form
     real_pullback = fibration_module.pullback
+    real_representing = fibration_module.representing_map
+    real_build = sset_module._representing_assignment
+
+    def counting_representing(B, ref, domain=None):
+        representing.append((B, ref))
+        return real_representing(B, ref, domain)
+
+    def counting_build(B, ref):
+        built.append((B, ref))
+        return real_build(B, ref)
 
     def counting_snf(m):
         snf_calls.append(m)
@@ -320,12 +332,18 @@ def test_group_completion_work_counts(monkeypatch):
 
     monkeypatch.setattr(homology_module, "smith_normal_form", counting_snf)
     monkeypatch.setattr(fibration_module, "pullback", counting_pullback)
+    monkeypatch.setattr(fibration_module, "representing_map", counting_representing)
+    monkeypatch.setattr(sset_module, "_representing_assignment", counting_build)
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
     assert len(snf_calls) <= 250
     assert len(pullbacks) == 69
     assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 69
+    distinct = {(id(B), sigma) for B, sigma in representing}
+    assert len(representing) == 180
+    assert len(built) == len(distinct) == 68
+    assert len({(id(B), sigma) for B, sigma in built}) == len(built)
 
 
 def test_strong_check_detects_wrong_fiber():

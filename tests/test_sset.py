@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,75 @@ from homfib.sset import (
 )
 
 from oracles import product_nondegenerate_counts
+
+
+# ---------------------------------------------------------------------------
+# SimplexRef value semantics
+# ---------------------------------------------------------------------------
+
+# a 2-simplex s1 (a, b) whose generator is a pair of refs, one of them
+# nested again, as in products of products
+NESTED = SimplexRef((SimplexRef(((0, 1), "x"), (0,), 1), SimplexRef(SimplexRef("v"), (), 1)),
+                    (1,), 2)
+REFS = [SimplexRef("v"), SimplexRef(3), SimplexRef((0, 1), (1, 0), 3), NESTED]
+
+
+def test_simplex_ref_hash_is_the_field_tuple_hash():
+    for r in REFS:
+        assert hash(r) == hash((r.gen, r.word, r.dim))
+
+
+def test_simplex_ref_never_equals_its_field_tuple():
+    for r in REFS:
+        fields = (r.gen, r.word, r.dim)
+        assert r != fields and fields != r and not r == fields
+        assert len({r, fields}) == 2
+    assert SimplexRef((0, 1), (0,), 2) == SimplexRef((0, 1), (0,), 2)
+    assert SimplexRef((0, 1), (0,), 2) != SimplexRef((0, 1), (1,), 2)
+    assert SimplexRef(0, (), 0) != SimplexRef(0, (), 1)
+
+
+def test_simplex_ref_is_immutable():
+    r = SimplexRef("v")
+    for name in ("gen", "word", "dim", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 1)
+    with pytest.raises(AttributeError):
+        del r.gen
+    assert r == SimplexRef("v") and hash(r) == hash(("v", (), 0))
+
+
+def test_simplex_ref_repr():
+    assert repr(SimplexRef("v")) == "<v>"
+    assert repr(SimplexRef((0, 1), (1, 0), 3)) == "<s1 s0 (0, 1)>"
+    assert repr(NESTED) == "<s1 (<s0 ((0, 1), 'x')>, <<v>>)>"
+
+
+@pytest.mark.parametrize("round_trip", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+    copy.deepcopy,
+    copy.copy,
+])
+def test_simplex_ref_round_trips(round_trip):
+    for r in REFS:
+        back = round_trip(r)
+        assert back == r and hash(back) == hash(r) and repr(back) == repr(r)
+    assert round_trip(NESTED).gen[1].gen == SimplexRef("v")
+    X = hf.product(hf.boundary(2), hf.standard_simplex(1), 2).space
+    Y = round_trip(X)
+    assert Y == X and hf.validate(Y).ok
+
+
+def test_ref_returns_the_space_own_generator():
+    X = hf.product(hf.boundary(2), hf.standard_simplex(1), 2).space
+    for k in range(X.max_dim + 1):
+        for g in X.gens(k):
+            twin = pickle.loads(pickle.dumps(g))
+            assert twin == g and twin is not g
+            assert X.ref(twin).gen is g
+            r = X.ref(twin, (0,))
+            assert r.gen is g and r == SimplexRef(g, (0,), k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +365,54 @@ def test_pullback_matches_scan_on_random_maps(data, m, N):
     assert_pullback_matches_scan(hf.representing_map(f.target, sigma), g, N)
 
 
+def sorting_product(spaces, N):
+    """Reference product: the same combos, sorted by the SimplicialSet constructor."""
+    generators = {n: [combo for combo in itertools.product(*(list(X.refs_of_dim(n)) for X in spaces))
+                      if not set(combo[0].word).intersection(*(r.word for r in combo[1:]))]
+                  for n in range(N + 1)}
+    P = SimplicialSet(N, generators, {})
+    P.faces.update({
+        gen: tuple(tuple_into(P, tuple(X.face(r, i) for X, r in zip(spaces, gen)))
+                   for i in range(P.dim_of[gen] + 1))
+        for gen in P.all_gens() if P.dim_of[gen] >= 1})
+    return P
+
+
+def assert_product_matches_sorting(spaces, N):
+    P = hf.product_many(spaces, N).space
+    ref = sorting_product(spaces, N)
+    assert P.generators == ref.generators   # same generators, same order
+    assert P.faces == ref.faces
+    assert hf.validate(P).ok
+
+
+def product_corpus():
+    from corpus import subdivision_corpus
+    spaces = dict(subdivision_corpus())
+    spaces.update({f"source of {name}": f.source for name, f in corpus_maps().items()})
+    return spaces
+
+
+@pytest.mark.parametrize("name", sorted(product_corpus()))
+def test_product_matches_sorting_reference_over_corpus(name):
+    X = product_corpus()[name]
+    d1, pair = hf.standard_simplex(1), hf.disjoint_union([hf.point(), hf.point()])[0]
+    assert_product_matches_sorting([X], X.max_dim)
+    assert_product_matches_sorting([X, d1], min(X.max_dim + 1, 3))
+    assert_product_matches_sorting([d1, X], min(X.max_dim + 1, 3))
+    assert_product_matches_sorting([X, X], 2)
+    assert_product_matches_sorting([hf.boundary(2), X, pair], 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(0, 3))
+def test_product_matches_sorting_reference_on_random_spaces(data, m, N):
+    K = data.draw(maps_to_simplex(m)).source
+    L = data.draw(maps_to_simplex(m)).source
+    assert_product_matches_sorting([K, L], N)
+    assert_product_matches_sorting([L, hf.standard_simplex(m), K], min(N, 2))
+
+
 # ---------------------------------------------------------------------------
 # pushouts, coproducts
 # ---------------------------------------------------------------------------
@@ -396,6 +515,35 @@ def test_representing_map_of_degenerate_simplex():
     f = hf.representing_map(B, ref)
     assert hf.validate_map(f).ok
     assert f.assignment[(0, 1, 2)] == ref
+
+
+def fresh_representing_assignment(B, sigma):
+    """Each face of sigma by its chain of face operators, built from scratch."""
+    n = sigma.dim
+    out = {}
+    for g in hf.standard_simplex(n).all_gens():
+        r = sigma
+        for i in range(n, -1, -1):
+            if i not in g:
+                r = B.face(r, i)
+        out[g] = r
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(corpus_maps()))
+def test_memoized_representing_map_matches_fresh_build(name):
+    B = corpus_maps()[name].target
+    for n in range(B.max_dim + 2):
+        delta = hf.standard_simplex(n)
+        for sigma in B.refs_of_dim(n):
+            fresh = fresh_representing_assignment(B, sigma)
+            first = hf.representing_map(B, sigma, delta)
+            again = hf.representing_map(B, sigma)
+            assert first.assignment == fresh
+            assert again.assignment == fresh
+            assert first.source is delta and again.source == delta
+            assert first.target is B and again.target is B
+            assert hf.validate_map(again).ok
 
 
 def test_cover_map_valid():
