@@ -32,11 +32,14 @@ from .sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    _disjoint_combos,
+    _rank_ordered,
     apply_degeneracies,
     canonical_key,
     factor_common,
     is_isomorphism,
     product,
+    product_many,
     standard_simplex,
     tuple_into,
     validate_map,
@@ -289,33 +292,19 @@ def constant_diagram(cat: SimplicialCategory, X: SimplicialSet) -> Diagram:
 def _component_space(components: dict[Any, list[SimplicialSet]], N: int) -> SimplicialSet:
     """Disjoint union over tags of products of factor lists, truncated at N.
 
-    Generators are (tag, refs-tuple) with no degeneracy index shared by all
-    components of the tuple.
+    Generators are (tag, g) for each generator g of product_many(factors, N),
+    and faces are the product's faces tagged the same way.  Tags are taken in
+    canonical_key order and each product is in that order already, so the
+    level needs no sort.
     """
-    generators: dict[int, list] = {d: [] for d in range(N + 1)}
-    for tag in sorted(components, key=canonical_key):
-        spaces = components[tag]
-        for d in range(N + 1):
-            pools = [list(X.refs_of_dim(d)) for X in spaces]
-            for combo in itertools.product(*pools):
-                common = set(combo[0].word) if combo else set()
-                for r in combo[1:]:
-                    common &= set(r.word)
-                if combo and common:
-                    continue
-                generators[d].append((tag, tuple(combo)))
-    S = SimplicialSet(N, generators, {})
-    faces = {}
-    for d in range(1, N + 1):
-        for gen in S.gens(d):
-            tag, refs = gen
-            spaces = components[tag]
-            entries = []
-            for t in range(d + 1):
-                pieces = tuple(X.face(r, t) for X, r in zip(spaces, refs))
-                entries.append(tuple_into(S, pieces, component=tag))
-            faces[gen] = tuple(entries)
-    S.faces.update(faces)
+    tags = sorted(components, key=canonical_key)
+    products = [product_many(components[tag], N).space for tag in tags]
+    S = SimplicialSet._in_canonical_order(
+        N, {d: tuple((tag, g) for tag, P in zip(tags, products) for g in P.gens(d))
+            for d in range(N + 1)}, {})
+    for tag, P in zip(tags, products):
+        for g, entries in P.faces.items():
+            S.faces[(tag, g)] = tuple(S.ref((tag, r.gen), r.word) for r in entries)
     return S
 
 
@@ -437,46 +426,39 @@ def borel_space(cat: SimplicialCategory, diag: Diagram, N: int) -> SimplicialSpa
 class ThickRealization:
     """The thick (fat) realization through stage N, with its filtration data.
 
-    A generator is ("c", n, (a, b)) where (a, b) is a product generator of
-    Delta[n] x X_n whose simplex part sits on the top face; assembling a
-    general pair pushes proper faces of Delta[n] through the level face
-    maps, which is exactly the attaching rule of the stage pushouts.
+    A generator is ("c", n, (a, b)): a nondegenerate d-simplex of
+    Delta[n] x X_n whose Delta[n] part a is a degeneracy of the top simplex.
+    Only these cells are enumerated, from the top simplex's degeneracies and
+    X_n's d-simplices, in the order product_many would give them.
+    Assembling a general pair pushes proper faces of Delta[n] through the
+    level face maps, which is exactly the attaching rule of the stage
+    pushouts.
     """
 
     def __init__(self, source: SimplicialSpace, N: int):
         self.source = source
         self.N = N
         self.simplices = [standard_simplex(n) for n in range(N + 1)]
-        self.products = [product(self.simplices[n], source.levels[n], N)
-                         for n in range(N + 1)]
         generators: dict[int, list] = {d: [] for d in range(N + 1)}
-        self.stage_of = {}
         for n in range(N + 1):
-            top = tuple(range(n + 1))
-            for pg in self.products[n].space.all_gens():
-                if pg[0].gen == top:
-                    gen = ("c", n, pg)
-                    d = self.products[n].space.dim_of[pg]
-                    generators[d].append(gen)
-                    self.stage_of[gen] = n
-        # ("c", n, pg) in order of n, then of each product's own generator
-        # order: this is canonical_key order already
+            delta, top = self.simplices[n], tuple(range(n + 1))
+            for d in range(n, N + 1):
+                tops = [delta.ref(top, word)
+                        for word in sorted(itertools.combinations(range(d - 1, -1, -1), d - n))]
+                pools = [tops, _rank_ordered(source.levels[n], d)]
+                generators[d].extend(("c", n, pg) for pg in _disjoint_combos(pools))
+        # ("c", n, pg) in order of n, then of (a, b) by rank: this is
+        # canonical_key order already
         space = SimplicialSet._in_canonical_order(
             N, {d: tuple(gs) for d, gs in generators.items()}, {})
         self.space = space
-        faces = {}
-        for gen in space.all_gens():
-            d = space.dim_of[gen]
-            if d == 0:
-                continue
-            _, n, pg = gen
-            a, b = pg
-            entries = []
-            for i in range(d + 1):
-                entries.append(self.assemble(
-                    n, self.simplices[n].face(a, i), self.source.levels[n].face(b, i)))
-            faces[gen] = tuple(entries)
-        space.faces.update(faces)
+        self.stage_of = {gen: gen[1] for gen in space.all_gens()}
+        for d in range(1, N + 1):
+            for gen in space.gens(d):
+                _, n, (a, b) = gen
+                space.faces[gen] = tuple(
+                    self.assemble(n, self.simplices[n].face(a, i), source.levels[n].face(b, i))
+                    for i in range(d + 1))
 
     def assemble(self, n: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         """The class of a simplex (a, b) of Delta[n] x X_n in the realization."""

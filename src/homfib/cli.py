@@ -11,8 +11,13 @@ field outside the byte-for-byte guarantee and is zeroed under --stable.
 is read.
 
 Exit codes: 0 when every verdict in the report passed, 1 when some verdict
-failed, 2 on parse or usage errors (a map handed to check-weakfib,
-star-lemma or barycenter must be simplicial), 3 on an internal error.
+failed, 2 on parse or usage errors, 3 on an internal error.  Inputs that a
+command cannot trust are usage errors naming their first problem: an sset
+handed to homology or subdivide, or the source or target of a map handed
+to check-weakfib, star-lemma or barycenter, must satisfy the simplicial
+identities; that map must be simplicial; a --diagram for group-completion
+must be over the target monoid and lawful.  validate reports such problems
+as a failed verdict instead.
 """
 
 from __future__ import annotations
@@ -145,13 +150,39 @@ def _need(doc: Document, table: str, name: str):
     return pool[name]
 
 
+def _simplicial_set(doc: Document, name: str) -> SimplicialSet:
+    """The declared sset, refused unless its faces satisfy the simplicial identities."""
+    X = _need(doc, "ssets", name)
+    report = validate(X)
+    if not report.ok:
+        raise CommandError(f"sset {name!r} is not a simplicial set: {report.problems[0]}")
+    return X
+
+
 def _simplicial_map(doc: Document, name: str) -> SimplicialMap:
-    """The declared map, refused unless it commutes with every face operator."""
+    """The declared map, refused unless its source and target are simplicial
+    sets and it commutes with every face operator."""
     f = _need(doc, "maps", name)
+    for sset_name, X in doc.ssets.items():
+        if X is f.source or X is f.target:
+            _simplicial_set(doc, sset_name)
     report = validate_map(f)
     if not report.ok:
         raise CommandError(f"map {name!r} is not simplicial: {report.problems[0]}")
     return f
+
+
+def _lawful_diagram(doc: Document, name: str, monoid: str) -> bor.Diagram:
+    """The declared diagram, refused unless it is over the named monoid and
+    satisfies the unit and composition laws."""
+    diag = _need(doc, "diagrams", name)
+    if diag.category is not doc.categories[monoid]:
+        over = next(n for n, c in doc.categories.items() if c is diag.category)
+        raise CommandError(f"diagram {name!r} is over monoid {over!r}, not {monoid!r}")
+    problems = bor.validate_diagram(diag)
+    if problems:
+        raise CommandError(f"diagram {name!r} is not lawful: {problems[0]}")
+    return diag
 
 
 def _standardize(f: SimplicialMap) -> SimplicialMap:
@@ -222,7 +253,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
             raise CommandError(f"nothing named {target!r} to validate")
 
     elif command == "homology":
-        X = _need(doc, "ssets", target)
+        X = _simplicial_set(doc, target)
         up_to = min(n_bound, X.max_dim)
         valid_up_to = X.max_dim - 1
         rows = _homology_rows(target, X, up_to, coefficients)
@@ -238,7 +269,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
                               for c in report.failures()[:5]]))
 
     elif command == "subdivide":
-        X = _need(doc, "ssets", target)
+        X = _simplicial_set(doc, target)
         s = sub.sd(X)
         up_to = min(n_bound, X.max_dim)
         valid_up_to = X.max_dim - 1
@@ -312,7 +343,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
     elif command == "group-completion":
         cat = _need(doc, "categories", target)
         if flags.get("diagram"):
-            diag = _need(doc, "diagrams", flags["diagram"])
+            diag = _lawful_diagram(doc, flags["diagram"], target)
         else:
             diag = bor.restriction_diagram(cat, "1")
         valid_up_to = n_bound - 1

@@ -1,6 +1,13 @@
+import itertools
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homfib as hf
+from homfib import borel as borel_module
+from homfib import cli, dsl
+from homfib import sset as sset_module
 from homfib.borel import (
     BorelConstruction,
     Telescope,
@@ -24,9 +31,20 @@ from homfib.borel import (
     validate_simplicial_space,
     vertex_fiber_isomorphic,
 )
-from homfib.sset import SimplexRef, SimplicialMap, apply_degeneracies
+from homfib.sset import (
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
+    apply_degeneracies,
+    factor_common,
+    monotone_of_ref,
+    ref_from_monotone,
+    tuple_into,
+)
 
 from oracles import bar_resolution_homology, cyclic_table
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def z2_category():
@@ -358,3 +376,203 @@ def test_stage_zero_inclusion_valid():
     bc = borel_total(cat, restriction_diagram(cat, "1"), 2)
     incl = bc.total.stage_zero_inclusion()
     assert hf.validate_map(incl).ok
+
+
+# ---------------------------------------------------------------------------
+# reference enumerations: whole products, naive component tuples
+# ---------------------------------------------------------------------------
+
+def naive_component_space(components, N):
+    """Reference Borel level: every tuple of factor simplices of each tag,
+    dropped when all its words share an index, faces taken factor by factor,
+    sorted by the SimplicialSet constructor."""
+    generators = {d: [] for d in range(N + 1)}
+    for tag, spaces in components.items():
+        for d in range(N + 1):
+            for combo in itertools.product(*(list(X.refs_of_dim(d)) for X in spaces)):
+                if not set(combo[0].word).intersection(*(r.word for r in combo[1:])):
+                    generators[d].append((tag, combo))
+    S = SimplicialSet(N, generators, {})
+    S.faces.update({
+        (tag, refs): tuple(
+            tuple_into(S, tuple(X.face(r, t) for X, r in zip(components[tag], refs)),
+                       component=tag)
+            for t in range(S.dim_of[(tag, refs)] + 1))
+        for tag, refs in S.all_gens() if S.dim_of[(tag, refs)] >= 1})
+    return S
+
+
+def level_components(cat, diag, n):
+    """Tag (i_0, ..., i_n) -> [hom(i_n, i_{n-1}), ..., hom(i_1, i_0), F(i_0)]."""
+    return {comp: [cat.hom(comp[n - t], comp[n - t - 1]) for t in range(n)]
+            + [diag.value(comp[0])]
+            for comp in itertools.product(cat.objects, repeat=n + 1)}
+
+
+def filtering_realization(source, N):
+    """Reference thick realization: the whole product Delta[n] x X_n at every
+    stage, kept where the Delta[n] part is a degeneracy of the top simplex,
+    faces read off the product's face table, sorted by the SimplicialSet
+    constructor.  Returns the space and the stage of each generator."""
+    generators, faces, stage_of = {d: [] for d in range(N + 1)}, {}, {}
+    for n in range(N + 1):
+        P = hf.product(hf.standard_simplex(n), source.levels[n], N).space
+        for pg in P.all_gens():
+            if pg[0].gen != tuple(range(n + 1)):
+                continue
+            gen = ("c", n, pg)
+            generators[P.dim_of[pg]].append(gen)
+            stage_of[gen] = n
+            if P.dim_of[pg]:
+                faces[gen] = tuple(realized_class(source, n, r) for r in P.faces[pg])
+    return SimplicialSet(N, generators, faces), stage_of
+
+
+def realized_class(source, n, r):
+    """The realization's class of a simplex r of Delta[n] x X_n: the level
+    part goes down through d_v for each vertex v its Delta[n] part misses."""
+    a, b = (apply_degeneracies(x, r.word) for x in r.gen)
+    m = n
+    for v in range(n, -1, -1):
+        if v not in a.gen:
+            b = source.face_maps[m][v](b)
+            m -= 1
+    word, core = factor_common((SimplexRef(tuple(range(m + 1)), a.word, a.dim), b))
+    return SimplexRef(("c", m, core), word, r.dim)
+
+
+def assert_matches_references(cat, diag, N):
+    for n in range(N + 1):
+        level = borel_level(cat, diag, n, N)
+        ref = naive_component_space(level_components(cat, diag, n), N)
+        assert level.generators == ref.generators   # same generators, same order
+        assert level.faces == ref.faces
+    source = borel_space(cat, diag, N)
+    r = thick_realize(source, N)
+    space, stage_of = filtering_realization(source, N)
+    assert r.space.generators == space.generators
+    assert r.space.faces == space.faces
+    assert r.stage_of == stage_of
+    assert hf.validate(r.space).ok
+
+
+def interval_category():
+    """One object, hom = Delta[1] under the pointwise minimum of vertex
+    sequences, unit the vertex 1: Borel levels are products of several
+    positive-dimensional factors, so their faces carry degeneracy words."""
+    def compose_gen(i, j, k, g, f):
+        return ref_from_monotone(map(min, monotone_of_ref(g), monotone_of_ref(f)))
+
+    return build_category(["1"], {("1", "1"): hf.standard_simplex(1)}, {"1": (1,)},
+                          compose_gen)
+
+
+def cone():
+    """A triangle with one degenerate face: faces of level simplices over it
+    carry degeneracy words."""
+    v, w, e = SimplexRef("v"), SimplexRef("w"), SimplexRef("e", (), 1)
+    return SimplicialSet(2, {0: ["v", "w"], 1: ["e"], 2: ["t"]},
+                         {"e": (w, v), "t": (e, e, SimplexRef("v", (0,), 1))})
+
+
+def reference_cases():
+    """name -> (category, diagram) for the reference comparisons."""
+    cats = {"Z2": z2_category(), "Z3": z3_category(), "idempotent": idem_category(),
+            "interval": interval_category(), "indiscrete a,b": two_object_category(True),
+            "discrete a,b": two_object_category(False)}
+    cases = {f"{name} trivial": (cat, trivial_diagram(cat)) for name, cat in cats.items()}
+    cases.update({f"{name} restriction to {obj}": (cat, restriction_diagram(cat, obj))
+                  for name, cat in cats.items() for obj in cat.objects})
+    cases["Z2 constant cone"] = (cats["Z2"], constant_diagram(cats["Z2"], cone()))
+    cases["idempotent telescope"] = (
+        cats["idempotent"], telescope_diagram(cats["idempotent"], "e", 2)[0])
+    return cases
+
+
+# the interval levels at N = 4 (Delta[1]^5 and more) are too large for the
+# whole-product reference
+@pytest.mark.parametrize("case,N", [(name, N) for name in reference_cases() for N in (1, 2, 3, 4)
+                                    if not (name.startswith("interval") and N == 4)])
+def test_levels_and_realization_match_references(case, N):
+    assert_matches_references(*reference_cases()[case], N)
+
+
+def test_interval_category_is_lawful():
+    cat = interval_category()
+    assert validate_category(cat) == []
+    assert validate_diagram(restriction_diagram(cat, "1")) == []
+
+
+def _monoid_tables(size):
+    """Every associative multiplication on range(size) with unit 0."""
+    free = [(a, b) for a in range(1, size) for b in range(1, size)]
+    tables = []
+    for values in itertools.product(range(size), repeat=len(free)):
+        table = {(a, b): a if b == 0 else b for a in range(size) for b in range(size)
+                 if 0 in (a, b)}
+        table.update(zip(free, values))
+        if all(table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
+               for a, b, c in itertools.product(range(size), repeat=3)):
+            tables.append(table)
+    return tables
+
+
+MONOID_TABLES = _monoid_tables(2) + _monoid_tables(3)
+
+
+@st.composite
+def monoid_tables(draw):
+    """A random associative monoid table on 2 or 3 elements, as (table, unit).
+
+    The elements get distinct names drawn as strings, ints or tuples, so
+    that their canonical order differs from the table's structure.
+    """
+    table = draw(st.sampled_from(MONOID_TABLES))
+    size = max(a for a, _ in table) + 1
+    names = draw(st.lists(st.sampled_from(["u", "a", "b", 0, 1, 5, (0,), (1, "x")]),
+                          min_size=size, max_size=size, unique=True))
+    return {(names[a], names[b]): names[c] for (a, b), c in table.items()}, names[0]
+
+
+def test_monoid_tables_are_all_the_small_monoids():
+    # up to isomorphism there are 2 monoids of order 2 and 7 of order 3
+    # (OEIS A058129); an isomorphism fixes the unit 0, so on three elements
+    # it is the identity or the swap of 1 and 2
+    swap = {0: 0, 1: 2, 2: 1}
+    classes = {min(tuple(sorted(t.items())),
+                   tuple(sorted(((swap[a], swap[b]), swap[c]) for (a, b), c in t.items())))
+               for t in _monoid_tables(3)}
+    assert len(_monoid_tables(2)) == 2
+    assert len(classes) == 7
+    for table in MONOID_TABLES:
+        assert validate_category(from_monoid(table, 0)) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(monoid_tables(), st.integers(1, 3), st.booleans())
+def test_random_monoids_match_references(monoid, N, restricted):
+    table, unit = monoid
+    cat = from_monoid(table, unit)
+    diag = restriction_diagram(cat, "1") if restricted else trivial_diagram(cat)
+    assert_matches_references(cat, diag, N)
+
+
+def test_classify_work_counts(monkeypatch):
+    # products are built for the composition, the trivial action and one
+    # Borel level per stage, 37 generators in all; the realization
+    # enumerates its cells itself, and whole products Delta[n] x X_n would
+    # add 651 generators
+    built = []
+    real = sset_module.product_many
+
+    def counting(spaces, N=None):
+        result = real(spaces, N)
+        built.append(result.space.gen_count())
+        return result
+
+    monkeypatch.setattr(sset_module, "product_many", counting)
+    monkeypatch.setattr(borel_module, "product_many", counting, raising=False)
+    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    report = cli.run("classify", doc, {"target": "Z2", "max_dim": 4})
+    assert [row["torsion"] for row in report.homology] == [[], [2], [2]]
+    assert built == [4, 2, 1, 2, 4, 8, 16]

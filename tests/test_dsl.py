@@ -448,3 +448,93 @@ def test_non_simplicial_map_is_refused(command, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == ("homfib: map 'f' is not simplicial: "
                             "'e': f(d_0 x) = <x> but d_0 f(x) = <y>\n")
+
+
+MALFORMED = """
+sset bad {
+  a : dim 0 faces [];
+  b : dim 0 faces [];
+  c : dim 0 faces [];
+  e : dim 1 faces [b, a];
+  f : dim 1 faces [c, b];
+  g : dim 1 faces [c, a];
+  t : dim 2 faces [e, g, f];
+}
+
+sset good {
+  a : dim 0 faces [];
+  b : dim 0 faces [];
+  c : dim 0 faces [];
+  e : dim 1 faces [b, a];
+  f : dim 1 faces [c, b];
+  g : dim 1 faces [c, a];
+  t : dim 2 faces [f, g, e];
+}
+
+map id : bad -> bad { a -> a; b -> b; c -> c; e -> e; f -> f; g -> g; t -> t; }
+map into : good -> bad { a -> a; b -> b; c -> c; e -> e; f -> f; g -> g; t -> t; }
+map onto : bad -> good { a -> a; b -> b; c -> c; e -> e; f -> f; g -> g; t -> t; }
+"""
+BAD_TRIANGLE = "homfib: sset 'bad' is not a simplicial set: 't': d_0 d_1 = <c> but d_0 d_0 = <b>\n"
+
+
+@pytest.mark.parametrize("command,target", [
+    ("homology", "bad"), ("subdivide", "bad"),
+    ("check-weakfib", "id"), ("check-weakfib", "into"), ("check-weakfib", "onto"),
+    ("star-lemma", "into"), ("star-lemma", "onto"), ("barycenter", "id")])
+def test_malformed_sset_is_refused(command, target, capsys, tmp_path):
+    # t's faces give a boundary whose boundary is zero, so homology alone
+    # would not notice that d_0 d_1 t differs from d_0 d_0 t
+    path = tmp_path / "bad.hfd"
+    path.write_text(MALFORMED)
+    assert main([command, target, "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == BAD_TRIANGLE
+
+
+def test_malformed_sset_still_validates_to_a_verdict(capsys, tmp_path):
+    path = tmp_path / "bad.hfd"
+    path.write_text(MALFORMED)
+    assert main(["validate", "bad", "-f", str(path), "--format", "json"]) == 1
+    check, = json.loads(capsys.readouterr().out)["checks"]
+    assert len(check["witnesses"]) == 3
+    assert main(["homology", "good", "-f", str(path)]) == 0
+    capsys.readouterr()
+
+
+DIAGRAMS = (FIXTURES / "idem.hfd").read_text() + (FIXTURES / "z2.hfd").read_text() + """
+map squash : pair -> pair { x -> x; y -> x; }
+
+diagram unlawful over Z2 {
+  F(1) = pair;
+  act(1,1): t -> squash;
+}
+"""
+
+
+def test_diagram_over_another_monoid_is_refused(capsys, tmp_path):
+    path = tmp_path / "diagrams.hfd"
+    path.write_text(DIAGRAMS)
+    assert main(["group-completion", "Z2", "-f", str(path), "--diagram", "flat",
+                 "--max-dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "homfib: diagram 'flat' is over monoid 'M2', not 'Z2'\n"
+    assert main(["group-completion", "M2", "-f", str(path), "--diagram", "flat",
+                 "--max-dim", "2"]) == 0
+    capsys.readouterr()
+
+
+def test_unlawful_diagram_is_refused(capsys, tmp_path):
+    # squash after squash is squash, not the action of t.t = u
+    path = tmp_path / "diagrams.hfd"
+    path.write_text(DIAGRAMS)
+    assert main(["group-completion", "Z2", "-f", str(path), "--diagram", "unlawful",
+                 "--max-dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("homfib: diagram 'unlawful' is not lawful: action compatibility "
+                            "fails at (<t>, <t>, <y>) over ('1', '1', '1')\n")
+    assert main(["validate", "unlawful", "-f", str(path)]) == 1
+    capsys.readouterr()
