@@ -42,6 +42,7 @@ from .sset import (
     product_many,
     standard_simplex,
     tuple_into,
+    validate,
     validate_map,
 )
 
@@ -222,9 +223,42 @@ def build_diagram(cat: SimplicialCategory, values: dict,
     return Diagram(cat, values, actions, action_products)
 
 
+def _action_problem(diag: Diagram, i, j, act: SimplicialMap) -> str | None:
+    """Where the action map of (i, j) leaves hom(i, j) x F(j) -> F(i), if it does."""
+    hom, src, dst = diag.category.hom(i, j), diag.value(j), diag.value(i)
+    if act.target != dst:
+        return f"action {(i, j)} does not land in F({i!r})"
+    for gen in act.source.all_gens():
+        f, x = gen
+        if not (hom.has_ref(f) and src.has_ref(x)):
+            return f"action {(i, j)}: {gen!r} is not in hom({i!r}, {j!r}) x F({j!r})"
+        image = act.assignment.get(gen)
+        if image is None or not dst.has_ref(image):
+            return f"action {(i, j)}: image {image!r} of {gen!r} is not in F({i!r})"
+    return None
+
+
 def validate_diagram(diag: Diagram) -> list[str]:
-    problems = []
+    """The diagram's problems, first problem first.
+
+    Each value F(i) must be a simplicial set and each action map must run
+    hom(i, j) x F(j) -> F(i); the laws are checked only once both hold,
+    since they read the values through the actions.  Then the actions must
+    be simplicial, the unit must act as the identity, and the actions must
+    compose.
+    """
     cat = diag.category
+    problems = []
+    for i in cat.objects:
+        report = validate(diag.value(i))
+        if not report.ok:
+            problems.append(f"F({i!r}) is not a simplicial set: {report.problems[0]}")
+    for (i, j), act in diag.actions.items():
+        problem = _action_problem(diag, i, j, act)
+        if problem:
+            problems.append(problem)
+    if problems:
+        return problems
     for key, act in diag.actions.items():
         report = validate_map(act)
         if not report.ok:

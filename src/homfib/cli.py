@@ -16,8 +16,9 @@ command cannot trust are usage errors naming their first problem: an sset
 handed to homology or subdivide, or the source or target of a map handed
 to check-weakfib, star-lemma or barycenter, must satisfy the simplicial
 identities; that map must be simplicial; a --diagram for group-completion
-must be over the target monoid and lawful.  validate reports such problems
-as a failed verdict instead.
+must be over the target monoid, its values must be simplicial sets with
+action maps between them, and it must be lawful.  validate reports such
+problems as a failed verdict instead.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def _simplicial_map(doc: Document, name: str) -> SimplicialMap:
 
 
 def _lawful_diagram(doc: Document, name: str, monoid: str) -> bor.Diagram:
-    """The declared diagram, refused unless it is over the named monoid and
-    satisfies the unit and composition laws."""
+    """The declared diagram, refused unless it is over the named monoid, its
+    values and action maps are well formed, and it satisfies the unit and
+    composition laws."""
     diag = _need(doc, "diagrams", name)
     if diag.category is not doc.categories[monoid]:
         over = next(n for n, c in doc.categories.items() if c is diag.category)

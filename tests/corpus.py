@@ -81,3 +81,16 @@ def simplex_maps_small():
         "susp_disc": hf.suspension(disc_complex())[1],
     }
     return out
+
+
+def corpus_maps():
+    """The corpus maps, the cover of the hexagon and a Borel projection."""
+    from homfib.borel import borel_total, from_monoid, restriction_diagram
+
+    from oracles import cyclic_table
+    cat = from_monoid(cyclic_table(2), 0)
+    maps = dict(simplex_maps_small())
+    maps["collapse"] = collapse_circle_to_interval()
+    maps["cover_6_3"] = hf.cyclic_cover_map(6, 3)
+    maps["borel_z2"] = borel_total(cat, restriction_diagram(cat, "1"), 2).pi
+    return maps

@@ -1,0 +1,43 @@
+"""Hypothesis strategies shared by the property suites."""
+
+import itertools
+
+from hypothesis import strategies as st
+
+import homfib as hf
+from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet, ref_from_monotone
+
+
+@st.composite
+def maps_to_simplex(draw, m):
+    """A map K -> Delta[m] from a random ordered simplicial complex K.
+
+    K has up to four vertices; its simplices are the faces of up to four
+    random vertex sets of size at most three.  A weakly increasing vertex
+    map makes the map simplicial.  Generator names are drawn as vertex
+    tuples, strings or ints, in a random order, so that the canonical order
+    of K's generators differs from its structure.
+    """
+    V = draw(st.integers(1, 4))
+    tops = draw(st.lists(st.sets(st.integers(0, V - 1), min_size=1, max_size=3), max_size=4))
+    simplices = {(v,) for v in range(V)}
+    for top in tops:
+        top = sorted(top)
+        for k in range(1, len(top) + 1):
+            simplices.update(itertools.combinations(top, k))
+    simplices = sorted(simplices, key=lambda S: (len(S), S))
+    kind = draw(st.sampled_from(["tuple", "str", "int", "mixed"]))
+    order = draw(st.permutations(range(len(simplices))))
+    label = {}
+    for S, t in zip(simplices, order):
+        pick = kind if kind != "mixed" else ("tuple", "str", "int")[t % 3]
+        label[S] = {"tuple": S, "str": f"x{t}", "int": t}[pick]
+    phi = sorted(draw(st.lists(st.integers(0, m), min_size=V, max_size=V)))
+    K = SimplicialSet(
+        max(len(S) for S in simplices) - 1,
+        {k: [label[S] for S in simplices if len(S) == k + 1] for k in range(3)},
+        {label[S]: tuple(SimplexRef(label[S[:i] + S[i + 1:]], (), len(S) - 2)
+                         for i in range(len(S)))
+         for S in simplices if len(S) > 1})
+    return SimplicialMap(K, hf.standard_simplex(m), {
+        label[S]: ref_from_monotone(phi[v] for v in S) for S in simplices})

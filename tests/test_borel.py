@@ -10,11 +10,13 @@ from homfib import cli, dsl
 from homfib import sset as sset_module
 from homfib.borel import (
     BorelConstruction,
+    Diagram,
     Telescope,
     borel_level,
     borel_space,
     borel_total,
     build_category,
+    build_diagram,
     classifying_space,
     constant_diagram,
     constant_space,
@@ -100,6 +102,24 @@ def test_trivial_and_restriction_diagrams_lawful():
     for cat in (z2_category(), z3_category(), idem_category()):
         assert validate_diagram(trivial_diagram(cat)) == []
         assert validate_diagram(restriction_diagram(cat, "1")) == []
+
+
+def test_validate_diagram_names_actions_that_leave_their_values():
+    # every law holds vacuously on the stray point, so only the check that
+    # each action map runs hom(i, j) x F(j) -> F(i) can see these
+    cat = z2_category()
+    pair, other = discrete_space(["x", "y"]), discrete_space(["x", "z"])
+    stray = build_diagram(cat, {"1": pair},
+                          lambda i, j, f, x: SimplexRef("z", x.word, x.dim))
+    assert validate_diagram(stray)[0] == \
+        "action ('1', '1'): image <z> of (<0>, <x>) is not in F('1')"
+    moved = Diagram(cat, {"1": other}, stray.actions, stray.action_products)
+    assert validate_diagram(moved) == ["action ('1', '1') does not land in F('1')"]
+    elsewhere = hf.product(cat.hom("1", "1"), other).space
+    act = SimplicialMap(elsewhere, pair, {gen: pair.ref("x") for gen in elsewhere.all_gens()})
+    crossed = Diagram(cat, {"1": pair}, {("1", "1"): act}, {("1", "1"): elsewhere})
+    assert validate_diagram(crossed)[0] == \
+        "action ('1', '1'): (<0>, <z>) is not in hom('1', '1') x F('1')"
 
 
 def test_restriction_rejects_unknown_object():

@@ -538,3 +538,47 @@ def test_unlawful_diagram_is_refused(capsys, tmp_path):
                             "fails at (<t>, <t>, <y>) over ('1', '1', '1')\n")
     assert main(["validate", "unlawful", "-f", str(path)]) == 1
     capsys.readouterr()
+
+
+MALFORMED_VALUE = (FIXTURES / "z2.hfd").read_text() + """
+sset tri {
+  a : dim 0 faces [];
+  b : dim 0 faces [];
+  c : dim 0 faces [];
+  e : dim 1 faces [b, a];
+  f : dim 1 faces [c, a];
+  g : dim 1 faces [c, b];
+  t : dim 2 faces [e, g, f];
+}
+
+map id : tri -> tri { a -> a; b -> b; c -> c; e -> e; f -> f; g -> g; t -> t; }
+
+diagram D over Z2 {
+  F(1) = tri;
+  act(1,1): t -> id;
+}
+"""
+BAD_VALUE = "F('1') is not a simplicial set: 't': d_0 d_1 = <c> but d_0 d_0 = <b>"
+
+
+def test_diagram_with_malformed_value_fails_validation(capsys, tmp_path):
+    # the laws hold, since t acts as the identity; the value itself breaks
+    # a simplicial identity, which validate must name
+    path = tmp_path / "d.hfd"
+    path.write_text(MALFORMED_VALUE)
+    assert main(["validate", "D", "-f", str(path), "--format", "json"]) == 1
+    check, = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "diagram D lawful" and not check["verdict"]
+    assert check["witnesses"] == [BAD_VALUE]
+
+
+def test_diagram_with_malformed_value_is_refused(capsys, tmp_path):
+    # before the values were validated, the chain layer stopped with
+    # "boundary squared is nonzero in degree 2", naming no declaration
+    path = tmp_path / "d.hfd"
+    path.write_text(MALFORMED_VALUE)
+    assert main(["group-completion", "Z2", "-f", str(path), "--diagram", "D",
+                 "--max-dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"homfib: diagram 'D' is not lawful: {BAD_VALUE}\n"

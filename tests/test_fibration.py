@@ -305,8 +305,11 @@ def test_pools_belong_to_one_map():
 def test_group_completion_work_counts(monkeypatch):
     # each distinct dp(sigma) is pulled back once per map and bound, and
     # identical chain complexes are reduced once: 1,752 Smith forms on this
-    # job before the content pool, 200 with it.  The faces of a base simplex
-    # are worked out once: 180 representing maps on 68 distinct simplices.
+    # job before the content pool, 200 with it, 124 once the degeneracy
+    # comparisons rest on their lemma.  Only face comparisons build
+    # preimages, so no dp(s_i sigma) is pulled back: 20 pullbacks, where
+    # 69 were built with the degeneracies.  The faces of a base simplex are
+    # worked out once: 82 representing maps on 19 distinct simplices.
     snf_calls, pullbacks, representing, built = [], [], [], []
     real_snf = homology_module.smith_normal_form
     real_pullback = fibration_module.pullback
@@ -338,11 +341,12 @@ def test_group_completion_work_counts(monkeypatch):
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
     assert len(snf_calls) <= 250
-    assert len(pullbacks) == 69
-    assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 69
+    assert len(pullbacks) == 20
+    assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 20
+    assert not any(sigma.is_degenerate() for _, sigma, _ in pullbacks)
     distinct = {(id(B), sigma) for B, sigma in representing}
-    assert len(representing) == 180
-    assert len(built) == len(distinct) == 68
+    assert len(representing) == 82
+    assert len(built) == len(distinct) == 19
     assert len({(id(B), sigma) for B, sigma in built}) == len(built)
 
 

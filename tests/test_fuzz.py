@@ -1,0 +1,132 @@
+"""Seeded fuzzing of the exit-code contract.
+
+Every command line ends in exit 0 when its verdicts pass, 1 when one
+fails and 2 on a parse or usage error; exit 3 marks an internal error and
+an escaping traceback is a defect.  The inputs are mutants of the fixture
+files, alone or joined: character-level edits, and identifier swaps that
+keep the syntax valid, so that declarations refer to the wrong things.  A
+mutant that parses runs through all nine commands at --max-dim <= 3; one
+that does not parse runs through one of them, since every command stops at
+the same parse error.  The seeds are fixed, so a failure reproduces, and
+the cases together take a few seconds.
+"""
+
+import contextlib
+import io
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from homfib import cli
+from homfib.dsl import DslError, parse
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.hfd"))
+TEXTS = [path.read_text() for path in FIXTURES]
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DECLARED = re.compile(r"\b(sset|map|monoid|diagram)\s+([A-Za-z_][A-Za-z0-9_]*)")
+KEYWORDS = {"sset", "map", "monoid", "diagram", "dim", "faces", "elements", "unit",
+            "mul", "over", "F", "act"}
+# the kind of declaration each command reads; validate reads any
+TARGET_KIND = {"homology": "sset", "subdivide": "sset", "check-weakfib": "map",
+               "star-lemma": "map", "barycenter": "map", "borel": "monoid",
+               "classify": "monoid", "group-completion": "monoid", "validate": None}
+ALPHABET = "{}[]();:,.->=# \n0123456789sdimfacesuetxyv_"
+CASES = 200
+
+
+def declared(text: str, kind: str | None) -> list[str]:
+    return [name for k, name in DECLARED.findall(text) if kind in (None, k)]
+
+
+def document(rng: random.Random) -> str:
+    """Some of the fixtures joined, skipping any that would declare a name
+    twice, so that one document can hold two monoids, a diagram over the
+    other one, or maps between spaces of different files."""
+    text, names = "", set()
+    for fixture in rng.sample(TEXTS, rng.randint(1, len(TEXTS))):
+        if not names & set(declared(fixture, None)):
+            text += fixture + "\n"
+            names |= set(declared(fixture, None))
+    return text
+
+
+def char_mutant(rng: random.Random, text: str) -> str:
+    """text with one or two deleted, inserted, replaced or repeated
+    characters, or a dimension or degeneracy index changed inside valid
+    syntax."""
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(text))
+        edit = rng.randrange(5)
+        numbers = [m.start(1) for m in re.finditer(r"\b(?:s|dim )(\d)", text)]
+        if edit == 4 and numbers:
+            at = rng.choice(numbers)
+            text = text[:at] + rng.choice("0123456789") + text[at + 1:]
+        elif edit == 0:
+            text = text[:at] + text[at + 1:]
+        elif edit == 1:
+            text = text[:at] + rng.choice(ALPHABET) + text[at:]
+        elif edit == 2:
+            text = text[:at] + rng.choice(ALPHABET) + text[at + 1:]
+        else:
+            text = text[:at] + text[at:at + rng.randint(1, 12)] + text[at:]
+    return text
+
+
+def identifier_swap(rng: random.Random, text: str) -> str:
+    """text with one or two names replaced by other names from it; keywords
+    and comments stay."""
+    text = "\n".join(line for line in text.splitlines() if not line.startswith("#"))
+    for _ in range(rng.randint(1, 2)):
+        spots = [m for m in IDENT.finditer(text)
+                 if m.group() not in KEYWORDS and not re.fullmatch(r"s\d+", m.group())]
+        spot = rng.choice(spots)
+        other = rng.choice(spots).group()
+        text = text[:spot.start()] + other + text[spot.end():]
+    return text
+
+
+def command_line(rng: random.Random, command: str, text: str) -> list[str]:
+    """command on a name of the kind it reads, with drawn flags."""
+    names = declared(text, TARGET_KIND[command]) or IDENT.findall(text) or ["nothing"]
+    argv = [command, rng.choice(names), "--max-dim", str(rng.randint(0, 3)),
+            "--coefficients", rng.choice(["Z", "Z", "Z", "Z2", "Z3", "Z4"]),
+            "--format", rng.choice(["json", "text"])]
+    if rng.random() < 0.1:
+        argv.append("--deep-ops")
+    if command == "group-completion" and rng.random() < 0.5:
+        argv += ["--diagram", rng.choice(declared(text, "diagram") or names)]
+    return argv
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse refuses a malformed command line
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("mutate,seed", [(char_mutant, 6101), (identifier_swap, 6102)])
+def test_fuzzed_documents_keep_the_exit_code_contract(mutate, seed, tmp_path):
+    rng = random.Random(seed)
+    path = tmp_path / "fuzz.hfd"
+    seen = set()
+    for case in range(CASES):
+        text = mutate(rng, document(rng))
+        path.write_text(text)
+        try:
+            parse(text)
+            commands = cli.COMMANDS
+        except DslError:   # every command stops at the same parse error
+            commands = [cli.COMMANDS[case % len(cli.COMMANDS)]]
+        for command in commands:
+            argv = command_line(rng, command, text)
+            code, err = run_main(argv[:2] + ["-f", str(path)] + argv[2:])
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err, text)
+            seen.add(code)
+    # the mutants reach passing and failing verdicts as well as refusals
+    assert seen == {0, 1, 2}

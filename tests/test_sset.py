@@ -18,7 +18,9 @@ from homfib.sset import (
     word_is_normal,
 )
 
+from corpus import corpus_maps
 from oracles import product_nondegenerate_counts
+from strategies import maps_to_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +297,6 @@ def assert_pullback_matches_scan(f, g, N):
         assert pb.to_right.assignment[gen] == gen[1]
 
 
-def corpus_maps():
-    from homfib.borel import borel_total, from_monoid, restriction_diagram
-
-    from corpus import collapse_circle_to_interval, simplex_maps_small
-    from oracles import cyclic_table
-    cat = from_monoid(cyclic_table(2), 0)
-    maps = dict(simplex_maps_small())
-    maps["collapse"] = collapse_circle_to_interval()
-    maps["cover_6_3"] = hf.cyclic_cover_map(6, 3)
-    maps["borel_z2"] = borel_total(cat, restriction_diagram(cat, "1"), 2).pi
-    return maps
-
-
 @pytest.mark.parametrize("name", sorted(corpus_maps()))
 def test_pullback_matches_scan_over_corpus(name):
     p = corpus_maps()[name]
@@ -317,41 +306,6 @@ def test_pullback_matches_scan_over_corpus(name):
             assert_pullback_matches_scan(hf.representing_map(B, sigma), p, n + 1)
     assert_pullback_matches_scan(p, p, 2)
     assert_pullback_matches_scan(hf.identity_map(B), p, 2)
-
-
-@st.composite
-def maps_to_simplex(draw, m):
-    """A map K -> Delta[m] from a random ordered simplicial complex K.
-
-    K has up to four vertices; its simplices are the faces of up to four
-    random vertex sets of size at most three.  A weakly increasing vertex
-    map makes the map simplicial.  Generator names are drawn as vertex
-    tuples, strings or ints, in a random order, so that the canonical order
-    of K's generators differs from its structure.
-    """
-    V = draw(st.integers(1, 4))
-    tops = draw(st.lists(st.sets(st.integers(0, V - 1), min_size=1, max_size=3), max_size=4))
-    simplices = {(v,) for v in range(V)}
-    for top in tops:
-        top = sorted(top)
-        for k in range(1, len(top) + 1):
-            simplices.update(itertools.combinations(top, k))
-    simplices = sorted(simplices, key=lambda S: (len(S), S))
-    kind = draw(st.sampled_from(["tuple", "str", "int", "mixed"]))
-    order = draw(st.permutations(range(len(simplices))))
-    label = {}
-    for S, t in zip(simplices, order):
-        pick = kind if kind != "mixed" else ("tuple", "str", "int")[t % 3]
-        label[S] = {"tuple": S, "str": f"x{t}", "int": t}[pick]
-    phi = sorted(draw(st.lists(st.integers(0, m), min_size=V, max_size=V)))
-    K = SimplicialSet(
-        max(len(S) for S in simplices) - 1,
-        {k: [label[S] for S in simplices if len(S) == k + 1] for k in range(3)},
-        {label[S]: tuple(SimplexRef(label[S[:i] + S[i + 1:]], (), len(S) - 2)
-                         for i in range(len(S)))
-         for S in simplices if len(S) > 1})
-    return SimplicialMap(K, hf.standard_simplex(m), {
-        label[S]: ref_from_monotone(phi[v] for v in S) for S in simplices})
 
 
 @settings(max_examples=60, deadline=None)
