@@ -9,7 +9,10 @@ so torsion is handled exactly rather than by comparing invariants.
 
 Z/p results are read off the same two integer Smith forms per degree that
 the integral ones use (see _DegreeData), so there is one elimination
-engine for every coefficient ring.
+engine for every coefficient ring.  A Smith form builds a change of basis
+only when it is read: _DegreeData reads V1, V1^-1, U2 and U2^-1, a kernel
+presentation reads V, and cokernels and mod-p invertibility read the
+diagonal alone.
 
 A space may share a content pool (share_pool).  Its per-degree Smith
 form data is then looked up by exact content, the degree and every
@@ -22,8 +25,11 @@ owner (one per PreimageCalculator), and there is no process-wide cache.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
+from types import MappingProxyType
 from typing import Any
 
 from .snf import IntMatrix, smith_normal_form
@@ -65,8 +71,8 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
     index = {k: {g: t for t, g in enumerate(gens[k])} for k in gens}
     boundaries = {}
     for k in range(1, X.max_dim + 1):
-        m = IntMatrix(len(gens[k - 1]), len(gens[k]))
-        for j, g in enumerate(gens[k]):
+        columns = []
+        for g in gens[k]:
             col: dict[int, int] = {}
             sign = 1
             for r in X.faces[g]:
@@ -74,9 +80,8 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
                     i = index[k - 1][r.gen]
                     col[i] = col.get(i, 0) + sign
                 sign = -sign
-            for i, v in col.items():
-                m[i, j] = v
-        boundaries[k] = m
+            columns.append(col)
+        boundaries[k] = IntMatrix.from_columns(len(gens[k - 1]), columns)
     for k in range(2, X.max_dim + 1):
         if not boundaries[k - 1].matmul(boundaries[k]).is_zero():
             raise ValueError(f"boundary squared is nonzero in degree {k}")
@@ -125,6 +130,10 @@ class _DegreeData:
     e_j is a homology generator of order D2_jj.  Over Z/p the same forms
     give a basis: V1 e_j for j < rank with p | D1_jj (cycles mod p only),
     then the kept generators whose order p divides (0 counts).
+
+    Only V1, V1^-1, U2 and U2^-1 are read, so the other four transforms
+    are never built.  Cycles are kept once computed and handed out
+    read-only, because a content pool shares this object between spaces.
     """
 
     def __init__(self, cc: ChainComplex, k: int):
@@ -135,28 +144,29 @@ class _DegreeData:
         self.snf1 = smith_normal_form(d_k)
         self.rank1 = self.snf1.rank
         self.z = self.n - self.rank1
-        y = IntMatrix(self.z, d_k1.ncols)
-        v1_inv = self.snf1.v_inv
+        columns = []
         for j in range(d_k1.ncols):
-            col = d_k1.column(j)
-            t = v1_inv.apply(col)
-            for i, v in t.items():
-                if i < self.rank1:
-                    raise ValueError("boundary image is not a cycle")
-                y[i - self.rank1, j] = v
-        self.snf2 = smith_normal_form(y)
+            t = self.snf1.v_inv.apply(d_k1.column(j)) if j in d_k1.cols else {}
+            if any(i < self.rank1 for i in t):
+                raise ValueError("boundary image is not a cycle")
+            columns.append({i - self.rank1: v for i, v in t.items()})
+        self.snf2 = smith_normal_form(IntMatrix.from_columns(self.z, columns))
         self.rank2 = self.snf2.rank
         # generator j of ker/im has order diag[j] (0 beyond the rank);
         # order-1 generators are dropped.
         orders = list(self.snf2.diagonal) + [0] * (self.z - len(self.snf2.diagonal))
         self.kept = [j for j in range(self.z) if orders[j] != 1]
         self.orders = [orders[j] for j in self.kept]
+        self._cycles: dict[int, Mapping[int, int]] = {}
 
-    def cycle_of(self, j: int) -> dict[int, int]:
-        """The j-th kept generator as a cycle in chain coordinates."""
-        col = self.snf2.u_inv.column(self.kept[j])
-        shifted = {self.rank1 + i: v for i, v in col.items()}
-        return self.snf1.v.apply(shifted)
+    def cycle_of(self, j: int) -> Mapping[int, int]:
+        """The j-th kept generator as a cycle in chain coordinates (read-only)."""
+        cycle = self._cycles.get(j)
+        if cycle is None:
+            col = self.snf2.u_inv.column(self.kept[j])
+            shifted = {self.rank1 + i: v for i, v in col.items()}
+            cycle = self._cycles[j] = MappingProxyType(self.snf1.v.apply(shifted))
+        return cycle
 
     def coords(self, w: dict[int, int]) -> list[int]:
         """Coordinates of a cycle in the kept homology generators."""
@@ -283,12 +293,11 @@ def is_acyclic(X: SimplicialSet, up_to: int, coefficients: int = Z) -> bool:
 def chain_map_matrix(f: SimplicialMap, k: int) -> IntMatrix:
     """The degree-k chain map: images through f, degenerate images dropped."""
     cs, ct = normalized_chains(f.source), normalized_chains(f.target)
-    m = IntMatrix(ct.dim(k), cs.dim(k))
-    for j, g in enumerate(cs.gens.get(k, ())):
+    columns = []
+    for g in cs.gens.get(k, ()):
         r = f.assignment[g]
-        if not r.is_degenerate():
-            m[ct.index[k][r.gen], j] = 1
-    return m
+        columns.append({} if r.is_degenerate() else {ct.index[k][r.gen]: 1})
+    return IntMatrix.from_columns(ct.dim(k), columns)
 
 
 @dataclass
@@ -331,14 +340,6 @@ def induced(f: SimplicialMap, k: int, coefficients: int = Z) -> InducedMap:
     return InducedMap(k, cols, list(src.orders), list(dst.orders))
 
 
-def _column_matrix(cols: list[dict[int, int]], nrows: int) -> IntMatrix:
-    m = IntMatrix(nrows, len(cols))
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            m[i, j] = v
-    return m
-
-
 def _cokernel(rel: IntMatrix) -> list[int]:
     """Invariant factors (0 = Z) of the cokernel of a relation matrix."""
     form = smith_normal_form(rel)
@@ -347,15 +348,13 @@ def _cokernel(rel: IntMatrix) -> list[int]:
 
 
 def _diagonal(invariants: list[int]) -> IntMatrix:
-    m = IntMatrix(len(invariants), len(invariants))
-    for j, d in enumerate(invariants):
-        m[j, j] = d
-    return m
+    return IntMatrix.from_columns(len(invariants),
+                                  [{j: d} for j, d in enumerate(invariants)])
 
 
 def _matrix_of(ind: InducedMap) -> IntMatrix:
-    return _column_matrix([dict(enumerate(col)) for col in ind.matrix],
-                          len(ind.dst_invariants))
+    return IntMatrix.from_columns(len(ind.dst_invariants),
+                                  [dict(enumerate(col)) for col in ind.matrix])
 
 
 def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
@@ -366,24 +365,17 @@ def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
     rel_y = _diagonal(ind.dst_invariants)
 
     # cokernel: Z^{m_y} modulo the image of [matrix | target relations]
-    coker_rel = IntMatrix(m_y, m_x + m_y)
-    for i, j, v in mat.entries():
-        coker_rel[i, j] = v
-    for i, j, v in rel_y.entries():
-        coker_rel[i, m_x + j] = v
-    coker = _cokernel(coker_rel)
+    coker = _cokernel(IntMatrix.from_entries(m_y, m_x + m_y, chain(
+        mat.entries(), ((i, m_x + j, v) for i, j, v in rel_y.entries()))))
 
     # kernel: lattice of x with (matrix)x in im(target relations), modulo
     # the source relations.  Generators: projections of the block kernel
     # plus the source relation columns; relations: their syzygies plus the
     # statement that source relations vanish.
-    block = IntMatrix(m_y, m_x + m_x + m_y)
-    for i, j, v in mat.entries():
-        block[i, j] = v
-    for i, j, v in mat.matmul(rel_x).entries():
-        block[i, m_x + j] = v
-    for i, j, v in rel_y.entries():
-        block[i, 2 * m_x + j] = v
+    block = IntMatrix.from_entries(m_y, m_x + m_x + m_y, chain(
+        mat.entries(),
+        ((i, m_x + j, v) for i, j, v in mat.matmul(rel_x).entries()),
+        ((i, 2 * m_x + j, v) for i, j, v in rel_y.entries())))
     # generator list: w_j = x-part of block-kernel columns restricted to the
     # first m_x coordinates, and r_j = rel_x columns
     kform = smith_normal_form(block)
@@ -401,15 +393,9 @@ def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
         wcols.append({i: v for i, v in proj.items() if v})
     rcols = [rel_x.column(j) for j in range(m_x)]
     gens = wcols + rcols
-    gmat = _column_matrix(gens, m_x)
-    syz = smith_normal_form(gmat).kernel_columns()
-    s = len(gens)
-    pres = IntMatrix(s, len(syz) + m_x)
-    for j, col in enumerate(syz):
-        for i, v in col.items():
-            pres[i, j] = v
-    for j in range(m_x):
-        pres[len(wcols) + j, len(syz) + j] = 1
+    syz = smith_normal_form(IntMatrix.from_columns(m_x, gens)).kernel_columns()
+    pres = IntMatrix.from_columns(
+        len(gens), syz + [{len(wcols) + j: 1} for j in range(m_x)])
     return _cokernel(pres), coker
 
 

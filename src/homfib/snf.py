@@ -2,13 +2,21 @@
 
 Entries are arbitrary-precision Python ints.  The reduction uses a greedy
 smallest-magnitude pivot with full row/column elimination and deterministic
-index tie-breaking, and tracks the unimodular change-of-basis matrices and
-their inverses alongside.
+index tie-breaking.  A unit pivot ends the pivot search at the first row,
+in index order, that holds one, and needs no divisibility scan.
+
+The reduction records its row and column operations in two logs.  The
+unimodular change-of-basis matrices U, V and their inverses are built from
+those logs on first read and then kept, so a caller that reads only the
+diagonal builds none of them.
+
+The elementary operations work on the row dicts and the column index
+directly.  They leave every dict and set exactly as writing the affected
+entries one at a time would, in the same order, because the divisibility
+scan picks the first offending row in row-dict order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class IntMatrix:
@@ -23,19 +31,57 @@ class IntMatrix:
         self.cols: dict[int, set[int]] = {}
 
     @classmethod
+    def from_entries(cls, nrows: int, ncols: int, entries) -> "IntMatrix":
+        """The matrix with the given (i, j, v) at distinct positions; zeros skipped."""
+        m = cls(nrows, ncols)
+        rows, cols = m.rows, m.cols
+        for i, j, v in entries:
+            if v:
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = {}
+                row[j] = v
+                s = cols.get(j)
+                if s is None:
+                    s = cols[j] = set()
+                s.add(i)
+        return m
+
+    @classmethod
+    def from_columns(cls, nrows: int, columns: list[dict[int, int]]) -> "IntMatrix":
+        """The matrix whose column j is the sparse vector columns[j].
+
+        The same as from_entries in column-major order, as a loop of its own
+        because the chain and chain-map builders run it on every complex.
+        """
+        m = cls(nrows, len(columns))
+        rows, cols = m.rows, m.cols
+        for j, column in enumerate(columns):
+            s = None
+            for i, v in column.items():
+                if v:
+                    row = rows.get(i)
+                    if row is None:
+                        row = rows[i] = {}
+                    row[j] = v
+                    if s is None:
+                        s = cols[j] = set()
+                    s.add(i)
+        return m
+
+    @classmethod
     def from_rows(cls, data) -> "IntMatrix":
         data = [list(r) for r in data]
-        m = cls(len(data), len(data[0]) if data else 0)
-        for i, row in enumerate(data):
-            for j, v in enumerate(row):
-                m[i, j] = v
-        return m
+        return cls.from_entries(len(data), len(data[0]) if data else 0,
+                                ((i, j, v) for i, row in enumerate(data)
+                                 for j, v in enumerate(row)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         m = cls(n, n)
         for i in range(n):
-            m[i, i] = 1
+            m.rows[i] = {i: 1}
+            m.cols[i] = {i}
         return m
 
     def copy(self) -> "IntMatrix":
@@ -82,40 +128,150 @@ class IntMatrix:
         return dict(self.rows.get(i, {}))
 
     # -- elementary operations ---------------------------------------------
+    #
+    # Each one leaves the row dicts (key order included) and the column sets
+    # (history of adds and discards included) as the entry-by-entry writes
+    # of the textbook operation would, in the same order.
 
     def row_add(self, i: int, i2: int, c: int):
         """row i += c * row i2"""
-        if not c:
+        src = self.rows.get(i2)
+        if not c or not src:
             return
-        for j, v in list(self.rows.get(i2, {}).items()):
-            self[i, j] = self[i, j] + c * v
+        rows, cols = self.rows, self.cols
+        row = rows.get(i)
+        for j, v in (list(src.items()) if i == i2 else src.items()):
+            if row is None:
+                row = rows[i] = {j: c * v}
+                cols[j].add(i)
+                continue
+            w = row.get(j, 0) + c * v
+            if w:
+                if j not in row:
+                    cols[j].add(i)
+                row[j] = w
+            else:
+                del row[j]
+                if not row:
+                    del rows[i]
+                    row = None
+                s = cols[j]
+                s.discard(i)
+                if not s:
+                    del cols[j]
 
     def col_add(self, j: int, j2: int, c: int):
         """col j += c * col j2"""
-        if not c:
+        src = self.cols.get(j2)
+        if not c or not src:
             return
-        for i in list(self.cols.get(j2, ())):
-            self[i, j] = self[i, j] + c * self.rows[i][j2]
+        rows, cols = self.rows, self.cols
+        for i in (list(src) if j == j2 else src):
+            row = rows[i]
+            w = row.get(j, 0) + c * row[j2]
+            if w:
+                if j not in row:
+                    s = cols.get(j)
+                    if s is None:
+                        s = cols[j] = set()
+                    s.add(i)
+                row[j] = w
+            else:
+                del row[j]
+                if not row:
+                    del rows[i]
+                s = cols[j]
+                s.discard(i)
+                if not s:
+                    del cols[j]
 
     def row_swap(self, i: int, i2: int):
         if i == i2:
             return
-        cols = set(self.rows.get(i, {})) | set(self.rows.get(i2, {}))
-        for j in cols:
-            a, b = self[i, j], self[i2, j]
-            self[i, j], self[i2, j] = b, a
+        rows, cols = self.rows, self.cols
+        a, b = rows.get(i), rows.get(i2)
+        if a is None and b is None:
+            return
+        a, b = a or {}, b or {}
+        # shared columns keep their places; the others move in union order
+        new_a = {j: b[j] for j in a if j in b}
+        new_b = {j: a[j] for j in b if j in a}
+        sides = []
+        for j in set(a) | set(b):
+            if j in a:
+                if j in b:
+                    continue
+                new_b[j] = a[j]
+                s = cols[j]
+                s.discard(i)
+                if not s:
+                    del cols[j]
+                    s = cols[j] = set()
+                s.add(i2)
+                sides.append(0)
+            else:
+                new_a[j] = b[j]
+                s = cols[j]
+                s.add(i)
+                s.discard(i2)
+                sides.append(1)
+        # a row emptied before it refills goes to the end of the row dict:
+        # an absent row, or one whose columns all come first in union order
+        if not a:
+            del rows[i2]
+            rows[i] = new_a
+            return
+        if not b:
+            del rows[i]
+            rows[i2] = new_b
+            return
+        disjoint = len(sides) == len(a) + len(b)
+        if disjoint and sides == sorted(sides):
+            del rows[i]
+        rows[i] = new_a
+        if disjoint and sides == sorted(sides, reverse=True):
+            del rows[i2]
+        rows[i2] = new_b
 
     def col_swap(self, j: int, j2: int):
         if j == j2:
             return
-        rows = set(self.cols.get(j, ())) | set(self.cols.get(j2, ()))
-        for i in rows:
-            a, b = self[i, j], self[i, j2]
-            self[i, j], self[i, j2] = b, a
+        rows, cols = self.rows, self.cols
+        for i in set(cols.get(j, ())) | set(cols.get(j2, ())):
+            row = rows[i]
+            a, b = row.get(j, 0), row.get(j2, 0)
+            if a and b:
+                row[j], row[j2] = b, a
+            elif a:
+                del row[j]
+                if not row:
+                    del rows[i]
+                    rows[i] = row
+                row[j2] = a
+                s = cols[j]
+                s.discard(i)
+                if not s:
+                    del cols[j]
+                s = cols.get(j2)
+                if s is None:
+                    s = cols[j2] = set()
+                s.add(i)
+            else:
+                row[j] = b
+                del row[j2]
+                s = cols.get(j)
+                if s is None:
+                    s = cols[j] = set()
+                s.add(i)
+                s = cols[j2]
+                s.discard(i)
+                if not s:
+                    del cols[j2]
 
     def row_negate(self, i: int):
-        for j in list(self.rows.get(i, {})):
-            self.rows[i][j] = -self.rows[i][j]
+        row = self.rows.get(i, {})
+        for j in row:
+            row[j] = -row[j]
 
     def col_negate(self, j: int):
         for i in self.cols.get(j, ()):
@@ -125,6 +281,7 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         out = IntMatrix(self.nrows, other.ncols)
+        rows, cols = out.rows, out.cols
         for i, row in self.rows.items():
             acc: dict[int, int] = {}
             for k, v in row.items():
@@ -132,7 +289,14 @@ class IntMatrix:
                     acc[j] = acc.get(j, 0) + v * w
             for j, v in acc.items():
                 if v:
-                    out[i, j] = v
+                    out_row = rows.get(i)
+                    if out_row is None:
+                        out_row = rows[i] = {}
+                    out_row[j] = v
+                    s = cols.get(j)
+                    if s is None:
+                        s = cols[j] = set()
+                    s.add(i)
         return out
 
     def apply(self, vec: dict[int, int]) -> dict[int, int]:
@@ -156,129 +320,182 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-@dataclass
-class SmithForm:
-    """U @ M @ V = D with D diagonal, divisibility down the diagonal."""
+def _replay(n: int, ops: list[tuple], by_rows: bool, inverse: bool) -> IntMatrix:
+    """The n x n identity with the logged operations applied in order.
 
-    diagonal: list[int]
-    rank: int
-    u: IntMatrix
-    u_inv: IntMatrix
-    v: IntMatrix
-    v_inv: IntMatrix
-    shape: tuple[int, int]
+    An operation is (i, i2, c) for "i += c * i2", (i, i2) for a swap and
+    (i,) for a negation.  U replays the row log on rows and V the column
+    log on columns; an inverse applies each inverse operation on the other
+    side, so that the product with its transform stays the identity.
+    """
+    m = IntMatrix.identity(n)
+    if by_rows:
+        add, swap, negate = m.row_add, m.row_swap, m.row_negate
+    else:
+        add, swap, negate = m.col_add, m.col_swap, m.col_negate
+    for op in ops:
+        if len(op) == 3:
+            i, i2, c = op
+            if inverse:
+                add(i2, i, -c)
+            else:
+                add(i, i2, c)
+        elif len(op) == 2:
+            swap(*op)
+        else:
+            negate(op[0])
+    return m
+
+
+class SmithForm:
+    """U @ M @ V = D with D diagonal, divisibility down the diagonal.
+
+    U, U^-1, V and V^-1 are built from the operation logs when first read
+    and kept from then on.
+    """
+
+    __slots__ = ("diagonal", "rank", "shape", "_row_ops", "_col_ops", "_built")
+
+    def __init__(self, diagonal: list[int], rank: int, shape: tuple[int, int],
+                 row_ops: list[tuple], col_ops: list[tuple]):
+        self.diagonal = diagonal
+        self.rank = rank
+        self.shape = shape
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+        self._built: dict[str, IntMatrix] = {}
+
+    def _transform(self, name: str, by_rows: bool, inverse: bool) -> IntMatrix:
+        m = self._built.get(name)
+        if m is None:
+            on_u = name in ("u", "u_inv")
+            m = self._built[name] = _replay(
+                self.shape[0 if on_u else 1],
+                self._row_ops if on_u else self._col_ops, by_rows, inverse)
+        return m
+
+    @property
+    def u(self) -> IntMatrix:
+        return self._transform("u", True, False)
+
+    @property
+    def u_inv(self) -> IntMatrix:
+        return self._transform("u_inv", False, True)
+
+    @property
+    def v(self) -> IntMatrix:
+        return self._transform("v", False, False)
+
+    @property
+    def v_inv(self) -> IntMatrix:
+        return self._transform("v_inv", True, True)
 
     def d_matrix(self) -> IntMatrix:
-        d = IntMatrix(*self.shape)
-        for t, val in enumerate(self.diagonal):
-            d[t, t] = val
-        return d
+        return IntMatrix.from_entries(*self.shape, ((t, t, d) for t, d in enumerate(self.diagonal)))
 
     def kernel_columns(self) -> list[dict[int, int]]:
         """Columns of V spanning the integer kernel of M."""
-        return [self.v.column(j) for j in range(self.rank, self.shape[1])]
+        v = self.v
+        return [v.column(j) for j in range(self.rank, self.shape[1])]
 
     def invariant_factors(self) -> list[int]:
         return [d for d in self.diagonal if d != 0]
 
 
+def _find_pivot(rows: dict[int, dict[int, int]], t: int, nrows: int):
+    """Position of the least (|v|, i, j) among the rows from t on.
+
+    Rows are read in index order, so the first row holding a unit ends the
+    search.  Rows from t on hold no entries left of column t.
+    """
+    best = 0
+    best_i = best_j = -1
+    for i in range(t, nrows):
+        row = rows.get(i)
+        if row is None:
+            continue
+        for j, v in row.items():
+            a = v if v > 0 else -v
+            if not best or a < best or (a == best and i == best_i and j < best_j):
+                best, best_i, best_j = a, i, j
+        if best == 1:
+            break
+    return (best_i, best_j) if best else None
+
+
 def smith_normal_form(M: IntMatrix) -> SmithForm:
-    """Smith normal form over the integers with tracked unimodular bases.
+    """Smith normal form over the integers with logged unimodular bases.
 
     Greedy smallest-magnitude pivoting with deterministic (row, col)
     tie-breaks; the divisibility chain is enforced during reduction by
     folding any offending entry into the pivot row.
     """
     work = M.copy()
+    rows, cols = work.rows, work.cols
     nr, nc = M.nrows, M.ncols
-    u, u_inv = IntMatrix.identity(nr), IntMatrix.identity(nr)
-    v, v_inv = IntMatrix.identity(nc), IntMatrix.identity(nc)
-
-    def row_add(i, i2, c):
-        work.row_add(i, i2, c)
-        u.row_add(i, i2, c)
-        u_inv.col_add(i2, i, -c)
-
-    def col_add(j, j2, c):
-        work.col_add(j, j2, c)
-        v.col_add(j, j2, c)
-        v_inv.row_add(j2, j, -c)
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
 
     def row_swap(i, i2):
-        work.row_swap(i, i2)
-        u.row_swap(i, i2)
-        u_inv.col_swap(i, i2)
+        if i != i2:
+            work.row_swap(i, i2)
+            row_ops.append((i, i2))
 
     def col_swap(j, j2):
-        work.col_swap(j, j2)
-        v.col_swap(j, j2)
-        v_inv.row_swap(j, j2)
-
-    def row_negate(i):
-        work.row_negate(i)
-        u.row_negate(i)
-        u_inv.col_negate(i)
-
-    def find_pivot(t):
-        best = None
-        for i, row in work.rows.items():
-            if i < t:
-                continue
-            for j, val in row.items():
-                if j < t:
-                    continue
-                key = (abs(val), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        return None if best is None else (best[1], best[2])
+        if j != j2:
+            work.col_swap(j, j2)
+            col_ops.append((j, j2))
 
     t = 0
     limit = min(nr, nc)
-    while t < limit:
-        pos = find_pivot(t)
-        if pos is None:
-            break
+    # rows below t are their diagonal entries alone
+    while t < limit and len(rows) > t:
+        pos = _find_pivot(rows, t, nr)
         row_swap(t, pos[0])
         col_swap(t, pos[1])
         while True:
             # clear column t, then row t; remainders re-enter as new pivots
-            for i in sorted(i for i in work.cols.get(t, ()) if i != t):
-                q = work[i, t] // work[t, t]
+            pivot = rows[t][t]
+            for i in sorted(i for i in cols[t] if i != t):
+                q = rows[i][t] // pivot
                 if q:
-                    row_add(i, t, -q)
-            residues = [i for i in work.cols.get(t, ()) if i != t]
+                    work.row_add(i, t, -q)
+                    row_ops.append((i, t, -q))
+            residues = [i for i in cols[t] if i != t]
             if residues:
-                i = min(residues, key=lambda r: (abs(work[r, t]), r))
-                row_swap(t, i)
+                row_swap(t, min(residues, key=lambda r: (abs(rows[r][t]), r)))
                 continue
-            for j in sorted(j for j in work.rows.get(t, {}) if j != t):
-                q = work[t, j] // work[t, t]
+            row_t = rows[t]
+            for j in sorted(j for j in row_t if j != t):
+                q = row_t[j] // pivot
                 if q:
-                    col_add(j, t, -q)
-            residues = [j for j in work.rows.get(t, {}) if j != t]
+                    work.col_add(j, t, -q)
+                    col_ops.append((j, t, -q))
+            residues = [j for j in row_t if j != t]
             if residues:
-                j = min(residues, key=lambda c: (abs(work[t, c]), c))
-                col_swap(t, j)
+                col_swap(t, min(residues, key=lambda c: (abs(row_t[c]), c)))
                 continue
             break
-        pivot = work[t, t]
+        pivot = rows[t][t]
         offender = None
-        for i, row in work.rows.items():
-            if i <= t:
-                continue
-            for j, val in row.items():
-                if j > t and val % pivot:
-                    offender = i
+        if pivot != 1 and pivot != -1:
+            for i, row in rows.items():
+                if i <= t:
+                    continue
+                for j, val in row.items():
+                    if j > t and val % pivot:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
-            row_add(t, offender, 1)
+            work.row_add(t, offender, 1)
+            row_ops.append((t, offender, 1))
             continue
         if pivot < 0:
-            row_negate(t)
+            work.row_negate(t)
+            row_ops.append((t,))
         t += 1
 
-    diagonal = [work[i, i] for i in range(limit)]
-    rank = sum(1 for d in diagonal if d)
-    return SmithForm(diagonal, rank, u, u_inv, v, v_inv, (nr, nc))
+    diagonal = [rows[i][i] for i in range(t)] + [0] * (limit - t)
+    return SmithForm(diagonal, t, (nr, nc), row_ops, col_ops)

@@ -404,8 +404,11 @@ def validate_map(f: SimplicialMap) -> ValidationReport:
                     report.problems.append(
                         f"{g!r}: f(d_{i} x) = {lhs!r} but d_{i} f(x) = {rhs!r}")
     for g in X.gens(0):
-        if g not in f.assignment:
+        img = f.assignment.get(g)
+        if img is None:
             report.problems.append(f"{g!r}: no image assigned")
+        elif not Y.has_ref(img):
+            report.problems.append(f"{g!r}: image {img!r} not in target")
     return report
 
 

@@ -2,8 +2,10 @@
 
 Everything here is deliberately separate from the library's own reduction
 code: dense textbook Smith reduction with first-nonzero pivoting, gcd-of-
-minors invariant factors, Bareiss determinants, counting arguments, and a
-bar-resolution group homology calculator.
+minors invariant factors, Bareiss determinants, counting arguments, a
+bar-resolution group homology calculator, and the entry-by-entry Smith form
+engine with all four transforms tracked eagerly, kept as the differential
+reference for homfib.snf.
 """
 
 from fractions import Fraction
@@ -202,3 +204,184 @@ def bar_resolution_homology(table, unit, upto):
 
 def cyclic_table(n):
     return {(a, b): (a + b) % n for a in range(n) for b in range(n)}
+
+
+class ReferenceMatrix:
+    """The sparse matrix of the entry-by-entry Smith form engine.
+
+    Row dicts plus a column occupancy index, written one entry at a time
+    through __setitem__; the elementary operations are built on it.
+    """
+
+    def __init__(self, nrows, ncols):
+        self.nrows, self.ncols = nrows, ncols
+        self.rows, self.cols = {}, {}
+
+    @classmethod
+    def copy_of(cls, m):
+        """A copy of any matrix with rows and cols, in the same order."""
+        out = cls(m.nrows, m.ncols)
+        out.rows = {i: dict(r) for i, r in m.rows.items()}
+        out.cols = {j: set(s) for j, s in m.cols.items()}
+        return out
+
+    @classmethod
+    def identity(cls, n):
+        m = cls(n, n)
+        for i in range(n):
+            m[i, i] = 1
+        return m
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows.get(i, {}).get(j, 0)
+
+    def __setitem__(self, ij, v):
+        i, j = ij
+        row = self.rows.get(i)
+        if v:
+            if row is None:
+                row = self.rows[i] = {}
+            row[j] = v
+            self.cols.setdefault(j, set()).add(i)
+        elif row and j in row:
+            del row[j]
+            if not row:
+                del self.rows[i]
+            self.cols[j].discard(i)
+            if not self.cols[j]:
+                del self.cols[j]
+
+    def row_add(self, i, i2, c):
+        if not c:
+            return
+        for j, v in list(self.rows.get(i2, {}).items()):
+            self[i, j] = self[i, j] + c * v
+
+    def col_add(self, j, j2, c):
+        if not c:
+            return
+        for i in list(self.cols.get(j2, ())):
+            self[i, j] = self[i, j] + c * self.rows[i][j2]
+
+    def row_swap(self, i, i2):
+        if i == i2:
+            return
+        for j in set(self.rows.get(i, {})) | set(self.rows.get(i2, {})):
+            a, b = self[i, j], self[i2, j]
+            self[i, j], self[i2, j] = b, a
+
+    def col_swap(self, j, j2):
+        if j == j2:
+            return
+        for i in set(self.cols.get(j, ())) | set(self.cols.get(j2, ())):
+            a, b = self[i, j], self[i, j2]
+            self[i, j], self[i, j2] = b, a
+
+    def row_negate(self, i):
+        for j in list(self.rows.get(i, {})):
+            self.rows[i][j] = -self.rows[i][j]
+
+    def col_negate(self, j):
+        for i in self.cols.get(j, ()):
+            self.rows[i][j] = -self.rows[i][j]
+
+
+def reference_smith_normal_form(M):
+    """Smith normal form with all four transforms tracked alongside.
+
+    The engine homfib.snf replaced: the same pivot rule and operations,
+    each applied entry by entry to the working copy and to U, U^-1, V and
+    V^-1 at once.  Returns (diagonal, rank, u, u_inv, v, v_inv), the
+    matrices as ReferenceMatrix.
+    """
+    work = ReferenceMatrix.copy_of(M)
+    nr, nc = M.nrows, M.ncols
+    u, u_inv = ReferenceMatrix.identity(nr), ReferenceMatrix.identity(nr)
+    v, v_inv = ReferenceMatrix.identity(nc), ReferenceMatrix.identity(nc)
+
+    def row_add(i, i2, c):
+        work.row_add(i, i2, c)
+        u.row_add(i, i2, c)
+        u_inv.col_add(i2, i, -c)
+
+    def col_add(j, j2, c):
+        work.col_add(j, j2, c)
+        v.col_add(j, j2, c)
+        v_inv.row_add(j2, j, -c)
+
+    def row_swap(i, i2):
+        work.row_swap(i, i2)
+        u.row_swap(i, i2)
+        u_inv.col_swap(i, i2)
+
+    def col_swap(j, j2):
+        work.col_swap(j, j2)
+        v.col_swap(j, j2)
+        v_inv.row_swap(j, j2)
+
+    def row_negate(i):
+        work.row_negate(i)
+        u.row_negate(i)
+        u_inv.col_negate(i)
+
+    def find_pivot(t):
+        best = None
+        for i, row in work.rows.items():
+            if i < t:
+                continue
+            for j, val in row.items():
+                if j < t:
+                    continue
+                key = (abs(val), i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        return None if best is None else (best[1], best[2])
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        pos = find_pivot(t)
+        if pos is None:
+            break
+        row_swap(t, pos[0])
+        col_swap(t, pos[1])
+        while True:
+            for i in sorted(i for i in work.cols.get(t, ()) if i != t):
+                q = work[i, t] // work[t, t]
+                if q:
+                    row_add(i, t, -q)
+            residues = [i for i in work.cols.get(t, ()) if i != t]
+            if residues:
+                row_swap(t, min(residues, key=lambda r: (abs(work[r, t]), r)))
+                continue
+            for j in sorted(j for j in work.rows.get(t, {}) if j != t):
+                q = work[t, j] // work[t, t]
+                if q:
+                    col_add(j, t, -q)
+            residues = [j for j in work.rows.get(t, {}) if j != t]
+            if residues:
+                col_swap(t, min(residues, key=lambda c: (abs(work[t, c]), c)))
+                continue
+            break
+        pivot = work[t, t]
+        offender = None
+        for i, row in work.rows.items():
+            if i <= t:
+                continue
+            for j, val in row.items():
+                if j > t and val % pivot:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        if pivot < 0:
+            row_negate(t)
+        t += 1
+
+    diagonal = [work[i, i] for i in range(limit)]
+    rank = sum(1 for d in diagonal if d)
+    return diagonal, rank, u, u_inv, v, v_inv

@@ -41,3 +41,16 @@ def maps_to_simplex(draw, m):
          for S in simplices if len(S) > 1})
     return SimplicialMap(K, hf.standard_simplex(m), {
         label[S]: ref_from_monotone(phi[v] for v in S) for S in simplices})
+
+
+@st.composite
+def presentation_complexes(draw):
+    """The 2-complex of a random group presentation.
+
+    One or two generators and one or two relators of length one to five,
+    inverse letters included; relators such as a a a give torsion in H_1.
+    """
+    letters = ["a", "b"][:draw(st.integers(1, 2))]
+    token = st.sampled_from(letters + [a + "-" for a in letters])
+    relators = draw(st.lists(st.lists(token, min_size=1, max_size=5), min_size=1, max_size=2))
+    return hf.presentation_complex(letters, relators)

@@ -26,6 +26,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 homology_module = importlib.import_module("homfib.homology")
 fibration_module = importlib.import_module("homfib.fibration")
 sset_module = importlib.import_module("homfib.sset")
+snf_module = importlib.import_module("homfib.snf")
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +349,43 @@ def test_group_completion_work_counts(monkeypatch):
     assert len(representing) == 82
     assert len(built) == len(distinct) == 19
     assert len({(id(B), sigma) for B, sigma in built}) == len(built)
+
+
+def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
+    # Built eagerly, U, U^-1, V and V^-1 of every Smith form made 496
+    # transforms on this job.  Built on first read: each _DegreeData reads
+    # V1, V1^-1, U2 and U2^-1, a kernel presentation V alone, and the
+    # cokernels the diagonal alone, so 102 are built.
+    replays, snf_forms, diagonal_reads = [], [], []
+    real_replay = snf_module._replay
+    real_snf = homology_module.smith_normal_form
+    real_cokernel = homology_module._cokernel
+
+    def counting_replay(*args):
+        replays.append(args)
+        return real_replay(*args)
+
+    def counting_snf(m):
+        snf_forms.append(real_snf(m))
+        return snf_forms[-1]
+
+    def cokernel(rel):
+        before = len(replays)
+        out = real_cokernel(rel)
+        diagonal_reads.append(len(replays) - before)
+        return out
+
+    monkeypatch.setattr(snf_module, "_replay", counting_replay)
+    monkeypatch.setattr(homology_module, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(homology_module, "_cokernel", cokernel)
+    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
+    assert report.all_pass
+    assert len(snf_forms) == 124
+    assert len(replays) == 102
+    assert all(len(form._built) <= 2 for form in snf_forms)
+    assert sum(len(form._built) for form in snf_forms) == 102
+    assert len(diagonal_reads) == 18 and not any(diagonal_reads)
 
 
 def test_strong_check_detects_wrong_fiber():

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from homfib.homology import chain_map_matrix, normalized_chains
 from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet
 
 from oracles import bar_resolution_homology, cyclic_table, homology_from_boundaries
+from strategies import presentation_complexes
 
 
 def summaries(X, upto):
@@ -268,6 +271,30 @@ def test_universal_coefficients_consistency(name, p):
         assert hp.free_rank == expected
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(presentation_complexes())
+def test_random_presentations_against_dense_oracle(X):
+    cc = normalized_chains(X)
+    integral = []
+    for k in range(X.max_dim + 1):
+        d_k = cc.boundary(k).to_dense() if k >= 1 else []
+        d_k1 = cc.boundary(k + 1).to_dense()
+        integral.append(hf.homology(X, k).summary())
+        assert integral[k] == homology_from_boundaries(d_k, d_k1, cc.dim(k))
+    # universal coefficients: H_k(X; Z/p) has rank the free rank plus the
+    # torsion of degrees k and k-1 that p divides; its basis is made of
+    # cycles mod p
+    for p in (2, 3, 5):
+        for k, (free_rank, torsion) in enumerate(integral):
+            below = integral[k - 1][1] if k else ()
+            expected = free_rank + sum(1 for d in torsion + below if d % p == 0)
+            group = hf.homology(X, k, coefficients=p)
+            assert group.free_rank == expected, (p, k)
+            for cycle in group.basis:
+                image = cc.boundary(k).apply({cc.index[k][g]: v for g, v in cycle.items()})
+                assert all(v % p == 0 for v in image.values()), (p, k)
+
+
 def test_mod_p_iso_on_identity():
     X = hf.presentation_complex(["a", "b"], [["a", "b", "a", "b-"]])
     ok, _ = hf.is_homology_iso(hf.identity_map(X), 2, coefficients=2)
@@ -277,6 +304,32 @@ def test_mod_p_iso_on_identity():
 def test_mod_p_detects_failure():
     ok, _ = hf.is_homology_iso(hf.cyclic_cover_map(6, 3), 1, coefficients=2)
     assert not ok
+
+
+def test_mod_p_invertibility_reads_the_diagonal_only(monkeypatch):
+    homology_module = importlib.import_module("homfib.homology")
+    inside, forms = [], []
+    real_snf = homology_module.smith_normal_form
+    real_invertible = homology_module._invertible_mod_p
+
+    def invertible(ind, p):
+        inside.append(p)
+        try:
+            return real_invertible(ind, p)
+        finally:
+            inside.pop()
+
+    def snf(m):
+        form = real_snf(m)
+        if inside:
+            forms.append(form)
+        return form
+
+    monkeypatch.setattr(homology_module, "_invertible_mod_p", invertible)
+    monkeypatch.setattr(homology_module, "smith_normal_form", snf)
+    for p, expected in ((2, False), (3, True)):
+        assert hf.is_homology_iso(hf.cyclic_cover_map(6, 3), 1, coefficients=p)[0] == expected
+    assert forms and not any(form._built for form in forms)
 
 
 def test_icosahedral_abelianization_unimodular():

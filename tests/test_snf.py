@@ -1,9 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import homfib as hf
+from homfib.homology import normalized_chains
 from homfib.snf import IntMatrix, smith_normal_form
 
-from oracles import bareiss_det, minors_gcd_diagonal
+from corpus import icosahedral_complex, subdivision_corpus
+from oracles import (ReferenceMatrix, bareiss_det, minors_gcd_diagonal,
+                     reference_smith_normal_form)
 
 
 def snf_of(rows):
@@ -98,3 +102,115 @@ def test_matrix_ops_roundtrip():
 ])
 def test_known_forms(rows, expected):
     assert snf_of(rows).diagonal == expected
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the entry-by-entry engine
+# ---------------------------------------------------------------------------
+
+TRANSFORMS = ("u", "u_inv", "v", "v_inv")
+
+
+def layout(m):
+    """Entries in row-dict order, and each column set in iteration order.
+
+    The divisibility scan reads rows in row-dict order, so equal layouts,
+    not only equal entries, keep later Smith forms on the same path.
+    """
+    return ([(i, list(r.items())) for i, r in m.rows.items()],
+            [(j, list(s)) for j, s in m.cols.items()])
+
+
+def assert_matches_reference(m):
+    diagonal, rank, *transforms = reference_smith_normal_form(m)
+    form = smith_normal_form(m)
+    assert form.diagonal == diagonal
+    assert form.rank == rank
+    for name, ref in zip(TRANSFORMS, transforms):
+        got = getattr(form, name)
+        assert (got.nrows, got.ncols) == (ref.nrows, ref.ncols)
+        assert got.rows == ref.rows, name
+        assert layout(got) == layout(ref), name
+        assert getattr(form, name) is got
+
+
+@st.composite
+def engine_matrices(draw):
+    """Matrices up to 11 x 11, filled in a random order.
+
+    Kinds: any small entries, boundary-like entries in {-1, 0, 1}, entries
+    with no unit (non-unit pivots, divisibility folds) and all zero.
+    """
+    nr, nc = draw(st.integers(0, 11)), draw(st.integers(0, 11))
+    values = draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.sampled_from([-1, 0, 0, 0, 1]),
+        st.sampled_from([0, 2, -2, 3, 4, -6, 9, 10]),
+        st.just(0),
+    ]))
+    cells = [(i, j) for i in range(nr) for j in range(nc)]
+    entries = draw(st.lists(values, min_size=len(cells), max_size=len(cells)))
+    order = draw(st.permutations(range(len(cells))))
+    return IntMatrix.from_entries(
+        nr, nc, ((*cells[t], entries[t]) for t in order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_matrices())
+def test_engine_matches_reference(m):
+    assert_matches_reference(m)
+
+
+@pytest.mark.parametrize("rows", [[], [[]] * 3, [[0] * 4] * 2, [[2, 4], [6, 8]],
+                                  [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]])
+def test_engine_matches_reference_on_edge_shapes(rows):
+    m = IntMatrix.from_rows(rows) if rows and rows[0] else IntMatrix(len(rows), 0)
+    assert_matches_reference(m)
+    assert_matches_reference(IntMatrix(0, len(rows)))
+
+
+def test_divisibility_fold_takes_the_first_offender_in_row_dict_order():
+    # after the pivot 5 moves to the top left, rows 1 (the 6) and 2 (the 9)
+    # both break divisibility, and row 2 comes first in the row dict
+    m = IntMatrix.from_entries(3, 2, [(0, 1, 6), (2, 1, 9), (1, 0, 5)])
+    assert list(m.rows) == [0, 2, 1]
+    assert_matches_reference(m)
+
+
+def corpus_boundaries():
+    spaces = dict(subdivision_corpus())
+    spaces["icosahedral"] = icosahedral_complex()
+    spaces["projective_plane"] = hf.presentation_complex(["a"], [["a", "a"]])
+    spaces["moore_z6"] = hf.presentation_complex(["a"], [["a"] * 6])
+    spaces["sd_sphere2"] = hf.sd(hf.boundary(3)).space
+    for name, X in spaces.items():
+        cc = normalized_chains(X)
+        for k in range(1, X.max_dim + 1):
+            yield pytest.param(cc.boundary(k), id=f"{name}-d{k}")
+
+
+@pytest.mark.parametrize("m", corpus_boundaries())
+def test_engine_matches_reference_on_corpus_boundaries(m):
+    assert_matches_reference(m)
+
+
+OPERATIONS = ("row_add", "col_add", "row_swap", "col_swap", "row_negate", "col_negate")
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_matrices(), st.data())
+def test_elementary_operations_match_reference(m, data):
+    # both start from a copy, since copying a set can change its layout
+    ref, m = ReferenceMatrix.copy_of(m), m.copy()
+    for _ in range(data.draw(st.integers(0, 25))):
+        op = data.draw(st.sampled_from(OPERATIONS))
+        n = m.nrows if op.startswith("row") else m.ncols
+        if not n:
+            continue
+        a = data.draw(st.integers(0, n - 1))
+        args = (a,) if op.endswith("negate") else (a, data.draw(st.integers(0, n - 1)))
+        if op.endswith("add"):
+            args += (data.draw(st.sampled_from([-2, -1, 1, 3])),)
+        getattr(m, op)(*args)
+        getattr(ref, op)(*args)
+        assert layout(m) == layout(ref), (op, args)

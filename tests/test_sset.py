@@ -188,6 +188,16 @@ def test_validate_flags_swapped_faces():
     assert any("d_" in p for p in report.problems)
 
 
+def test_validate_map_checks_vertex_images():
+    bad = SimplicialMap(hf.point(), hf.standard_simplex(1),
+                        {(0,): SimplexRef("nowhere", (), 0)})
+    assert hf.validate_map(bad).problems == [
+        "(0,): image <nowhere> not in target"]
+    good = SimplicialMap(hf.point(), hf.standard_simplex(1),
+                         {(0,): SimplexRef((1,), (), 0)})
+    assert hf.validate_map(good).ok
+
+
 def test_validate_flags_dangling_reference():
     bad = SimplicialSet(1, {0: ["v"], 1: ["e"]},
                         {"e": (SimplexRef("v", (), 0), SimplexRef("ghost", (), 0))})
