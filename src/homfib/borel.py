@@ -32,8 +32,9 @@ from .sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
-    _disjoint_combos,
-    _rank_ordered,
+    _by_dimension,
+    _ez_cells,
+    _ez_groups,
     apply_degeneracies,
     canonical_key,
     factor_common,
@@ -462,37 +463,44 @@ class ThickRealization:
 
     A generator is ("c", n, (a, b)): a nondegenerate d-simplex of
     Delta[n] x X_n whose Delta[n] part a is a degeneracy of the top simplex.
-    Only these cells are enumerated, from the top simplex's degeneracies and
-    X_n's d-simplices, in the order product_many would give them.
-    Assembling a general pair pushes proper faces of Delta[n] through the
-    level face maps, which is exactly the attaching rule of the stage
-    pushouts.
+    Only these cells are enumerated, by sset._ez_cells with the top simplex
+    as the only core of the Delta[n] factor, in the order product_many
+    would give them.  A face that keeps a on the top simplex and b's core
+    is looked up among the cells; any other is assembled: assembling a
+    general pair pushes proper faces of Delta[n] through the level face
+    maps, which is exactly the attaching rule of the stage pushouts.
     """
 
     def __init__(self, source: SimplicialSpace, N: int):
         self.source = source
         self.N = N
         self.simplices = [standard_simplex(n) for n in range(N + 1)]
-        generators: dict[int, list] = {d: [] for d in range(N + 1)}
-        for n in range(N + 1):
-            delta, top = self.simplices[n], tuple(range(n + 1))
-            for d in range(n, N + 1):
-                tops = [delta.ref(top, word)
-                        for word in sorted(itertools.combinations(range(d - 1, -1, -1), d - n))]
-                pools = [tops, _rank_ordered(source.levels[n], d)]
-                generators[d].extend(("c", n, pg) for pg in _disjoint_combos(pools))
-        # ("c", n, pg) in order of n, then of (a, b) by rank: this is
+        paths: dict = {}
+        stages = []
+        for n, delta in enumerate(self.simplices):
+            # the top simplex is the only member of its factor: rank and id 0
+            top = ((0,) * (n + 1), [(0, 0, delta.gens(n)[0])])
+            groups = (zip(top, level) for level in _by_dimension(source.levels[n], N))
+            stages.append(_ez_cells(_ez_groups(groups, N, paths), N)[0])
+        # ("c", n, (a, b)) in order of n, then of (a, b) by rank: this is
         # canonical_key order already
+        generators: dict[int, list] = {d: [] for d in range(N + 1)}
+        for n, cells in enumerate(stages):
+            for d in range(N + 1):
+                generators[d].extend(("c", n, cell[1]) for cell in cells[d])
         space = SimplicialSet._in_canonical_order(
             N, {d: tuple(gs) for d, gs in generators.items()}, {})
         self.space = space
         self.stage_of = {gen: gen[1] for gen in space.all_gens()}
         for d in range(1, N + 1):
-            for gen in space.gens(d):
-                _, n, (a, b) = gen
-                space.faces[gen] = tuple(
-                    self.assemble(n, self.simplices[n].face(a, i), source.levels[n].face(b, i))
-                    for i in range(d + 1))
+            for n, cells in enumerate(stages):
+                delta, X = self.simplices[n], source.levels[n]
+                for _, pg, _, row, faces, _, _ in cells[d]:
+                    a, b = pg
+                    space.faces[("c", n, pg)] = tuple(
+                        space.ref(("c", n, row[j])) if j.__class__ is int
+                        else self.assemble(n, delta.face(a, i), X.face(b, i))
+                        for i, j in enumerate(faces))
 
     def assemble(self, n: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         """The class of a simplex (a, b) of Delta[n] x X_n in the realization."""

@@ -29,12 +29,16 @@ and compared against vertex preimages, which is what the weak => strong
 theorem licenses.
 
 Each map keeps one PreimageCalculator per truncation bound, so all checks
-on one map share the preimages they build.  A preimage reads only the part
-of E over sigma, from the fibre index that pullback keeps on p.  Each
-calculator owns one content pool that every preimage it builds shares:
-identical chain complexes are put through Smith normal form once, and
-identical induced maps get their kernel/cokernel presentation once.  The
-pool lives and dies with the calculator, and so with its map.
+on one map share the preimages they build.  A preimage pairs the
+generators of Delta[n] with those of E over the same cores of B, from the
+core index and path tables that pullback keeps on p.  The pairs over a
+generator x of Delta[n] depend only on the face of sigma that x spans, so
+they are built once per calculator and shared by the preimages of all
+simplices with that face at that place.  Each calculator owns one content
+pool that every preimage it builds shares: identical chain complexes are
+put through Smith normal form once, and identical induced maps get their
+kernel/cokernel presentation once.  The pool lives and dies with the
+calculator, and so with its map.
 """
 
 from __future__ import annotations
@@ -109,14 +113,27 @@ class PreimageCalculator:
         return rec
 
     def comparison(self, rho: SimplexRef, phi: SimplicialMap) -> SimplicialMap:
-        """The map dp(rho . phi) -> dp(rho) over phi: Delta[k] -> Delta[m]."""
+        """The map dp(rho . phi) -> dp(rho) over phi: Delta[k] -> Delta[m].
+
+        When phi is a coface (every face comparison and every degeneracy
+        section), it keeps each generator (a, b) nondegenerate: phi(a) has
+        a's word, so (phi(a), b) is a generator of dp(rho) and is looked up.
+        Only a non-injective phi, a deep_ops word, needs tuple_into.
+        """
         dst = self.record(rho)
         tau = classify_image(self.p.target, rho, phi)
         src = self.record(tau)
         assignment = {}
-        for g in src.space.all_gens():
-            a, b = g
-            assignment[g] = tuple_into(dst.space, (phi(a), b))
+        images = phi.assignment
+        if images[tuple(range(phi.source.max_dim + 1))].is_degenerate():
+            for g in src.space.all_gens():
+                a, b = g
+                assignment[g] = tuple_into(dst.space, (phi(a), b))
+        else:
+            ref = dst.space.ref
+            for g in src.space.all_gens():
+                a, b = g
+                assignment[g] = ref((SimplexRef(images[a.gen].gen, a.word, a.dim), b))
         return SimplicialMap(src.space, dst.space, assignment)
 
 

@@ -290,14 +290,28 @@ def is_acyclic(X: SimplicialSet, up_to: int, coefficients: int = Z) -> bool:
 # Induced maps and the isomorphism test
 # ---------------------------------------------------------------------------
 
+def chain_map_images(f: SimplicialMap, k: int) -> list[int | None]:
+    """The degree-k chain map as a list: per source generator, the target
+    index of its image under f, or None where the image is degenerate."""
+    index = normalized_chains(f.target).index.get(k, {})
+    return [None if r.word else index[r.gen]
+            for r in map(f.assignment.__getitem__, normalized_chains(f.source).gens.get(k, ()))]
+
+
 def chain_map_matrix(f: SimplicialMap, k: int) -> IntMatrix:
     """The degree-k chain map: images through f, degenerate images dropped."""
-    cs, ct = normalized_chains(f.source), normalized_chains(f.target)
-    columns = []
-    for g in cs.gens.get(k, ()):
-        r = f.assignment[g]
-        columns.append({} if r.is_degenerate() else {ct.index[k][r.gen]: 1})
-    return IntMatrix.from_columns(ct.dim(k), columns)
+    return IntMatrix.from_columns(normalized_chains(f.target).dim(k), [
+        {} if t is None else {t: 1} for t in chain_map_images(f, k)])
+
+
+def _push(images: list[int | None], w: Mapping[int, int]) -> dict[int, int]:
+    """A chain pushed through chain_map_images."""
+    acc: dict[int, int] = {}
+    for i, v in w.items():
+        t = images[i]
+        if v and t is not None:
+            acc[t] = acc.get(t, 0) + v
+    return {t: v for t, v in acc.items() if v}
 
 
 @dataclass
@@ -330,13 +344,13 @@ def _reduce_coords(col: list[int], invariants: list[int]) -> list[int]:
 def induced(f: SimplicialMap, k: int, coefficients: int = Z) -> InducedMap:
     """The map induced by f on degree-k homology."""
     src, dst = _degree_data(f.source, k), _degree_data(f.target, k)
-    t = chain_map_matrix(f, k)
+    images = chain_map_images(f, k)
     if coefficients:
         p = _field(coefficients)
-        cols = [dst.mod_p_coords(t.apply(c), p) for c in src.mod_p_cycles(p)]
+        cols = [dst.mod_p_coords(_push(images, c), p) for c in src.mod_p_cycles(p)]
         m = sum(map(len, dst.mod_p_positions(p)))
         return InducedMap(k, cols, [p] * len(cols), [p] * m, p)
-    cols = [dst.coords(t.apply(src.cycle_of(j))) for j in range(len(src.kept))]
+    cols = [dst.coords(_push(images, src.cycle_of(j))) for j in range(len(src.kept))]
     return InducedMap(k, cols, list(src.orders), list(dst.orders))
 
 

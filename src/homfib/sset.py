@@ -24,12 +24,25 @@ shallow:
   recursive canonical_key;
 - representing_map works out the faces of a base simplex once and keeps
   them on the base.
+
+Products, pullbacks and the cells of borel.ThickRealization come from one
+enumerator, and none of them scans simplices.  By the Eilenberg-Zilber
+lemma a nondegenerate simplex of a fibre product is a tuple (s_I1 x_1, ...,
+s_Ik x_k) of degeneracies of nondegenerate cores x_t whose images reduce to
+one core of the base.  pullback indexes each leg's source generators by
+that core and the surjection kappa onto it (_core_index, kept on the map);
+a product is the case where every core is the point.  The tuples over given
+cores are the lattice paths of _ez_paths, which depend only on the kappas
+and the bound and are kept on the map as well.  A face that drops an
+interior point of a path is again such a tuple and is looked up; only one
+that exposes a face of a core reads that core's face table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 
@@ -141,7 +154,7 @@ def canonical_key(x) -> tuple:
     if isinstance(x, SimplexRef):
         return (3, canonical_key(x.gen), x.word)
     if isinstance(x, tuple):
-        return (2, tuple(canonical_key(t) for t in x))
+        return (2, tuple(map(canonical_key, x)))
     if isinstance(x, str):
         return (1, x)
     if isinstance(x, bool):
@@ -199,14 +212,19 @@ class SimplicialSet:
         self.max_dim = max_dim
         self.generators = generators
         self.faces = dict(faces)
-        self.dim_of = {}
-        self._own = {}
-        for k, gs in self.generators.items():
-            for g in gs:
-                if g in self.dim_of:
+        # each generator is hashed once: the dicts are copied degree by
+        # degree, which keeps the stored hashes
+        self._own, self.dim_of = {}, {}
+        for k, gs in generators.items():
+            own = {g: (g, k) for g in gs}
+            self._own.update(own)
+            self.dim_of.update(dict.fromkeys(own, k))
+        if len(self._own) != sum(map(len, generators.values())):
+            seen: set = set()
+            for g in itertools.chain.from_iterable(generators.values()):
+                if g in seen:
                     raise ValueError(f"duplicate generator identifier {g!r}")
-                self.dim_of[g] = k
-                self._own[g] = (g, k)
+                seen.add(g)
         self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
@@ -217,8 +235,8 @@ class SimplicialSet:
         return self.generators.get(k, ())
 
     def all_gens(self) -> Iterator[Any]:
-        for k in range(self.max_dim + 1):
-            yield from self.gens(k)
+        """Every generator, by degree and in each degree in order."""
+        return iter(self.dim_of)
 
     def gen_count(self) -> int:
         return sum(len(self.gens(k)) for k in range(self.max_dim + 1))
@@ -572,57 +590,247 @@ def tuple_into(space: SimplicialSet, refs: tuple[SimplexRef, ...],
     return apply_degeneracies(space.ref(gen), word)
 
 
-def _rank_ordered(X: SimplicialSet, n: int) -> list[SimplexRef]:
-    """The n-simplices of X by (canonical rank of the generator, word)."""
-    rank = _canonical_ranks(X)
-    return sorted(X.refs_of_dim(n), key=lambda r: (rank[r.gen], r.word))
+def _surjection(word: tuple[int, ...], dim: int) -> tuple[int, ...]:
+    """The monotone surjection [dim] -> [dim - len(word)] of a degeneracy
+    word, as its tuple of values."""
+    if not word:
+        return tuple(range(dim + 1))
+    values = list(range(dim - len(word) + 1))
+    for a in reversed(word):
+        values.insert(a, values[a])
+    return tuple(values)
 
 
-def _disjoint_combos(pools: list[list[SimplexRef]]) -> Iterator[tuple[SimplexRef, ...]]:
-    """The tuples of itertools.product(*pools), in its order, whose degeneracy
-    words have no index in common (a single ref: an empty word).
+def _ez_paths(kappas: tuple[tuple[int, ...], ...], N: int) -> list[tuple]:
+    """The nondegenerate simplices over one tuple of cores, as lattice paths.
 
-    Which entries of the last pool fit a prefix depends only on the indices
-    all of the prefix's words hold, so each such list is filtered once.
+    kappas[t] is the surjection [p_t] -> [q] of factor t's core onto the
+    shared core of the base.  By the Eilenberg-Zilber lemma the
+    nondegenerate n-simplices (s_I1 x_1, ..., s_Ik x_k) over the cores
+    x_t are the paths of n steps from the origin to (p_1, ..., p_k) through
+    the points where every kappa takes one value, each step raising a
+    nonempty set of coordinates by one.  Factor t's word holds the steps
+    that leave coordinate t alone.
+
+    Returns one (n, words, faces) per path with n <= N.  faces[i] is the
+    index of the path with point i dropped when every coordinate value stays
+    visited.  Otherwise dropping it exposes a face of a core, and faces[i]
+    is (drops, words): factor t becomes d_j of its core for each (t, j) in
+    drops, the other cores stay, and words are those of the shorter path.
+    Its steps still raise some coordinate each, so it is nondegenerate
+    unless the face of a core is.
     """
-    *heads, last = pools
-    fitting: dict = {}
-    for prefix in itertools.product(*heads):
-        # None: an empty prefix, which holds every index
-        shared = frozenset(prefix[0].word).intersection(*(r.word for r in prefix[1:])) \
-            if prefix else None
-        if shared not in fitting:
-            fitting[shared] = [r for r in last if not (
-                r.word if shared is None else shared.intersection(r.word))]
-        for r in fitting[shared]:
-            yield prefix + (r,)
+    k = len(kappas)
+    ends = tuple(len(kappa) - 1 for kappa in kappas)
+    found: list[tuple] = []
+
+    def walk(points):
+        here = points[-1]
+        if here == ends:
+            found.append(tuple(points))
+            return
+        if max(e - c for e, c in zip(ends, here)) > N + 1 - len(points):
+            return
+        movable = [t for t in range(k) if here[t] < ends[t]]
+        for mask in range(1, 1 << len(movable)):
+            step = list(here)
+            for b, t in enumerate(movable):
+                if mask >> b & 1:
+                    step[t] += 1
+            level = kappas[0][step[0]]
+            if all(kappas[t][step[t]] == level for t in range(1, k)):
+                points.append(tuple(step))
+                walk(points)
+                points.pop()
+
+    def words_of(points):
+        return tuple(tuple(s for s in range(len(points) - 2, -1, -1)
+                           if points[s][t] == points[s + 1][t]) for t in range(k))
+
+    def face(points, i):
+        rest = points[:i] + points[i + 1:]
+        drops = tuple((t, points[i][t]) for t in range(k)
+                      if not (i and points[i - 1][t] == points[i][t])
+                      and not (i + 1 < len(points) and points[i + 1][t] == points[i][t]))
+        return (drops, words_of(rest)) if drops else index[rest]
+
+    walk([(0,) * k])
+    index = {points: j for j, points in enumerate(found)}
+    return [(len(points) - 1, words_of(points),
+             tuple(face(points, i) for i in range(len(points))) if len(points) > 1 else ())
+            for points in found]
+
+
+def _members(X: SimplicialSet) -> dict[Any, tuple]:
+    """Each generator of X as a member (rank, id, generator), kept on X.
+
+    The rank is the generator's place in canonical_key order over all
+    degrees of X; generators with equal keys share a rank, so a stable
+    sort by rank is a stable sort by canonical_key.  The id is a small
+    integer, unique in X.
+    """
+    members = X._cache.get("members")
+    if members is None:
+        keys = {g: canonical_key(g) for g in X.all_gens()}
+        rank, previous, r = {}, None, -1
+        for g in sorted(keys, key=keys.__getitem__):
+            if keys[g] != previous:
+                r, previous = r + 1, keys[g]
+            rank[g] = r
+        members = X._cache["members"] = {g: (rank[g], i, g) for i, g in enumerate(keys)}
+    return members
+
+
+def _face_ids(X: SimplicialSet) -> list[tuple]:
+    """Per member id of X, the ids of the generator's faces (None for a
+    degenerate face).  Kept on X."""
+    faces = X._cache.get("face ids")
+    if faces is None:
+        members = _members(X)
+        faces = X._cache["face ids"] = [
+            tuple(None if r.word else members[r.gen][1] for r in X.faces.get(g, ()))
+            for g in members]
+    return faces
+
+
+def _ez_table(kappas: tuple, N: int, paths: dict) -> tuple[list[tuple], dict]:
+    """The paths of _ez_paths for these kappas and N, and the index of a
+    path by its words; kept in paths."""
+    table = paths.get((kappas, N))
+    if table is None:
+        entries = _ez_paths(kappas, N)
+        table = paths[kappas, N] = (entries, {words: j for j, (_, words, _) in enumerate(entries)})
+    return table
+
+
+def _ez_parts(entries: list[tuple], t: int, factor: list[tuple]) -> list[tuple]:
+    """Per member (rank, id, x) of factor t: its id, its simplex s_I x on
+    every path, and its (rank, word) part of every path's key."""
+    return [(i, [SimplexRef(x, words[t], n) for n, words, _ in entries],
+             [(rank, words[t]) for _, words, _ in entries]) for rank, i, x in factor]
+
+
+def _ez_group(table: tuple[list[tuple], dict], parts: list[list[tuple]]) -> list[tuple]:
+    """The nondegenerate simplices over one group, on its _ez_table.
+
+    A group is one surjection kappa per factor onto one shared core, and
+    per factor the _members whose images are kappa onto it, given as
+    their _ez_parts on the table; a product is the case where every core
+    is the point.
+
+    Returns per tuple of cores (ids, (path index by words, row), cells):
+    ids are the cores' member ids, row holds the generators (s_I1 x_1, ...,
+    s_Ik x_k) over them in path order, and a cell is the list [key, gen,
+    n, row, faces, ids, None] of a generator of degree n, faces being its
+    path's face table and key = (rank_1, word_1, ..., rank_k, word_k), the
+    generator's place in canonical_key order.  A reader of row may replace
+    an entry by its generator's SimplexRef, and keeps the cell's faces in
+    its last slot.
+    """
+    entries, by_words = table
+    out = []
+    for combo in itertools.product(*parts):
+        ids, refs, keys = zip(*combo)
+        row = list(zip(*refs))
+        cells = []
+        for j, (n, _, faces) in enumerate(entries):
+            cells.append([sum([part[j] for part in keys], ()), row[j], n, row, faces, ids, None])
+        out.append((ids, (by_words, row), cells))
+    return out
+
+
+def _ez_groups(groups: Iterable[tuple], N: int, paths: dict) -> Iterator[list[tuple]]:
+    """_ez_group of each (kappas, members) group with a path."""
+    for kappas, members in groups:
+        table = _ez_table(kappas, N, paths)
+        if table[0]:
+            yield _ez_group(table, [_ez_parts(table[0], t, factor)
+                                    for t, factor in enumerate(members)])
+
+
+def _ez_cells(groups: Iterable[list[tuple]], N: int) -> tuple[list[list[list]], dict]:
+    """The cells of some _ez_group results, per degree in canonical_key
+    order, and the rows by the ids of their cores."""
+    found: list[list[list]] = [[] for _ in range(N + 1)]
+    rows: dict[tuple, tuple] = {}
+    for group in groups:
+        for ids, row, cells in group:
+            rows[ids] = row
+            for cell in cells:
+                found[cell[2]].append(cell)
+    for cells in found:
+        cells.sort(key=itemgetter(0))
+    return found, rows
+
+
+def _by_dimension(X: SimplicialSet, N: int) -> list[tuple]:
+    """X's generators through degree N as (kappa, members) pairs over the
+    point: one pair per nonempty degree p, kappa the collapse of [p]."""
+    members = _members(X)
+    return [((0,) * (p + 1), [members[x] for x in X.gens(p)])
+            for p in range(min(N, X.max_dim) + 1) if X.gens(p)]
+
+
+def _fibre_space(spaces: list[SimplicialSet], cells: list[list[list]], rows: dict,
+                 N: int) -> SimplicialSet:
+    """The simplicial set on _ez_cells' generators, with their faces.
+
+    A face that drops an interior point of the path is read from the cell's
+    row.  One that exposes faces of cores reads their ids from the factors'
+    face tables and is read from the row over those cores by the shorter
+    path's words; only a degenerate face of a core needs tuple_into.  A row
+    entry becomes its generator's SimplexRef when first read.
+    """
+    P = SimplicialSet._in_canonical_order(
+        N, {n: tuple(map(itemgetter(1), cells[n])) for n in range(N + 1)}, {})
+    tables = [_face_ids(X) for X in spaces]
+    for n in range(1, N + 1):
+        for cell in cells[n]:
+            if cell[6] is None:
+                cell[6] = _cell_faces(P, spaces, tables, rows, cell)
+            P.faces[cell[1]] = cell[6]
+    return P
+
+
+def _cell_faces(P: SimplicialSet, spaces: list[SimplicialSet], tables: list[list[tuple]],
+                rows: dict, cell: list) -> tuple[SimplexRef, ...]:
+    """The faces d_0..d_n of one cell of _fibre_space."""
+    _, gen, n, row, faces, ids, _ = cell
+    entries = []
+    for i, face in enumerate(faces):
+        if face.__class__ is int:
+            other, j = row, face
+        else:
+            drops, words = face
+            cores = list(ids)
+            for t, j in drops:
+                cores[t] = tables[t][cores[t]][j]
+            if None in cores:
+                entries.append(tuple_into(P, tuple(X.face(r, i) for X, r in zip(spaces, gen))))
+                continue
+            by_words, other = rows[tuple(cores)]
+            j = by_words[words]
+        if other[j].__class__ is not SimplexRef:
+            other[j] = SimplexRef(other[j], (), n - 1)
+        entries.append(other[j])
+    return tuple(entries)
 
 
 def product_many(spaces: list[SimplicialSet], N: int | None = None) -> ProductResult:
     """Categorical product truncated at N, with projections.
 
     Nondegenerate n-simplices are tuples of n-simplices of the factors whose
-    degeneracy words have no index in common.  Each factor's n-simplices
-    are taken in (canonical rank, word) order, so the tuples come out in
-    canonical_key order and need no sorting.
+    degeneracy words have no index in common; they are enumerated from the
+    factors' generators by _ez_cells, over the point, in canonical_key
+    order.
     """
     if not spaces:
         pt = SimplicialSet(0, {0: ["*"]}, {})
         return ProductResult(pt, ())
     if N is None:
         N = sum(X.max_dim for X in spaces)
-    generators = {n: tuple(_disjoint_combos([_rank_ordered(X, n) for X in spaces]))
-                  for n in range(N + 1)}
-    P = SimplicialSet._in_canonical_order(N, generators, {})
-    for n in range(1, N + 1):
-        faces_of = [{} for _ in spaces]
-        for gen in generators[n]:
-            pieces = []
-            for X, known, r in zip(spaces, faces_of, gen):
-                if r not in known:
-                    known[r] = tuple(X.face(r, i) for i in range(n + 1))
-                pieces.append(known[r])
-            P.faces[gen] = tuple(tuple_into(P, face) for face in zip(*pieces))
+    groups = (zip(*group) for group in itertools.product(*(_by_dimension(X, N) for X in spaces)))
+    P = _fibre_space(spaces, *_ez_cells(_ez_groups(groups, N, {}), N), N)
     projections = []
     for t, X in enumerate(spaces):
         projections.append(SimplicialMap(P, X, {g: g[t] for g in P.all_gens()}))
@@ -640,78 +848,73 @@ class PullbackResult:
     to_right: SimplicialMap
 
 
-def _canonical_ranks(X: SimplicialSet) -> dict[Any, int]:
-    """Each generator's place in canonical_key order over all degrees of X.
+def _core_index(h: SimplicialMap) -> dict[Any, tuple]:
+    """h's source generators by the core of their image, then by kappa.
 
-    Generators with equal keys share a rank, so a stable sort by rank is a
-    stable sort by canonical_key.  Computed once and kept on X.
+    core -> ((kappa, members), ...), kappa the surjection of the image onto
+    its core and members its _members over it.  Built once, kept on h.
     """
-    ranks = X._cache.get("ranks")
-    if ranks is None:
-        keys = {g: canonical_key(g) for g in X.all_gens()}
-        ranks, previous, r = {}, None, -1
-        for g in sorted(keys, key=keys.__getitem__):
-            if keys[g] != previous:
-                r, previous = r + 1, keys[g]
-            ranks[g] = r
-        X._cache["ranks"] = ranks
-    return ranks
-
-
-def _faced_refs(X: SimplicialSet, n: int) -> list[tuple[SimplexRef, tuple[SimplexRef, ...]]]:
-    """Every n-simplex of X (degenerate included) with its faces d_0..d_n."""
-    key = ("faced", n)
-    if key not in X._cache:
-        X._cache[key] = [(r, tuple(X.face(r, i) for i in range(n + 1)) if n else ())
-                         for r in X.refs_of_dim(n)]
-    return X._cache[key]
-
-
-def _fibre_index(g: SimplicialMap, n: int) -> dict[SimplexRef, list]:
-    """The n-simplices of g's source, with their faces, by their image under g.
-
-    Built once per degree and kept on g, so every pullback along g reads
-    only the part of the source over the simplices it asks about.
-    """
-    key = ("fibres", n)
-    if key not in g._cache:
-        over: dict[SimplexRef, list] = {}
-        for entry in _faced_refs(g.source, n):
-            over.setdefault(g(entry[0]), []).append(entry)
-        g._cache[key] = over
-    return g._cache[key]
+    index = h._cache.get("cores")
+    if index is None:
+        by_core: dict[Any, dict] = {}
+        for x, member in _members(h.source).items():
+            image = h.assignment[x]
+            by_core.setdefault(image.gen, {}).setdefault(
+                _surjection(image.word, image.dim), []).append(member)
+        index = h._cache["cores"] = {core: tuple(by_kappa.items())
+                                     for core, by_kappa in by_core.items()}
+    return index
 
 
 def pullback(f: SimplicialMap, g: SimplicialMap, N: int | None = None) -> PullbackResult:
     """Levelwise fiber product of f and g over their common target.
 
-    For each n-simplex a of f's source, the n-simplices of g's source over
-    f(a) come from g's fibre index.  Generators (a, b) are sorted by the
-    canonical ranks of a.gen and b.gen and the words, which is their
-    canonical_key order.
+    Each pair of source generators over one core of the base, one from
+    each leg's core index, contributes the lattice paths of _ez_paths; the
+    path tables, with g's members' simplices on them, are kept on g.
+    Generators (a, b) come in canonical_key order, the order of the
+    canonical ranks of a.gen and b.gen and the words.
+
+    The cells over a generator x of f's source depend only on x, the core
+    and kappa of its image, and N.  So f's source keeps them for its
+    pullbacks along g, the last right leg it met: along a map p, the
+    preimages of base simplices with a common face share the cells over
+    it, and so do their generator objects.
     """
     if f.target is not g.target and f.target != g.target:
         raise ValueError("pullback legs must share a target")
     X, Y = f.source, g.source
     if N is None:
         N = X.max_dim + Y.max_dim
-    rank_x, rank_y = _canonical_ranks(X), _canonical_ranks(Y)
-    generators: dict[int, tuple] = {}
-    pair_faces = []
-    for n in range(N + 1):
-        over = _fibre_index(g, n)
-        found = []
-        for a, a_faces in _faced_refs(X, n):
-            for b, b_faces in over.get(f(a), ()):
-                if not (set(a.word) & set(b.word)):
-                    found.append(((rank_x[a.gen], a.word, rank_y[b.gen], b.word),
-                                  (a, b), a_faces, b_faces))
-        found.sort(key=lambda entry: entry[0])
-        generators[n] = tuple(entry[1] for entry in found)
-        pair_faces.extend(entry[1:] for entry in found if n)
-    P = SimplicialSet._in_canonical_order(N, generators, {})
-    P.faces.update({gen: tuple(tuple_into(P, pieces) for pieces in zip(a_faces, b_faces))
-                    for gen, a_faces, b_faces in pair_faces})
+    left, right = _core_index(f), _core_index(g)
+    paths = g._cache.setdefault("paths", {})
+    shared = X._cache.get("pullback cells")
+    if shared is None or shared[0] is not g:
+        shared = X._cache["pullback cells"] = (g, {})
+    # per core of the base: each path table with the right leg's parts on it
+    right_parts = g._cache.setdefault("parts", {})
+    groups = []
+    for core, kappas in left.items():
+        over = right.get(core)
+        if over is None:
+            continue
+        built = shared[1].setdefault(core, {})
+        known = right_parts.setdefault(core, {})
+        for (kappa, xs), (lam, ys) in itertools.product(kappas, over):
+            both = known.get((kappa, lam, N))
+            if both is None:
+                table = _ez_table((kappa, lam), N, paths)
+                both = known[kappa, lam, N] = (table, _ez_parts(table[0], 1, ys))
+            table, parts = both
+            if not table[0]:
+                continue
+            for x in xs:
+                key = (x[1], kappa, lam, N)
+                group = built.get(key)
+                if group is None:
+                    group = built[key] = _ez_group(table, [_ez_parts(table[0], 0, [x]), parts])
+                groups.append(group)
+    P = _fibre_space([X, Y], *_ez_cells(groups, N), N)
     to_left = SimplicialMap(P, X, {g: g[0] for g in P.all_gens()})
     to_right = SimplicialMap(P, Y, {g: g[1] for g in P.all_gens()})
     return PullbackResult(P, to_left, to_right)

@@ -54,3 +54,47 @@ def presentation_complexes(draw):
     token = st.sampled_from(letters + [a + "-" for a in letters])
     relators = draw(st.lists(st.lists(token, min_size=1, max_size=5), min_size=1, max_size=2))
     return hf.presentation_complex(letters, relators)
+
+
+@st.composite
+def random_ssets(draw, max_dim=3):
+    """A finite simplicial set built degree by degree from a face table.
+
+    Up to three vertices; then in each degree k up to max_dim at most three
+    generators (two from degree 3 on).  Each generator's faces d_0..d_k are
+    drawn one at a time among all (k-1)-simplices built so far, degenerate
+    ones included, keeping only those that agree with the faces already
+    drawn (d_j d_i = d_{i-1} d_j for j < i), which makes shared vertices
+    and shared faces agree; a generator with no such choice is dropped.
+    Names are strings, ints or tuples in a random order, so that the
+    canonical order of the generators differs from their structure.  The
+    result is filtered by validate.
+    """
+    names = iter(draw(st.permutations(range(16))))
+    kind = draw(st.sampled_from(["str", "int", "tuple", "mixed"]))
+
+    def name():
+        t = next(names)
+        pick = kind if kind != "mixed" else ("str", "int", "tuple")[t % 3]
+        return {"str": f"x{t}", "int": t, "tuple": ("x", t)}[pick]
+
+    generators = {0: [name() for _ in range(draw(st.integers(1, 3)))]}
+    faces: dict = {}
+    X = SimplicialSet(0, generators, faces)
+    for k in range(1, max_dim + 1):
+        generators[k] = []
+        below = list(X.refs_of_dim(k - 1))
+        for _ in range(draw(st.integers(0, 3 if k < 3 else 2))):
+            chosen: list = []
+            for i in range(k + 1):
+                fits = [r for r in below
+                        if k == 1 or all(X.face(r, j) == X.face(chosen[j], i - 1) for j in range(i))]
+                if not fits:
+                    break
+                chosen.append(draw(st.sampled_from(fits)))
+            else:
+                g = name()
+                generators[k].append(g)
+                faces[g] = tuple(chosen)
+        X = SimplicialSet(k, generators, faces)
+    return draw(st.just(X).filter(lambda X: hf.validate(X).ok))

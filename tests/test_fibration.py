@@ -2,6 +2,7 @@ import importlib
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import homfib as hf
 from homfib import cli, dsl
@@ -20,6 +21,7 @@ from homfib.fibration import (
 from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet, constant_map, standard_map
 
 from corpus import collapse_circle_to_interval, projection_over_simplex, two_points
+from strategies import maps_to_simplex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the package exports a function named homology, so reach the modules by path
@@ -179,6 +181,21 @@ def test_pullback_along_vertex_inclusion():
     v = SimplicialMap(hf.point(), B, {(0,): B.ref(("v", 0))})
     pulled = pullback_fibration(p, v)
     assert weak_fibration_check(pulled.map, 1).verdict
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data(), st.integers(1, 2))
+def test_weak_fibrations_are_stable_under_pullback(data, m):
+    # the preimage of a simplex tau of K under the pulled-back map is
+    # dp(f tau), and its face comparisons are comparisons of p, degenerate
+    # f tau included; f is not a representing map
+    p = data.draw(maps_to_simplex(m))
+    up_to = p.source.max_dim
+    assume(weak_fibration_check(p, up_to).verdict)
+    f = data.draw(maps_to_simplex(m))
+    pulled = pullback_fibration(p, f)
+    assert hf.validate(pulled.map.source).ok and hf.validate_map(pulled.map).ok
+    assert weak_fibration_check(pulled.map, min(up_to, f.source.max_dim)).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +366,45 @@ def test_group_completion_work_counts(monkeypatch):
     assert len(representing) == 82
     assert len(built) == len(distinct) == 19
     assert len({(id(B), sigma) for B, sigma in built}) == len(built)
+
+
+def test_pullback_work_is_bounded_by_its_output(monkeypatch):
+    # pullback lists the nondegenerate pairs from the generators, so the
+    # simplices it builds (SimplexRefs made) and tests (simplices mapped
+    # to the base) stay below one per generator it keeps: 189 for 320 on
+    # this job, as preimages share the cells over common faces.  Scanning
+    # every simplex of Delta[n] and of E, degenerate ones included, built
+    # 2,274 and tested 835, 9.7 per generator.
+    work, kept, inside = [0], [0], [False]
+    real_init = SimplexRef.__init__
+    real_call = SimplicialMap.__call__
+    real_pullback = fibration_module.pullback
+
+    def counting_init(self, *args, **kwargs):
+        work[0] += inside[0]
+        real_init(self, *args, **kwargs)
+
+    def counting_call(self, ref):
+        work[0] += inside[0]
+        return real_call(self, ref)
+
+    def counting_pullback(f, g, N=None):
+        inside[0] = True
+        try:
+            result = real_pullback(f, g, N)
+        finally:
+            inside[0] = False
+        kept[0] += result.space.gen_count()
+        return result
+
+    monkeypatch.setattr(SimplexRef, "__init__", counting_init)
+    monkeypatch.setattr(SimplicialMap, "__call__", counting_call)
+    monkeypatch.setattr(fibration_module, "pullback", counting_pullback)
+    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
+    assert report.all_pass
+    assert kept[0] == 320
+    assert work[0] <= kept[0]
 
 
 def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):

@@ -20,7 +20,7 @@ from homfib.sset import (
 
 from corpus import corpus_maps
 from oracles import product_nondegenerate_counts
-from strategies import maps_to_simplex
+from strategies import maps_to_simplex, random_ssets
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +318,22 @@ def test_pullback_matches_scan_over_corpus(name):
     assert_pullback_matches_scan(hf.identity_map(B), p, 2)
 
 
+@pytest.mark.parametrize("name", sorted(corpus_maps()))
+def test_pullback_cells_shared_through_one_simplex_match_scan(name):
+    # one Delta[n] per dimension, as a PreimageCalculator holds them: its
+    # cells are reused across base simplices (degenerate ones give the
+    # same generator another kappa), bounds, and right legs met in turn
+    p = corpus_maps()[name]
+    B = p.target
+    ident = hf.identity_map(B)
+    deltas = [hf.standard_simplex(n) for n in range(B.max_dim + 2)]
+    for g in (p, p, ident, p):
+        for n, delta in enumerate(deltas):
+            for sigma in B.refs_of_dim(n):
+                for N in (n + 1, n + 2):
+                    assert_pullback_matches_scan(hf.representing_map(B, sigma, delta), g, N)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 2), st.integers(0, 3))
 def test_pullback_matches_scan_on_random_maps(data, m, N):
@@ -375,6 +391,29 @@ def test_product_matches_sorting_reference_on_random_spaces(data, m, N):
     L = data.draw(maps_to_simplex(m)).source
     assert_product_matches_sorting([K, L], N)
     assert_product_matches_sorting([L, hf.standard_simplex(m), K], min(N, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ssets(), random_ssets(), st.integers(0, 3))
+def test_product_matches_sorting_reference_on_face_table_spaces(X, Y, N):
+    # faces may be degenerate, and more than one generator may share its
+    # boundary
+    assert_product_matches_sorting([X, Y], N)
+    assert_product_matches_sorting([Y, X, X], min(N, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), random_ssets(), random_ssets(max_dim=2), st.integers(0, 3))
+def test_pullback_matches_scan_on_face_table_spaces(data, B, C, N):
+    def simplex():
+        return data.draw(st.sampled_from(list(B.refs_of_dim(data.draw(st.integers(0, 2))))))
+
+    # legs whose images are degenerate simplices with degenerate faces,
+    # the identity, and a product projection
+    f, g = hf.representing_map(B, simplex()), hf.representing_map(B, simplex())
+    assert_pullback_matches_scan(f, g, N)
+    assert_pullback_matches_scan(f, hf.identity_map(B), N)
+    assert_pullback_matches_scan(g, hf.product(B, C, 2).projections[0], min(N, 2))
 
 
 # ---------------------------------------------------------------------------
