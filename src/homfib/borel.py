@@ -38,6 +38,9 @@ from .sset import (
     apply_degeneracies,
     canonical_key,
     factor_common,
+    full_subcomplex,
+    full_word,
+    identity_map,
     is_isomorphism,
     product,
     product_many,
@@ -46,10 +49,6 @@ from .sset import (
     validate,
     validate_map,
 )
-
-
-def _full_word(d: int) -> tuple[int, ...]:
-    return tuple(range(d - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +71,7 @@ class SimplicialCategory:
         return self.homs[(i, j)]
 
     def identity_ref(self, i, dim: int = 0) -> SimplexRef:
-        return apply_degeneracies(
-            SimplexRef(self.identities[i], (), 0), _full_word(dim))
+        return SimplexRef(self.identities[i], full_word(dim), dim)
 
     def compose(self, i, j, k, g: SimplexRef, f: SimplexRef) -> SimplexRef:
         """g o f for g: j -> k and f: i -> j, as equal-dimension refs."""
@@ -130,8 +128,7 @@ def from_monoid(table: dict[tuple, Any], unit: Any) -> SimplicialCategory:
 
     def compose_gen(i, j, k, g, f):
         # refs over a discrete space always reduce to vertices
-        return apply_degeneracies(
-            SimplexRef(table[(g.gen, f.gen)], (), 0), _full_word(g.dim))
+        return SimplexRef(table[(g.gen, f.gen)], full_word(g.dim), g.dim)
 
     return build_category([obj], {(obj, obj): hom}, {obj: unit}, compose_gen)
 
@@ -203,7 +200,7 @@ class Diagram:
         assignment = {}
         for x in src.all_gens():
             d = src.dim_of[x]
-            f_ref = apply_degeneracies(SimplexRef(f_gen, (), 0), _full_word(d))
+            f_ref = SimplexRef(f_gen, full_word(d), d)
             assignment[x] = self.act(i, j, f_ref, src.ref(x))
         return SimplicialMap(src, dst, assignment)
 
@@ -293,7 +290,7 @@ def trivial_diagram(cat: SimplicialCategory) -> Diagram:
     values = {i: discrete_space([i]) for i in cat.objects}
 
     def act_gen(i, j, f, x):
-        return apply_degeneracies(SimplexRef(i, (), 0), _full_word(f.dim))
+        return SimplexRef(i, full_word(f.dim), f.dim)
 
     return build_diagram(cat, values, act_gen)
 
@@ -519,13 +516,12 @@ class ThickRealization:
         assignment = {}
         for g in X.all_gens():
             d = X.dim_of[g]
-            a = SimplexRef((0,), _full_word(d), d)
+            a = SimplexRef((0,), full_word(d), d)
             assignment[g] = self.assemble(0, a, X.ref(g))
         return SimplicialMap(X, self.space, assignment)
 
     def subspace_at_stage(self, m: int) -> SimplicialSet:
         keep = [g for g, n in self.stage_of.items() if n <= m]
-        from .sset import full_subcomplex
         return full_subcomplex(self.space, keep)
 
 
@@ -550,7 +546,6 @@ def realize_map(src: ThickRealization, dst: ThickRealization,
 
 def constant_space(X: SimplicialSet, N: int) -> SimplicialSpace:
     """The constant simplicial space on X."""
-    from .sset import identity_map
     ident = identity_map(X)
     levels = [X for _ in range(N + 1)]
     face_maps = [[]] + [[ident for _ in range(n + 1)] for n in range(1, N + 1)]
@@ -588,7 +583,7 @@ class BorelConstruction:
         for g in F.all_gens():
             d = F.dim_of[g]
             level_ref = E0.ref(((i,), (F.ref(g),)))
-            a = SimplexRef((0,), _full_word(d), d)
+            a = SimplexRef((0,), full_word(d), d)
             assignment[g] = self.total.assemble(0, a, level_ref)
         return SimplicialMap(F, self.total.space, assignment)
 
@@ -606,7 +601,7 @@ def borel_total(cat: SimplicialCategory, diag: Diagram, N: int) -> BorelConstruc
         for gen in src.all_gens():
             comp, refs = gen
             d = src.dim_of[gen]
-            point = apply_degeneracies(SimplexRef(comp[0], (), 0), _full_word(d))
+            point = SimplexRef(comp[0], full_word(d), d)
             assignment[gen] = tuple_into(dst, refs[:n] + (point,), component=comp)
         pi_levels.append(SimplicialMap(src, dst, assignment))
     pi = realize_map(total, base, pi_levels)
@@ -669,7 +664,7 @@ class Telescope:
         if t == self.stages - 2:
             out = SimplexRef((self.stages - 1, stepped.gen), stepped.word, stepped.dim)
             return apply_degeneracies(out, ref.word)
-        zero = SimplexRef((0,), _full_word(stepped.dim), stepped.dim)
+        zero = SimplexRef((0,), full_word(stepped.dim), stepped.dim)
         return apply_degeneracies(self.piece_ref(t + 1, stepped, zero), ref.word)
 
     def piece_ref(self, t: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
@@ -688,7 +683,7 @@ class Telescope:
             if t == self.stages - 1:
                 assignment[g] = self.cap_ref(self.X.ref(g))
             else:
-                zero = SimplexRef((0,), _full_word(d), d)
+                zero = SimplexRef((0,), full_word(d), d)
                 assignment[g] = self.piece_ref(t, self.X.ref(g), zero)
         return SimplicialMap(self.X, self.space, assignment)
 
@@ -710,7 +705,7 @@ def telescope_diagram(cat: SimplicialCategory, alpha, stages: int,
         assignment = {}
         for g in hom.all_gens():
             d = hom.dim_of[g]
-            a_ref = apply_degeneracies(SimplexRef(alpha, (), 0), _full_word(d))
+            a_ref = SimplexRef(alpha, full_word(d), d)
             assignment[g] = cat.compose(i, one, one, a_ref, hom.ref(g))
         step = SimplicialMap(hom, hom, assignment)
         telescopes[i] = Telescope(hom, step, stages)
@@ -839,7 +834,6 @@ def _level_fiber_isomorphic(cat, diag, construction, n, comp) -> bool:
     leaves the component empty, with no fibre to compare.
     """
     src = construction.total_space.levels[n]
-    pi_n = construction.pi_levels[n]
     F = diag.value(comp[0])
     vertex_refs = []
     for t in range(n):
@@ -851,30 +845,25 @@ def _level_fiber_isomorphic(cat, diag, construction, n, comp) -> bool:
                 return True
             vertex_refs.append(hom.ref(hom.gens(0)[0]))
     vertex_refs = tuple(vertex_refs[::-1])
-    calc = preimage_calculator(pi_n, F.max_dim)
-    dst = construction.base_space.levels[n]
-    point = SimplexRef(comp[0], (), 0)
-    base_gen = (comp, vertex_refs + (point,))
-    rec = calc.record(dst.ref(base_gen))
-    assignment = {}
-    for x in F.all_gens():
-        d = F.dim_of[x]
-        homs = tuple(apply_degeneracies(r, _full_word(d)) for r in vertex_refs)
-        e_ref = src.ref((comp, homs + (F.ref(x),)))
-        a = SimplexRef((0,), _full_word(d), d)
-        assignment[x] = tuple_into(rec.space, (a, e_ref))
-    return is_isomorphism(SimplicialMap(F, rec.space, assignment))
+    vertex = construction.base_space.levels[n].ref((comp, vertex_refs + (SimplexRef(comp[0]),)))
+    lifts = {}
+    for x, d in F.dim_of.items():
+        homs = tuple(SimplexRef(r.gen, full_word(d), d) for r in vertex_refs)
+        lifts[x] = src.ref((comp, homs + (F.ref(x),)))
+    return _fiber_onto_preimage(F, construction.pi_levels[n], vertex, lifts)
 
 
 def vertex_fiber_isomorphic(construction: BorelConstruction, i) -> bool:
     """dp(pi, vertex i) is isomorphic to F(i), not merely equivalent."""
     F = construction.diagram.value(i)
-    calc = preimage_calculator(construction.pi, F.max_dim)
-    rec = calc.record(construction.base_vertex_ref(i))
-    incl = construction.fiber_inclusion(i)
-    assignment = {}
-    for x in F.all_gens():
-        d = F.dim_of[x]
-        a = SimplexRef((0,), _full_word(d), d)
-        assignment[x] = tuple_into(rec.space, (a, incl.assignment[x]))
+    return _fiber_onto_preimage(F, construction.pi, construction.base_vertex_ref(i),
+                                construction.fiber_inclusion(i).assignment)
+
+
+def _fiber_onto_preimage(F: SimplicialSet, p: SimplicialMap, vertex: SimplexRef,
+                         lifts: dict) -> bool:
+    """Whether x -> (0, lifts[x]) is an isomorphism of F onto dp(p, vertex)."""
+    rec = preimage_calculator(p, F.max_dim).record(vertex)
+    assignment = {x: tuple_into(rec.space, (SimplexRef((0,), full_word(d), d), lifts[x]))
+                  for x, d in F.dim_of.items()}
     return is_isomorphism(SimplicialMap(F, rec.space, assignment))

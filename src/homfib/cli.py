@@ -34,7 +34,7 @@ from . import borel as bor
 from . import subdivision as sub
 from .dsl import Document, DslError, parse
 from .fibration import weak_fibration_check
-from .homology import _is_prime, homology, is_acyclic, is_homology_iso
+from .homology import homology, is_acyclic, is_homology_iso, is_prime
 from .sset import (
     SimplicialMap,
     SimplicialSet,
@@ -121,7 +121,7 @@ def _coefficients(flag: str) -> int:
         return 0
     if flag.startswith("Z") and flag[1:].isdigit():
         p = int(flag[1:])
-        if _is_prime(p):
+        if is_prime(p):
             return p
     raise CommandError(f"bad coefficient ring {flag!r} (use Z or Zp, p prime)")
 

@@ -8,8 +8,10 @@ Grammar (whitespace-insensitive, comments run from '#' to end of line):
     diagram NAME over CAT { F(OBJ) = SSET; act(OBJ,OBJ): ELEM -> MAP; ... }
 
 A face expression is a simplex name optionally prefixed by degeneracies,
-e.g. `s1 s0 v`.  Monoid products for the unit are filled in automatically.
-A monoid is used as the one-object category with object name `1`.
+e.g. `s1 s0 v`.  Monoid products for the unit are filled in automatically,
+and the unit acts as the identity, so it takes no act.  A simplex, image,
+product, value or action declared twice is refused.  A monoid is used as
+the one-object category with object name `1`.
 """
 
 from __future__ import annotations
@@ -268,6 +270,8 @@ class _Parser:
             simplex = self.ident("simplex name")
             if simplex.text not in src.dim_of:
                 raise self.unresolved(simplex, f"simplex of {src_tok.text!r}", src.dim_of)
+            if simplex.text in assignment:
+                self.error(simplex, f"duplicate image of {simplex.text!r}")
             self.expect("->")
             face = self.parse_face_expr(dst_dims, name.text)
             self.expect(";")
@@ -302,7 +306,7 @@ class _Parser:
         if kw.text != "mul":
             self.error(kw, "expected 'mul'")
         self.expect("{")
-        table = {}
+        table, declared = {}, set()
         for e in elements:
             table[(unit_tok.text, e)] = e
             table[(e, unit_tok.text)] = e
@@ -316,6 +320,9 @@ class _Parser:
             for tok in (a, b, c):
                 if tok.text not in elements:
                     raise self.unresolved(tok, "element", elements)
+            if (a.text, b.text) in declared:
+                self.error(a, f"duplicate product {a.text}.{b.text}")
+            declared.add((a.text, b.text))
             table[(a.text, b.text)] = c.text
         self.expect("}")
         self.expect("}")
@@ -354,6 +361,8 @@ class _Parser:
                 if sset_tok.text not in self.doc.ssets:
                     raise self.unresolved(sset_tok, "sset", self.doc.ssets)
                 self.expect(";")
+                if obj.text in values:
+                    self.error(kw, f"duplicate value F({obj.text})")
                 values[obj.text] = self.doc.ssets[sset_tok.text]
             elif kw.text == "act":
                 self.expect("(")
@@ -374,7 +383,12 @@ class _Parser:
                                           cat.hom(obj_i.text, obj_j.text).gens(0))
                 if map_tok.text not in self.doc.maps:
                     raise self.unresolved(map_tok, "map", self.doc.maps)
-                actions[(obj_i.text, obj_j.text, elem.text)] = self.doc.maps[map_tok.text]
+                key = (obj_i.text, obj_j.text, elem.text)
+                if elem.text == unit and obj_i.text == obj_j.text:
+                    self.error(elem, f"the unit {unit!r} acts as the identity and takes no act")
+                if key in actions:
+                    self.error(kw, f"duplicate action act({key[0]},{key[1]}): {elem.text}")
+                actions[key] = self.doc.maps[map_tok.text]
             else:
                 self.error(kw, "expected 'F' or 'act'")
         self.expect("}")

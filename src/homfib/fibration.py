@@ -7,7 +7,9 @@ sigma and every face d_i, that the comparison dp(d_i sigma) -> dp(sigma)
 induces isomorphisms in homology; this is the McDuff-Segal definition, by
 face inclusions alone.  Checking generators only is enough because homology
 equivalences compose; a full operator-word audit, degeneracies included,
-sits behind the deep_ops flag.
+sits behind the deep_ops flag.  A comparison's operator phi: [k] -> [m] is
+its vertex table, a tuple of k + 1 values; it is a coface exactly when no
+value repeats, and no map between standard simplices is built for it.
 
 The degeneracy comparisons cannot fail, by a homotopy lemma.  dp(s_i sigma)
 is the pullback of dp(sigma) along the codegeneracy sigma^i: Delta[n+1] ->
@@ -52,10 +54,13 @@ from .sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    apply_degeneracies,
     degenerate,
+    faces_spanned,
+    monotone_of_ref,
     pullback,
+    ref_from_monotone,
     representing_map,
-    standard_map,
     standard_simplex,
     tuple_into,
 )
@@ -112,28 +117,30 @@ class PreimageCalculator:
         self._records[sigma] = rec
         return rec
 
-    def comparison(self, rho: SimplexRef, phi: SimplicialMap) -> SimplicialMap:
-        """The map dp(rho . phi) -> dp(rho) over phi: Delta[k] -> Delta[m].
+    def comparison(self, rho: SimplexRef, phi: tuple[int, ...]) -> SimplicialMap:
+        """The map dp(rho . phi) -> dp(rho) over phi: [k] -> [m], a monotone
+        map given by its vertex table.
 
-        When phi is a coface (every face comparison and every degeneracy
-        section), it keeps each generator (a, b) nondegenerate: phi(a) has
-        a's word, so (phi(a), b) is a generator of dp(rho) and is looked up.
-        Only a non-injective phi, a deep_ops word, needs tuple_into.
+        When phi is a coface, with no repeated value (every face comparison
+        and every degeneracy section), it keeps each generator (a, b)
+        nondegenerate: phi(a) has a's word, so (phi(a), b) is a generator of
+        dp(rho) and is looked up.  Only a non-injective phi, a deep_ops
+        word, needs tuple_into.
         """
         dst = self.record(rho)
-        tau = classify_image(self.p.target, rho, phi)
-        src = self.record(tau)
+        src = self.record(classify_image(self.p.target, rho, phi))
         assignment = {}
-        images = phi.assignment
-        if images[tuple(range(phi.source.max_dim + 1))].is_degenerate():
+        at = phi.__getitem__
+        if len(set(phi)) < len(phi):
             for g in src.space.all_gens():
                 a, b = g
-                assignment[g] = tuple_into(dst.space, (phi(a), b))
+                image = ref_from_monotone(map(at, monotone_of_ref(a)))
+                assignment[g] = tuple_into(dst.space, (image, b))
         else:
             ref = dst.space.ref
             for g in src.space.all_gens():
                 a, b = g
-                assignment[g] = ref((SimplexRef(images[a.gen].gen, a.word, a.dim), b))
+                assignment[g] = ref((SimplexRef(tuple(map(at, a.gen)), a.word, a.dim), b))
         return SimplicialMap(src.space, dst.space, assignment)
 
 
@@ -145,11 +152,13 @@ def preimage_calculator(p: SimplicialMap, max_dim: int | None = None) -> Preimag
     return p._cache[key]
 
 
-def classify_image(B: SimplicialSet, rho: SimplexRef, phi: SimplicialMap) -> SimplexRef:
-    """The simplex rho . phi, i.e. the image of phi's top simplex under rho-hat."""
-    top = tuple(range(phi.source.max_dim + 1))
-    rep = representing_map(B, rho, phi.target)
-    return rep(phi.assignment[top])
+def classify_image(B: SimplicialSet, rho: SimplexRef, phi: tuple[int, ...]) -> SimplexRef:
+    """The simplex rho . phi: the face of rho spanned by phi's values,
+    degenerated where phi repeats a value."""
+    if any(a > b for a, b in zip(phi, phi[1:])):
+        raise ValueError(f"vertex table {phi!r} is not monotone")
+    top = ref_from_monotone(phi)
+    return apply_degeneracies(faces_spanned(B, rho)[top.gen], top.word)
 
 
 def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None,
@@ -163,7 +172,7 @@ def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None,
     calc = preimage_calculator(p, max_dim)
     rec = calc.record(sigma)
     if with_comparisons:
-        for op, rho, phi in _generating_comparisons(calc, sigma):
+        for op, rho, phi in _generating_comparisons(sigma):
             rec.comparisons[op] = calc.comparison(rho, phi)
     return rec
 
@@ -200,46 +209,41 @@ class WeakFibrationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _coface(n: int, i: int) -> list[int]:
+def _coface(n: int, i: int) -> tuple[int, ...]:
     """The vertex table of delta^i: [n] -> [n+1], which skips i."""
-    return [v for v in range(n + 2) if v != i]
+    return tuple(v for v in range(n + 2) if v != i)
 
 
-def _face_comparisons(calc: PreimageCalculator, sigma: SimplexRef):
+def _face_comparisons(sigma: SimplexRef):
     """Yield (op, rho, phi) for the faces d_i: rho = sigma, phi = delta^i."""
     n = sigma.dim
     if n >= 1:
         for i in range(n + 1):
-            phi = standard_map(n - 1, n, _coface(n - 1, i),
-                               calc.simplex(n - 1), calc.simplex(n))
-            yield ("d", i), sigma, phi
+            yield ("d", i), sigma, _coface(n - 1, i)
 
 
-def _degeneracy_comparison(calc: PreimageCalculator, sigma: SimplexRef, i: int):
+def _degeneracy_comparison(sigma: SimplexRef, i: int):
     """(op, rho, phi) for the degeneracy s_i: rho = s_i sigma and the section
     phi = delta^i."""
-    n = sigma.dim
-    phi = standard_map(n, n + 1, _coface(n, i), calc.simplex(n), calc.simplex(n + 1))
-    return ("s", i), degenerate(sigma, i), phi
+    return ("s", i), degenerate(sigma, i), _coface(sigma.dim, i)
 
 
-def _generating_comparisons(calc: PreimageCalculator, sigma: SimplexRef):
+def _generating_comparisons(sigma: SimplexRef):
     """Yield (op, rho, phi) for faces and degeneracies of a base simplex.
 
     The comparison map produced from (rho, phi) runs dp(rho.phi) -> dp(rho).
     """
-    yield from _face_comparisons(calc, sigma)
+    yield from _face_comparisons(sigma)
     for i in range(sigma.dim + 1):
-        yield _degeneracy_comparison(calc, sigma, i)
+        yield _degeneracy_comparison(sigma, i)
 
 
-def _operator_word_comparisons(calc: PreimageCalculator, sigma: SimplexRef):
+def _operator_word_comparisons(sigma: SimplexRef):
     """All monotone operators into [n] from dimensions <= n+1 (audit mode)."""
     n = sigma.dim
     for k in range(n + 2):
         for values in itertools.combinations_with_replacement(range(n + 1), k + 1):
-            phi = standard_map(k, n, values, calc.simplex(k), calc.simplex(n))
-            yield ("word", values), sigma, phi
+            yield ("word", values), sigma, values
 
 
 def degeneracy_homotopy(n: int, i: int) -> dict[tuple[int, int], int]:
@@ -265,15 +269,15 @@ def degeneracy_lemma_holds(n: int, i: int, h: dict[tuple[int, int], int]) -> boo
             and all(codeg[h[v, t]] == codeg[v] for v in points for t in (0, 1)))
 
 
-def _weak_comparisons(calc: PreimageCalculator, sigma: SimplexRef, lemma: dict):
+def _weak_comparisons(sigma: SimplexRef, lemma: dict):
     """The faces of sigma, then each degeneracy whose certificate fails."""
-    yield from _face_comparisons(calc, sigma)
+    yield from _face_comparisons(sigma)
     n = sigma.dim
     for i in range(n + 1):
         if (n, i) not in lemma:
             lemma[n, i] = degeneracy_lemma_holds(n, i, degeneracy_homotopy(n, i))
         if not lemma[n, i]:
-            yield _degeneracy_comparison(calc, sigma, i)
+            yield _degeneracy_comparison(sigma, i)
 
 
 def weak_fibration_check(p: SimplicialMap, up_to: int,
@@ -295,8 +299,8 @@ def weak_fibration_check(p: SimplicialMap, up_to: int,
     lemma: dict[tuple[int, int], bool] = {}
     for g in B.all_gens():
         sigma = B.ref(g)
-        gens = _operator_word_comparisons(calc, sigma) if deep_ops \
-            else _weak_comparisons(calc, sigma, lemma)
+        gens = _operator_word_comparisons(sigma) if deep_ops \
+            else _weak_comparisons(sigma, lemma)
         for op, rho, phi in gens:
             ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to)
             checks.append(ComparisonCheck(sigma, op, ok, certs))
@@ -313,15 +317,13 @@ class PulledBackMap:
     map: SimplicialMap        # p': E' -> B'
     top: SimplicialMap        # E' -> E
     base_change: SimplicialMap
-    assumed_fibration: bool
 
 
 def pullback_fibration(p: SimplicialMap, f: SimplicialMap,
-                       max_dim: int | None = None,
-                       assume_fibration: bool = True) -> PulledBackMap:
-    """Pull p back along f; the fibration hypothesis on f is caller-supplied."""
+                       max_dim: int | None = None) -> PulledBackMap:
+    """Pull p back along f."""
     pb = pullback(f, p, max_dim)
-    return PulledBackMap(pb.to_left, pb.to_right, f, assume_fibration)
+    return PulledBackMap(pb.to_left, pb.to_right, f)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +401,7 @@ class StrongFiberReport:
 
 
 def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
-                                 up_to: int,
-                                 weak_verified: bool = True) -> StrongFiberReport:
+                                 up_to: int) -> StrongFiberReport:
     """Compare every preimage in a component against a registered fibre.
 
     Each dp(sigma) is connected to the preimage of sigma's leading vertex by
@@ -409,8 +410,6 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
     this realizes the conclusion of the weak => strong theorem on instances
     whose homotopy fibre is independently known.
     """
-    if not weak_verified:
-        raise ValueError("run weak_fibration_check first")
     B = p.target
     components = vertex_components(B)
     if spec.vertex not in components:
@@ -425,15 +424,13 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
     verdict = table_ok
     for g in B.all_gens():
         sigma = B.ref(g)
-        if components[B.vertices_of(sigma)[0].gen] != comp:
+        if components[B.restrict(sigma, (0,)).gen] != comp:
             continue
-        k = sigma.dim
-        if k == 0:
+        if sigma.dim == 0:
             rec = calc.record(sigma)
             ok = [homology(rec.space, d).summary() for d in range(up_to + 1)] == declared
         else:
-            phi = standard_map(0, k, [0], calc.simplex(0), calc.simplex(k))
-            ok, _ = is_homology_iso(calc.comparison(sigma, phi), up_to)
+            ok, _ = is_homology_iso(calc.comparison(sigma, (0,)), up_to)
         comparisons.append((sigma, ok))
         verdict = verdict and ok
     return StrongFiberReport(verdict, table_ok, comparisons, declared, vertex_table)

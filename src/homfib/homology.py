@@ -243,12 +243,12 @@ def _degree_data(X: SimplicialSet, k: int) -> _DegreeData:
     return X._cache[key]
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _field(p: int) -> int:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"coefficients must be the integers or Z/p for a prime p, not {p}")
     return p
 

@@ -7,6 +7,14 @@ this representation unique, so equality of simplices is equality of
 (generator, word) pairs.  All operator arithmetic goes through the
 simplicial identities against this single convention.
 
+The operators are written once, here, and the other modules call them:
+full_word(d) is the word of the fully degenerate d-simplex on a vertex,
+word_surjection expands a word into its monotone surjection,
+word_of_repeats collapses the repeats of a monotone sequence into a word,
+and SimplicialSet.restrict keeps the face spanned by some vertices.  On
+top of them monotone_of_ref and ref_from_monotone turn simplices of
+Delta[n] into monotone vertex tables and back.
+
 A SimplicialSet records, per degree 0..max_dim, a finite set of generator
 identifiers and, for each generator of positive degree, the tuple of its
 faces d_0..d_n as SimplexRefs.  Degrees above max_dim are truncated away;
@@ -22,7 +30,7 @@ shallow:
 - products and pullbacks emit their generators in canonical_key order
   directly, from per-space canonical ranks, instead of sorting by the
   recursive canonical_key;
-- representing_map works out the faces of a base simplex once and keeps
+- faces_spanned works out the faces of a base simplex once and keeps
   them on the base.
 
 Products, pullbacks and the cells of borel.ThickRealization come from one
@@ -89,6 +97,28 @@ def word_face(word: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int | Non
             rest.pop(0)
             i -= 1
     return tuple(out), i
+
+
+def full_word(d: int) -> tuple[int, ...]:
+    """The word s_{d-1} ... s_0 of the fully degenerate d-simplex on a vertex."""
+    return tuple(range(d - 1, -1, -1))
+
+
+def word_surjection(word: tuple[int, ...], dim: int) -> tuple[int, ...]:
+    """The monotone surjection [dim] -> [dim - len(word)] of a degeneracy
+    word, as its tuple of values."""
+    if not word:
+        return tuple(range(dim + 1))
+    values = list(range(dim - len(word) + 1))
+    for a in reversed(word):
+        values.insert(a, values[a])
+    return tuple(values)
+
+
+def word_of_repeats(seq) -> tuple[int, ...]:
+    """The degeneracy word of a weakly monotone sequence: the places t
+    with seq[t] = seq[t + 1], largest first."""
+    return tuple(t for t in range(len(seq) - 2, -1, -1) if seq[t] == seq[t + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +309,17 @@ class SimplicialSet:
         entry = self.faces[ref.gen][residual]
         return apply_degeneracies(entry, word)
 
+    def restrict(self, ref: SimplexRef, vertices) -> SimplexRef:
+        """The face of ref spanned by the given vertices of [ref.dim]: every
+        other vertex is dropped, from the top down."""
+        for i in range(ref.dim, -1, -1):
+            if i not in vertices:
+                ref = self.face(ref, i)
+        return ref
+
     def vertices_of(self, ref: SimplexRef) -> tuple[SimplexRef, ...]:
         """The ordered tuple of vertices of a simplex."""
-        out = []
-        for v in range(ref.dim + 1):
-            r = ref
-            for i in range(ref.dim, -1, -1):
-                if i != v:
-                    r = self.face(r, i)
-            out.append(r)
-        return tuple(out)
+        return tuple(self.restrict(ref, (v,)) for v in range(ref.dim + 1))
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialSet)
@@ -392,14 +423,11 @@ class SimplicialMap:
 
 
 def identity_map(X: SimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, {g: X.ref(g) for g in X.all_gens()})
+    return inclusion_map(X, X)
 
 
 def constant_map(X: SimplicialSet, Y: SimplicialSet, vertex: Any) -> SimplicialMap:
-    v = Y.ref(vertex)
-    assignment = {g: apply_degeneracies(v, tuple(range(X.dim_of[g] - 1, -1, -1)))
-                  for g in X.all_gens()}
-    return SimplicialMap(X, Y, assignment)
+    return SimplicialMap(X, Y, {g: Y.ref(vertex, full_word(X.dim_of[g])) for g in X.all_gens()})
 
 
 def validate_map(f: SimplicialMap) -> ValidationReport:
@@ -487,18 +515,13 @@ def monotone_of_ref(ref: SimplexRef) -> tuple[int, ...]:
     The generator must be a tuple of vertices (as produced by
     standard_simplex); the word contributes duplications.
     """
-    vs = list(ref.gen)
-    for a in reversed(ref.word):
-        vs = vs[: a + 1] + vs[a:]
-    return tuple(vs)
+    return tuple(map(ref.gen.__getitem__, word_surjection(ref.word, ref.dim)))
 
 
 def ref_from_monotone(values: Iterable[int]) -> SimplexRef:
     """Encode a monotone vertex sequence as a standard-simplex SimplexRef."""
     vs = tuple(values)
-    gen = tuple(sorted(set(vs)))
-    word = tuple(t for t in range(len(vs) - 1) if vs[t] == vs[t + 1])[::-1]
-    return SimplexRef(gen, word, len(vs) - 1)
+    return SimplexRef(tuple(sorted(set(vs))), word_of_repeats(vs), len(vs) - 1)
 
 
 def standard_map(m: int, n: int, values: Iterable[int],
@@ -520,29 +543,27 @@ def representing_map(B: SimplicialSet, ref: SimplexRef,
                      domain: SimplicialSet | None = None) -> SimplicialMap:
     """The map Delta[n] -> B classifying a (possibly degenerate) n-simplex.
 
-    domain, when given, is the Delta[n] to use as the source.  The images
-    are built once per simplex and kept on B.
+    domain, when given, is the Delta[n] to use as the source.  Its images
+    are faces_spanned(B, ref).
     """
     dom = domain if domain is not None else standard_simplex(ref.dim)
+    return SimplicialMap(dom, B, faces_spanned(B, ref))
+
+
+def faces_spanned(B: SimplicialSet, ref: SimplexRef) -> dict[tuple, SimplexRef]:
+    """Vertex set S of Delta[n] -> the face of ref spanned by S, for an
+    n-simplex ref of B; built once per simplex and kept on B."""
     built = B._cache.setdefault("representing", {})
-    assignment = built.get(ref)
-    if assignment is None:
-        assignment = built[ref] = _representing_assignment(B, ref)
-    return SimplicialMap(dom, B, assignment)
+    faces = built.get(ref)
+    if faces is None:
+        faces = built[ref] = _representing_assignment(B, ref)
+    return faces
 
 
 def _representing_assignment(B: SimplicialSet, ref: SimplexRef) -> dict[tuple, SimplexRef]:
-    """Vertex set S of Delta[n] -> the face of ref spanned by S."""
     n = ref.dim
-    assignment = {}
-    for k in range(n + 1):
-        for g in itertools.combinations(range(n + 1), k + 1):
-            r = ref
-            for i in range(n, -1, -1):
-                if i not in g:
-                    r = B.face(r, i)
-            assignment[g] = r
-    return assignment
+    return {S: B.restrict(ref, S)
+            for k in range(n + 1) for S in itertools.combinations(range(n + 1), k + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -590,17 +611,6 @@ def tuple_into(space: SimplicialSet, refs: tuple[SimplexRef, ...],
     return apply_degeneracies(space.ref(gen), word)
 
 
-def _surjection(word: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    """The monotone surjection [dim] -> [dim - len(word)] of a degeneracy
-    word, as its tuple of values."""
-    if not word:
-        return tuple(range(dim + 1))
-    values = list(range(dim - len(word) + 1))
-    for a in reversed(word):
-        values.insert(a, values[a])
-    return tuple(values)
-
-
 def _ez_paths(kappas: tuple[tuple[int, ...], ...], N: int) -> list[tuple]:
     """The nondegenerate simplices over one tuple of cores, as lattice paths.
 
@@ -644,8 +654,7 @@ def _ez_paths(kappas: tuple[tuple[int, ...], ...], N: int) -> list[tuple]:
                 points.pop()
 
     def words_of(points):
-        return tuple(tuple(s for s in range(len(points) - 2, -1, -1)
-                           if points[s][t] == points[s + 1][t]) for t in range(k))
+        return tuple(map(word_of_repeats, zip(*points)))
 
     def face(points, i):
         rest = points[:i] + points[i + 1:]
@@ -860,7 +869,7 @@ def _core_index(h: SimplicialMap) -> dict[Any, tuple]:
         for x, member in _members(h.source).items():
             image = h.assignment[x]
             by_core.setdefault(image.gen, {}).setdefault(
-                _surjection(image.word, image.dim), []).append(member)
+                word_surjection(image.word, image.dim), []).append(member)
         index = h._cache["cores"] = {core: tuple(by_kappa.items())
                                      for core, by_kappa in by_core.items()}
     return index
@@ -1082,52 +1091,24 @@ def presentation_complex(letters: list[str], relators: list[list[str]]) -> Simpl
 def suspension(X: SimplicialSet) -> tuple[SimplicialSet, SimplicialMap]:
     """Unreduced suspension: the cylinder on X with each end collapsed.
 
-    Returns the suspension together with its projection to Delta[1]
-    (pole 0 to vertex 0, pole 1 to vertex 1).
+    It is the pushout of the two ends X + X -> X x Delta[1] along their
+    collapse onto the poles.  Returns the suspension together with its
+    projection to Delta[1] (pole 0 to vertex 0, pole 1 to vertex 1).
     """
     if X.is_empty():
         raise ValueError("cannot suspend the empty simplicial set")
     interval = standard_simplex(1)
     cyl = product(X, interval, X.max_dim + 1)
-    P, pr_i = cyl.space, cyl.projections[1]
-
-    def end_word(k: int) -> tuple[int, ...]:
-        return tuple(range(k - 1, -1, -1))
-
-    poles = {0: "pole0", 1: "pole1"}
-    end_gen = {}
-    for g in X.all_gens():
-        k = X.dim_of[g]
-        for e in (0, 1):
-            end_gen[(X.ref(g), SimplexRef((e,), end_word(k), k))] = e
-    generators: dict[int, list] = {k: [] for k in range(P.max_dim + 1)}
-    generators[0] = list(poles.values())
-    kept = []
-    for g in P.all_gens():
-        if g not in end_gen:
-            generators[P.dim_of[g]].append(g)
-            kept.append(g)
-    S = SimplicialSet(P.max_dim, generators, {})
-
-    def route(r: SimplexRef) -> SimplexRef:
-        e = end_gen.get(r.gen)
-        if e is None:
-            return SimplexRef(r.gen, r.word, r.dim)
-        pole = SimplexRef(poles[e], (), 0)
-        collapsed = apply_degeneracies(pole, end_word(r.dim - len(r.word)))
-        return apply_degeneracies(collapsed, r.word)
-
-    faces = {}
-    for g in kept:
-        if P.dim_of[g] >= 1:
-            faces[g] = tuple(route(r) for r in P.faces[g])
-    S.faces.update(faces)
-
-    assignment = {poles[0]: SimplexRef((0,), (), 0), poles[1]: SimplexRef((1,), (), 0)}
-    for g in kept:
-        assignment[g] = pr_i.assignment[g]
-    to_interval = SimplicialMap(S, interval, assignment)
-    return S, to_interval
+    ends, _ = disjoint_union([X, X])
+    poles = SimplicialSet(0, {0: ["pole0", "pole1"]}, {})
+    word = {(e, g): full_word(X.dim_of[g]) for e, g in ends.all_gens()}
+    S = pushout(
+        SimplicialMap(ends, cyl.space, {(e, g): cyl.space.ref((X.ref(g), interval.ref((e,), w)))
+                                         for (e, g), w in word.items()}),
+        SimplicialMap(ends, poles, {(e, g): poles.ref(f"pole{e}", w)
+                                    for (e, g), w in word.items()})).space
+    down = {"pole0": interval.ref((0,)), "pole1": interval.ref((1,)), **cyl.projections[1].assignment}
+    return S, SimplicialMap(S, interval, {g: down[g] for g in S.all_gens()})
 
 
 def euler_characteristic(X: SimplicialSet) -> int:

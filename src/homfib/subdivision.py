@@ -28,9 +28,13 @@ from .sset import (
     apply_degeneracies,
     canonical_key,
     full_subcomplex,
+    full_word,
+    inclusion_map,
     monotone_of_ref,
     product,
     standard_simplex,
+    word_of_repeats,
+    word_surjection,
 )
 
 
@@ -75,9 +79,7 @@ def barycentric_delta(n: int) -> SimplicialSet:
 
 def _weak_chain_ref(chain, gen_of) -> SimplexRef:
     """Normal form of a weakly increasing chain: strip consecutive repeats."""
-    word = tuple(t for t in range(len(chain) - 1) if chain[t] == chain[t + 1])[::-1]
-    core = tuple(c for t, c in enumerate(chain) if t == 0 or c != chain[t - 1])
-    return SimplexRef(gen_of(core), word, len(chain) - 1)
+    return SimplexRef(gen_of(tuple(dict.fromkeys(chain))), word_of_repeats(chain), len(chain) - 1)
 
 
 def sd_reduce(X: SimplicialSet, x_ref: SimplexRef, chain) -> SimplexRef:
@@ -90,19 +92,13 @@ def sd_reduce(X: SimplicialSet, x_ref: SimplexRef, chain) -> SimplexRef:
     """
     top = chain[-1]
     if len(top) != x_ref.dim + 1:
-        members = set(top)
-        for v in range(x_ref.dim, -1, -1):
-            if v not in members:
-                x_ref = X.face(x_ref, v)
+        x_ref = X.restrict(x_ref, set(top))
         pos = {v: i for i, v in enumerate(top)}
         chain = tuple(tuple(pos[v] for v in c) for c in chain)
     if x_ref.word:
-        gen_dim = x_ref.gen_dim()
-        vs = list(range(gen_dim + 1))
-        for a in reversed(x_ref.word):
-            vs = vs[: a + 1] + vs[a:]
+        vs = word_surjection(x_ref.word, x_ref.dim)
         chain = tuple(tuple(sorted({vs[v] for v in c})) for c in chain)
-        x_ref = SimplexRef(x_ref.gen, (), gen_dim)
+        x_ref = SimplexRef(x_ref.gen, (), x_ref.gen_dim())
     gen = x_ref.gen
     return _weak_chain_ref(chain, lambda core: (gen, core))
 
@@ -140,16 +136,8 @@ def sd(X: SimplicialSet) -> Subdivision:
     for gen in S.all_gens():
         g, ch = gen
         values = [max(c) for c in ch]
-        members = sorted(set(values))
-        ref = X.ref(g)
-        for v in range(X.dim_of[g], -1, -1):
-            if v not in members:
-                ref = X.face(ref, v)
-        pos = {v: i for i, v in enumerate(members)}
-        collapsed = [pos[v] for v in values]
-        word = tuple(t for t in range(len(collapsed) - 1)
-                     if collapsed[t] == collapsed[t + 1])[::-1]
-        assignment[gen] = apply_degeneracies(ref, word)
+        assignment[gen] = apply_degeneracies(X.restrict(X.ref(g), set(values)),
+                                             word_of_repeats(values))
     last_vertex = SimplicialMap(S, X, assignment)
     return Subdivision(S, last_vertex, X)
 
@@ -225,9 +213,7 @@ def est(sf: SubdividedMap, alpha: tuple[int, ...]) -> tuple[SimplicialSet, Simpl
     keep = [g for g in sf.subdivision.space.all_gens()
             if all(a <= set(c) for c in sf.image_chain(g))]
     sub = full_subcomplex(sf.subdivision.space, keep)
-    incl = SimplicialMap(sub, sf.subdivision.space,
-                         {g: sf.subdivision.space.ref(g) for g in sub.all_gens()})
-    return sub, incl
+    return sub, inclusion_map(sub, sf.subdivision.space)
 
 
 def fiber_over_vertex(sf: SubdividedMap, alpha: tuple[int, ...]) -> SimplicialSet:
@@ -276,30 +262,23 @@ def star_retraction(sf: SubdividedMap, alpha: tuple[int, ...]) -> StarRetraction
     for pair in cyl.space.all_gens():
         a_ref, b_ref = pair
         g, ch = a_ref.gen
-        expanded = list(ch)
-        for w in reversed(a_ref.word):
-            expanded = expanded[: w + 1] + expanded[w:]
+        expanded = [ch[v] for v in word_surjection(a_ref.word, a_ref.dim)]
         levels = monotone_of_ref(b_ref)
         bar = retract_chain(g, tuple(expanded))
         mixed = tuple(bar[t] if levels[t] == 0 else expanded[t]
                       for t in range(len(expanded)))
         h_assignment[pair] = sd_reduce(E, E.ref(g), mixed)
     homotopy = SimplicialMap(cyl.space, est_space, h_assignment)
-    inclusion = SimplicialMap(fiber, est_space,
-                              {g: est_space.ref(g) for g in fiber.all_gens()})
     return StarRetraction(est_space, fiber, retraction, homotopy,
-                          cyl.space, inclusion)
+                          cyl.space, inclusion_map(fiber, est_space))
 
 
 def cylinder_end(ret: StarRetraction, end: int) -> SimplicialMap:
     """The end embedding ESt(alpha) -> ESt(alpha) x Delta[1]."""
-    assignment = {}
-    for g in ret.est_space.all_gens():
-        k = ret.est_space.dim_of[g]
-        word = tuple(range(k - 1, -1, -1))
-        assignment[g] = SimplexRef(
-            (ret.est_space.ref(g), SimplexRef((end,), word, k)), (), k)
-    return SimplicialMap(ret.est_space, ret.cylinder, assignment)
+    X = ret.est_space
+    return SimplicialMap(X, ret.cylinder, {
+        g: SimplexRef((X.ref(g), SimplexRef((end,), full_word(k), k)), (), k)
+        for g, k in X.dim_of.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +311,7 @@ def cube_decomposition(sf: SubdividedMap) -> CubeDecomposition:
             continue
         for i in range(len(sigma)):
             tau = sigma[:i] + sigma[i + 1:]
-            arrows[(sigma, tau)] = SimplicialMap(
-                pieces[sigma], pieces[tau],
-                {g: pieces[tau].ref(g) for g in pieces[sigma].all_gens()})
+            arrows[(sigma, tau)] = inclusion_map(pieces[sigma], pieces[tau])
 
     parent = {}
 

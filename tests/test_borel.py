@@ -253,6 +253,18 @@ def test_vertex_fiber_isomorphic_to_diagram_value():
         assert vertex_fiber_isomorphic(bc, "1")
 
 
+def test_fiber_onto_preimage_refuses_a_lift_that_is_not_a_bijection():
+    # the check behind gate 2 and vertex_fiber_isomorphic: sending both
+    # points of F(1) = hom(1, 1) to one simplex of the preimage must fail
+    cat = z2_category()
+    bc = borel_total(cat, restriction_diagram(cat, "1"), 2)
+    F, vertex = bc.diagram.value("1"), bc.base_vertex_ref("1")
+    lifts = bc.fiber_inclusion("1").assignment
+    assert borel_module._fiber_onto_preimage(F, bc.pi, vertex, lifts)
+    one = lifts[F.gens(0)[0]]
+    assert not borel_module._fiber_onto_preimage(F, bc.pi, vertex, dict.fromkeys(lifts, one))
+
+
 def test_fiber_inclusion_valid():
     cat = z2_category()
     bc = borel_total(cat, restriction_diagram(cat, "1"), 3)

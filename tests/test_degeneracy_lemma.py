@@ -58,7 +58,7 @@ def checks_with_degeneracies(p, up_to):
     checks = []
     for g in p.target.all_gens():
         sigma = p.target.ref(g)
-        for op, rho, phi in fibration_module._generating_comparisons(calc, sigma):
+        for op, rho, phi in fibration_module._generating_comparisons(sigma):
             ok, certs = hf.is_homology_iso(calc.comparison(rho, phi), up_to)
             checks.append(ComparisonCheck(sigma, op, ok, certs))
     return checks

@@ -182,6 +182,43 @@ def test_diagram_missing_action_rejected():
     assert "misses act" in str(err.value)
 
 
+Z2_CIRCLE = CIRCLE + """
+monoid Z2 { elements u, t; unit u; mul { t.t = u; } }
+sset pt { x : dim 0 faces []; }
+map fold : circle -> circle { v -> v; e -> s0 v; }
+map idc : circle -> circle { v -> v; e -> e; }
+"""
+
+
+@pytest.mark.parametrize("target,body,culprit,message", [
+    ("m", "map m : circle -> circle { v -> v; e -> e; e -> s0 v; }", "e -> s0 v",
+     "duplicate image of 'e'"),
+    ("Z3", "monoid Z3 { elements u, t; unit u; mul { t.t = u; t.t = t; } }", "t.t = t",
+     "duplicate product t.t"),
+    ("D", "diagram D over Z2 { F(1) = pt; F(1) = circle; act(1,1): t -> fold; }",
+     "F(1) = circle", "duplicate value F(1)"),
+    ("D", "diagram D over Z2 { F(1) = circle; act(1,1): t -> fold; act(1,1): t -> idc; }",
+     "act(1,1): t -> idc", "duplicate action act(1,1): t"),
+    ("D", "diagram D over Z2 { F(1) = circle; act(1,1): t -> idc; act(1,1): u -> fold; }",
+     "u -> fold", "the unit 'u' acts as the identity"),
+])
+def test_second_declaration_and_unit_action_refused(target, body, culprit, message,
+                                                    capsys, tmp_path):
+    # the parser kept the last of two entries, or dropped the unit's act,
+    # and validate passed the declaration
+    text = Z2_CIRCLE + body
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert message in str(err.value)
+    before = text[:text.rindex(culprit)]
+    assert (err.value.line, err.value.col) == (before.count("\n") + 1,
+                                               len(before) - before.rfind("\n"))
+    path = tmp_path / "twice.hfd"
+    path.write_text(text)
+    assert main(["validate", target, "-f", str(path)]) == 2
+    assert "twice.hfd:" in capsys.readouterr().err
+
+
 def test_comments_and_whitespace_insensitive():
     doc = parse("sset   x{v:dim 0 faces[];# trailing\n e:dim 1 faces[v,v];}")
     assert doc.ssets["x"].counts() == (1, 1)

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from homfib.fibration import (
     vertex_components,
     weak_fibration_check,
 )
-from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet, constant_map, standard_map
+from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet, constant_map
 
 from corpus import collapse_circle_to_interval, projection_over_simplex, two_points
 from strategies import maps_to_simplex
@@ -288,10 +289,15 @@ def test_twin_preimages_share_one_reduction():
             assert (pooled.summary(), pooled.basis) == (fresh.summary(), fresh.basis)
     edge = B.ref((0, 1))
     for i in (0, 1):
-        phi = standard_map(0, 1, [1 - i], calc.simplex(0), calc.simplex(1))
-        f = calc.comparison(edge, phi)
+        f = calc.comparison(edge, (1 - i,))
         fresh = SimplicialMap(unpooled(f.source), unpooled(f.target), f.assignment)
         assert hf.is_homology_iso(f, 1) == hf.is_homology_iso(fresh, 1)
+
+
+def test_comparison_refuses_a_vertex_table_that_is_not_monotone():
+    p = hf.cyclic_cover_map(6, 3)
+    with pytest.raises(ValueError, match="not monotone"):
+        PreimageCalculator(p, 2).comparison(p.target.ref(("e", 0)), (1, 0))
 
 
 def test_pooled_certificates_are_fresh_lists():
@@ -327,7 +333,9 @@ def test_group_completion_work_counts(monkeypatch):
     # comparisons rest on their lemma.  Only face comparisons build
     # preimages, so no dp(s_i sigma) is pulled back: 20 pullbacks, where
     # 69 were built with the degeneracies.  The faces of a base simplex are
-    # worked out once: 82 representing maps on 19 distinct simplices.
+    # worked out once, on 19 distinct simplices.  Only the pullbacks build
+    # representing maps, 20 of them; comparisons read the faces of rho
+    # from faces_spanned, where they made 82 representing maps before.
     snf_calls, pullbacks, representing, built = [], [], [], []
     real_snf = homology_module.smith_normal_form
     real_pullback = fibration_module.pullback
@@ -363,9 +371,38 @@ def test_group_completion_work_counts(monkeypatch):
     assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 20
     assert not any(sigma.is_degenerate() for _, sigma, _ in pullbacks)
     distinct = {(id(B), sigma) for B, sigma in representing}
-    assert len(representing) == 82
+    assert len(representing) == 20
     assert len(built) == len(distinct) == 19
     assert len({(id(B), sigma) for B, sigma in built}) == len(built)
+
+
+def test_comparisons_build_no_standard_maps(monkeypatch):
+    # a comparison's phi is its vertex table, so no standard map between
+    # standard simplices is built: 194 simplicial maps on this job, where
+    # building phi and a representing map per comparison made 318, 62 of
+    # them standard maps
+    built, standard = [0], [0]
+    real_init = SimplicialMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_standard(real):
+        def standard_map(*args, **kwargs):
+            standard[0] += 1
+            return real(*args, **kwargs)
+        return standard_map
+
+    monkeypatch.setattr(SimplicialMap, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homfib") and hasattr(module, "standard_map"):
+            monkeypatch.setattr(module, "standard_map", counting_standard(module.standard_map))
+    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
+    assert report.all_pass
+    assert standard[0] == 0
+    assert built[0] <= 200
 
 
 def test_pullback_work_is_bounded_by_its_output(monkeypatch):
@@ -451,13 +488,6 @@ def test_strong_check_detects_wrong_fiber():
     assert not report.verdict and not report.fiber_table_ok
 
 
-def test_strong_check_requires_weak():
-    p = hf.cyclic_cover_map(6, 3)
-    with pytest.raises(ValueError):
-        strong_check_via_known_fiber(p, KnownFiberSpec(("v", 0), two_points()), 1,
-                                     weak_verified=False)
-
-
 def test_vertex_components():
     du, _ = hf.disjoint_union([hf.cyclic_graph(3), hf.standard_simplex(1)])
     comps = vertex_components(du)
@@ -475,8 +505,7 @@ def test_comparison_composition_matches_composite_word():
     B = p.target
     sigma = B.ref(("e", 0))
     calc = PreimageCalculator(p, 2)
-    d0 = standard_map(0, 1, [1], calc.simplex(0), calc.simplex(1))
-    via_word = calc.comparison(sigma, d0)
+    via_word = calc.comparison(sigma, (1,))
     # the same vertex inclusion reached in two steps: s_0 then d_0 d_0
     assert hf.validate_map(via_word).ok
     src = via_word.source
@@ -491,13 +520,10 @@ def test_dp_comparison_functorial_on_composite_words():
     B = p.target
     sigma = B.ref((0, 1, 2))
     calc = PreimageCalculator(p, 2)
-    d2 = standard_map(1, 2, [0, 1], calc.simplex(1), calc.simplex(2))
-    d1_of_edge = standard_map(0, 1, [0], calc.simplex(0), calc.simplex(1))
-    composite = standard_map(0, 2, [0], calc.simplex(0), calc.simplex(2))
-    outer = calc.comparison(sigma, d2)
+    outer = calc.comparison(sigma, (0, 1))          # delta^2: [1] -> [2]
     edge = B.face(sigma, 2)
-    inner = calc.comparison(edge, d1_of_edge)
-    direct = calc.comparison(sigma, composite)
+    inner = calc.comparison(edge, (0,))             # delta^1: [0] -> [1]
+    direct = calc.comparison(sigma, (0,))           # their composite
     assert direct.assignment == outer.compose(inner).assignment
 
 
