@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from .fibration import (
@@ -32,9 +33,6 @@ from .sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
-    _by_dimension,
-    _ez_cells,
-    _ez_groups,
     apply_degeneracies,
     canonical_key,
     factor_common,
@@ -45,6 +43,7 @@ from .sset import (
     product,
     product_many,
     standard_simplex,
+    top_cells,
     tuple_into,
     validate,
     validate_map,
@@ -384,17 +383,28 @@ def _borel_degeneracy(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -
     return SimplicialMap(src, dst, assignment)
 
 
-@dataclass
 class SimplicialSpace:
-    """Levels with face and degeneracy maps; identities checked on demand."""
+    """Levels with face and degeneracy maps; identities checked on demand.
 
-    levels: list[SimplicialSet]
-    face_maps: list[list[SimplicialMap]]        # [n][i] : X_n -> X_{n-1}
-    degeneracy_maps: list[list[SimplicialMap]]  # [n][i] : X_n -> X_{n+1}
+    face_maps[n][i] : X_n -> X_{n-1} come with the levels, since the thick
+    realization attaches its stages through them.  degeneracy_maps[n][i] :
+    X_n -> X_{n+1} are made by degeneracy(n, i) when first read: the
+    realization never reads them, validate_simplicial_space does.
+    """
+
+    def __init__(self, levels: list[SimplicialSet], face_maps: list[list[SimplicialMap]],
+                 degeneracy: Callable[[int, int], SimplicialMap]):
+        self.levels = levels
+        self.face_maps = face_maps
+        self._degeneracy = degeneracy
 
     @property
     def top(self) -> int:
         return len(self.levels) - 1
+
+    @cached_property
+    def degeneracy_maps(self) -> list[list[SimplicialMap]]:
+        return [[self._degeneracy(n, i) for i in range(n + 1)] for n in range(self.top)] + [[]]
 
 
 def validate_simplicial_space(space: SimplicialSpace) -> list[str]:
@@ -438,17 +448,10 @@ def validate_simplicial_space(space: SimplicialSpace) -> list[str]:
 def borel_space(cat: SimplicialCategory, diag: Diagram, N: int) -> SimplicialSpace:
     """The Borel construction as a simplicial space with levels 0..N."""
     levels = [borel_level(cat, diag, n, N) for n in range(N + 1)]
-    face_maps: list[list[SimplicialMap]] = [[]]
-    degeneracy_maps: list[list[SimplicialMap]] = []
-    for n in range(1, N + 1):
-        face_maps.append([_borel_face(cat, diag, n, k, levels[n], levels[n - 1])
-                          for k in range(n + 1)])
-    for n in range(N):
-        degeneracy_maps.append(
-            [_borel_degeneracy(cat, diag, n, k, levels[n], levels[n + 1])
-             for k in range(n + 1)])
-    degeneracy_maps.append([])
-    return SimplicialSpace(levels, face_maps, degeneracy_maps)
+    face_maps = [[]] + [[_borel_face(cat, diag, n, k, levels[n], levels[n - 1])
+                         for k in range(n + 1)] for n in range(1, N + 1)]
+    return SimplicialSpace(levels, face_maps, lambda n, k: _borel_degeneracy(
+        cat, diag, n, k, levels[n], levels[n + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -460,44 +463,64 @@ class ThickRealization:
 
     A generator is ("c", n, (a, b)): a nondegenerate d-simplex of
     Delta[n] x X_n whose Delta[n] part a is a degeneracy of the top simplex.
-    Only these cells are enumerated, by sset._ez_cells with the top simplex
-    as the only core of the Delta[n] factor, in the order product_many
-    would give them.  A face that keeps a on the top simplex and b's core
-    is looked up among the cells; any other is assembled: assembling a
-    general pair pushes proper faces of Delta[n] through the level face
-    maps, which is exactly the attaching rule of the stage pushouts.
+    Only these cells are enumerated, by sset.top_cells, in the order
+    product_many would give them.  A face that keeps a on the top simplex
+    and b's core is read from the cell's row.  Any other exposes a face of
+    a core: one that drops vertex v of Delta[n] goes down to stage n - 1
+    through the level face map d_v, which is exactly the attaching rule of
+    the stage pushouts.  When the face of b's core and its image under d_v
+    are nondegenerate, the face is the cell over that image with the words
+    of the shorter path, read from the rows of its stage; otherwise it is
+    assembled.  The degeneracy maps of the source are never read.
     """
 
     def __init__(self, source: SimplicialSpace, N: int):
         self.source = source
         self.N = N
-        self.simplices = [standard_simplex(n) for n in range(N + 1)]
         paths: dict = {}
-        stages = []
-        for n, delta in enumerate(self.simplices):
-            # the top simplex is the only member of its factor: rank and id 0
-            top = ((0,) * (n + 1), [(0, 0, delta.gens(n)[0])])
-            groups = (zip(top, level) for level in _by_dimension(source.levels[n], N))
-            stages.append(_ez_cells(_ez_groups(groups, N, paths), N)[0])
-        # ("c", n, (a, b)) in order of n, then of (a, b) by rank: this is
-        # canonical_key order already
-        generators: dict[int, list] = {d: [] for d in range(N + 1)}
-        for n, cells in enumerate(stages):
-            for d in range(N + 1):
-                generators[d].extend(("c", n, cell[1]) for cell in cells[d])
+        stages, rows = zip(*(top_cells(source.levels[n], n, N, paths) for n in range(N + 1)))
+        # each row entry becomes a SimplexRef on its generator ("c", n, (a, b))
+        for n, by_core in enumerate(rows):
+            for _, row in by_core.values():
+                row[:] = [SimplexRef(("c", n, pair), (), pair[0].dim) for pair in row]
+        # in order of n, then of (a, b) by rank: this is canonical_key order
+        # already
         space = SimplicialSet._in_canonical_order(
-            N, {d: tuple(gs) for d, gs in generators.items()}, {})
+            N, {d: tuple(cell[3][cell[7]].gen for cells in stages for cell in cells[d])
+                for d in range(N + 1)}, {})
         self.space = space
         self.stage_of = {gen: gen[1] for gen in space.all_gens()}
-        for d in range(1, N + 1):
-            for n, cells in enumerate(stages):
-                delta, X = self.simplices[n], source.levels[n]
-                for _, pg, _, row, faces, _, _ in cells[d]:
-                    a, b = pg
-                    space.faces[("c", n, pg)] = tuple(
-                        space.ref(("c", n, row[j])) if j.__class__ is int
-                        else self.assemble(n, delta.face(a, i), X.face(b, i))
-                        for i, j in enumerate(faces))
+        for n, cells in enumerate(stages):
+            X = source.levels[n]
+            for d in range(1, N + 1):
+                for _, (_, b), _, row, faces, _, _, j in cells[d]:
+                    space.faces[row[j].gen] = tuple(
+                        row[face] if face.__class__ is int
+                        else self._exposed_face(rows, n, X, b, i, face)
+                        for i, face in enumerate(faces))
+
+    def _exposed_face(self, rows: tuple[dict, ...], n: int, X: SimplicialSet, b: SimplexRef,
+                      i: int, face: tuple) -> SimplexRef:
+        """d_i of a cell (a, b) of stage n whose entry in the face table of
+        sset.top_cells is face = (drops, words); rows are the stages' rows."""
+        drops, words = face
+        dropped = dict(drops)  # factor -> the vertex of its core that d_i drops
+        core = b.gen
+        if 1 in dropped:
+            y = X.faces[core][dropped[1]]
+            core = None if y.word else y.gen
+        m = n
+        if 0 in dropped:
+            m = n - 1
+            if core is not None:
+                y = self.source.face_maps[n][dropped[0]].assignment[core]
+                core = None if y.word else y.gen
+        if core is not None:
+            by_words, row = rows[m][core]
+            return row[by_words[words]]
+        # a degenerate face of a core or image of one
+        vertices = tuple(v for v in range(n + 1) if v != dropped.get(0))
+        return self.assemble(n, SimplexRef(vertices, words[0], b.dim - 1), X.face(b, i))
 
     def assemble(self, n: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         """The class of a simplex (a, b) of Delta[n] x X_n in the realization."""
@@ -549,8 +572,7 @@ def constant_space(X: SimplicialSet, N: int) -> SimplicialSpace:
     ident = identity_map(X)
     levels = [X for _ in range(N + 1)]
     face_maps = [[]] + [[ident for _ in range(n + 1)] for n in range(1, N + 1)]
-    degeneracy_maps = [[ident for _ in range(n + 1)] for n in range(N)] + [[]]
-    return SimplicialSpace(levels, face_maps, degeneracy_maps)
+    return SimplicialSpace(levels, face_maps, lambda n, k: ident)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -117,11 +118,13 @@ class CommandError(ValueError):
 
 
 def _coefficients(flag: str) -> int:
-    if flag == "Z":
-        return 0
-    if flag.startswith("Z") and flag[1:].isdigit():
-        p = int(flag[1:])
-        if is_prime(p):
+    """The ring's characteristic, 0 for Z.  Only the canonical spellings are
+    accepted, Z and Zp with p in ASCII digits and no leading zero, so that
+    one ring gives one report."""
+    match = re.fullmatch(r"Z([1-9][0-9]*)?", flag)
+    if match:
+        p = int(match[1] or 0)
+        if p == 0 or is_prime(p):
             return p
     raise CommandError(f"bad coefficient ring {flag!r} (use Z or Zp, p prime)")
 

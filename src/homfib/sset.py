@@ -43,14 +43,16 @@ a product is the case where every core is the point.  The tuples over given
 cores are the lattice paths of _ez_paths, which depend only on the kappas
 and the bound and are kept on the map as well.  A face that drops an
 interior point of a path is again such a tuple and is looked up; only one
-that exposes a face of a core reads that core's face table.
+that exposes a face of a core reads that core's face table.  top_cells is
+the enumerator's public face, for the cells of Delta[n] x X over the top
+simplex that a thick realization attaches.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator
 
 
@@ -204,8 +206,20 @@ def degenerate(ref: SimplexRef, j: int) -> SimplexRef:
 
 
 def apply_degeneracies(ref: SimplexRef, word: Iterable[int]) -> SimplexRef:
-    """Apply a (normal) degeneracy word outside an arbitrary simplex."""
+    """Apply a (normal) degeneracy word outside an arbitrary simplex.
+
+    A normal word that is in range on a nondegenerate simplex is that
+    simplex's word as it stands; any other input goes letter by letter,
+    which normalizes it or raises IndexError at the first letter out of
+    range.
+    """
     word = tuple(word)
+    if not word:
+        return ref
+    dim = ref.dim + len(word)
+    if (not ref.word and word[0] < dim and word[-1] >= 0
+            and all(a > b for a, b in zip(word, word[1:]))):
+        return SimplexRef(ref.gen, word, dim)
     for a in reversed(word):
         ref = degenerate(ref, a)
     return ref
@@ -400,9 +414,14 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
-        for g, r in self.assignment.items():
-            if source.dim_of[g] != r.dim:
-                raise ValueError(f"image of {g!r} has dimension {r.dim}, want {source.dim_of[g]}")
+        # an assignment keyed by the source's generators in order, as most
+        # are built, is checked without hashing its keys again
+        dims = source.dim_of
+        if not (list(self.assignment) == list(dims)
+                and list(map(attrgetter("dim"), self.assignment.values())) == list(dims.values())):
+            for g, r in self.assignment.items():
+                if dims[g] != r.dim:
+                    raise ValueError(f"image of {g!r} has dimension {r.dim}, want {dims[g]}")
         self._cache: dict = {}
 
     def __call__(self, ref: SimplexRef) -> SimplexRef:
@@ -574,23 +593,22 @@ def factor_common(refs: tuple[SimplexRef, ...]) -> tuple[tuple[int, ...], tuple[
     """EZ normal form of a simplex tuple: extract the common outer word.
 
     A tuple is degenerate exactly when every component word shares an index;
-    repeatedly stripping the largest shared index yields the normal form.
+    stripping the shared indices, largest first, yields the normal form.
     """
-    refs = list(refs)
-    outer: list[int] = []
-    while True:
-        common = set(refs[0].word)
-        for r in refs[1:]:
-            common &= set(r.word)
-        if not common:
-            break
-        c = max(common)
-        outer.append(c)
-        refs = [SimplexRef(r.gen,
-                           tuple(a - 1 if a > c else a for a in r.word if a != c),
-                           r.dim - 1)
-                for r in refs]
-    return tuple(outer), tuple(refs)
+    refs = tuple(refs)
+    for r in refs:
+        if not r.word:
+            return (), refs
+    common = set(refs[0].word).intersection(*(r.word for r in refs[1:]))
+    if not common:
+        return (), refs
+    # stripping a shared index never makes two others meet, so all of them
+    # go at once: each other index a drops by the shared ones below it
+    outer = tuple(sorted(common, reverse=True))
+    return outer, tuple(
+        SimplexRef(r.gen, tuple(a - sum(c < a for c in outer) for a in r.word if a not in common),
+                   r.dim - len(outer))
+        for r in refs)
 
 
 @dataclass
@@ -730,11 +748,11 @@ def _ez_group(table: tuple[list[tuple], dict], parts: list[list[tuple]]) -> list
     Returns per tuple of cores (ids, (path index by words, row), cells):
     ids are the cores' member ids, row holds the generators (s_I1 x_1, ...,
     s_Ik x_k) over them in path order, and a cell is the list [key, gen,
-    n, row, faces, ids, None] of a generator of degree n, faces being its
-    path's face table and key = (rank_1, word_1, ..., rank_k, word_k), the
-    generator's place in canonical_key order.  A reader of row may replace
-    an entry by its generator's SimplexRef, and keeps the cell's faces in
-    its last slot.
+    n, row, faces, ids, None, j] of the generator row[j] of degree n, faces
+    being its path's face table and key = (rank_1, word_1, ..., rank_k,
+    word_k), the generator's place in canonical_key order.  A reader of row
+    may replace an entry by a SimplexRef on its generator, and keeps the
+    cell's faces in slot 6.
     """
     entries, by_words = table
     out = []
@@ -743,7 +761,7 @@ def _ez_group(table: tuple[list[tuple], dict], parts: list[list[tuple]]) -> list
         row = list(zip(*refs))
         cells = []
         for j, (n, _, faces) in enumerate(entries):
-            cells.append([sum([part[j] for part in keys], ()), row[j], n, row, faces, ids, None])
+            cells.append([sum([part[j] for part in keys], ()), row[j], n, row, faces, ids, None, j])
         out.append((ids, (by_words, row), cells))
     return out
 
@@ -804,7 +822,7 @@ def _fibre_space(spaces: list[SimplicialSet], cells: list[list[list]], rows: dic
 def _cell_faces(P: SimplicialSet, spaces: list[SimplicialSet], tables: list[list[tuple]],
                 rows: dict, cell: list) -> tuple[SimplexRef, ...]:
     """The faces d_0..d_n of one cell of _fibre_space."""
-    _, gen, n, row, faces, ids, _ = cell
+    _, gen, n, row, faces, ids, _, _ = cell
     entries = []
     for i, face in enumerate(faces):
         if face.__class__ is int:
@@ -823,6 +841,28 @@ def _cell_faces(P: SimplicialSet, spaces: list[SimplicialSet], tables: list[list
             other[j] = SimplexRef(other[j], (), n - 1)
         entries.append(other[j])
     return tuple(entries)
+
+
+def top_cells(X: SimplicialSet, n: int, N: int, paths: dict) -> tuple[list[list[list]], dict]:
+    """The nondegenerate simplices (s_I iota, s_J x) of Delta[n] x X through
+    degree N whose Delta[n] part is a degeneracy of the top simplex iota.
+
+    They come from the enumerator, iota being the only core of its factor,
+    in the order product_many would give them.  Returns the cells per
+    degree, each the list [key, (a, b), d, row, faces, ids, None, j] of
+    _ez_group, and per core x of X the pair (index of a path by its words,
+    row) of the cells over iota and x.  faces[i] is the index in row of
+    d_i (a, b) when that face is a cell over the same cores; otherwise it
+    is (drops, words), and d_i (a, b) is (s_wa c, s_wb y) for words =
+    (wa, wb), c being d_v iota if (0, v) is in drops and iota otherwise,
+    and y being d_j x if (1, j) is in drops and x otherwise.  paths keeps
+    the lattice-path tables for later calls.
+    """
+    top = ((0,) * (n + 1), [(0, 0, tuple(range(n + 1)))])
+    groups = (zip(top, level) for level in _by_dimension(X, N))
+    cells, rows = _ez_cells(_ez_groups(groups, N, paths), N)
+    gens = list(X.all_gens())
+    return cells, {gens[x]: row for (_, x), row in rows.items()}
 
 
 def product_many(spaces: list[SimplicialSet], N: int | None = None) -> ProductResult:

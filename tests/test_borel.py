@@ -12,6 +12,7 @@ from homfib.borel import (
     BorelConstruction,
     Diagram,
     Telescope,
+    ThickRealization,
     borel_level,
     borel_space,
     borel_total,
@@ -593,18 +594,53 @@ def test_classify_work_counts(monkeypatch):
     # products are built for the composition, the trivial action and one
     # Borel level per stage, 37 generators in all; the realization
     # enumerates its cells itself, and whole products Delta[n] x X_n would
-    # add 651 generators
-    built = []
+    # add 651 generators.  Nothing reads the Borel degeneracy maps, so none
+    # is built (10 were), and every face of a realization cell is read from
+    # the cells' rows, with no assemble call (128 were made).  1,204
+    # SimplexRefs were made when the degeneracy maps were built, each
+    # degeneracy letter made one and each face of a cell was assembled.
+    built, degeneracies, assembled, refs = [], [0], [0], [0]
     real = sset_module.product_many
+    real_degeneracy = borel_module._borel_degeneracy
+    real_assemble = ThickRealization.assemble
+    real_init = SimplexRef.__init__
 
     def counting(spaces, N=None):
         result = real(spaces, N)
         built.append(result.space.gen_count())
         return result
 
+    def counting_degeneracy(*args):
+        degeneracies[0] += 1
+        return real_degeneracy(*args)
+
+    def counting_assemble(self, *args):
+        assembled[0] += 1
+        return real_assemble(self, *args)
+
+    def counting_init(self, *args):
+        refs[0] += 1
+        real_init(self, *args)
+
     monkeypatch.setattr(sset_module, "product_many", counting)
     monkeypatch.setattr(borel_module, "product_many", counting, raising=False)
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    monkeypatch.setattr(borel_module, "_borel_degeneracy", counting_degeneracy)
+    monkeypatch.setattr(ThickRealization, "assemble", counting_assemble)
+    monkeypatch.setattr(SimplexRef, "__init__", counting_init)
     report = cli.run("classify", doc, {"target": "Z2", "max_dim": 4})
+    monkeypatch.undo()
     assert [row["torsion"] for row in report.homology] == [[], [2], [2]]
     assert built == [4, 2, 1, 2, 4, 8, 16]
+    assert degeneracies[0] == 0
+    assert assembled[0] == 0
+    assert refs[0] == 323
+
+
+def test_degeneracy_maps_are_built_when_read():
+    cat = z2_category()
+    space = borel_space(cat, trivial_diagram(cat), 3)
+    assert "degeneracy_maps" not in vars(space)
+    assert validate_simplicial_space(space) == []
+    assert [len(maps) for maps in space.degeneracy_maps] == [1, 2, 3, 0]
+    assert space.degeneracy_maps[1][0] is space.degeneracy_maps[1][0]

@@ -272,6 +272,24 @@ def test_bad_coefficients_rejected():
         run("homology", doc, {"target": "circle", "coefficients": "Q"})
 
 
+@pytest.mark.parametrize("flag", ["Z02", "Z03", "Z0", "Z1", "Z٣", "Z²", "Z 3", "Z3 ", "z3", "Z+3"])
+def test_noncanonical_coefficients_exit_2(flag, capsys):
+    # one ring, one spelling: Z02 would run as Z/2 but record "Z02", and the
+    # digits of other scripts read as ASCII ones
+    argv = ["homology", "circle", "-f", str(FIXTURES / "circle.hfd")]
+    assert main(argv + ["--coefficients", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad coefficient ring {flag!r}" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["Z", "Z2", "Z3", "Z13"])
+def test_canonical_coefficients_recorded(flag, capsys):
+    argv = ["homology", "circle", "-f", str(FIXTURES / "circle.hfd")]
+    assert main(argv + ["--coefficients", flag, "--format", "json", "--stable"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["coefficients"] == flag
+
+
 def test_unknown_target_rejected():
     doc = parse(CIRCLE)
     with pytest.raises(CommandError):

@@ -10,7 +10,11 @@ from homfib.sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
+    apply_degeneracies,
     constant_map,
+    degenerate,
+    factor_common,
+    full_word,
     monotone_of_ref,
     ref_from_monotone,
     tuple_into,
@@ -135,6 +139,107 @@ def test_word_insert_stays_normal(indices):
         word = word_insert(word, j)
         dim += 1
         assert word_is_normal(word)
+
+
+# ---------------------------------------------------------------------------
+# one-step operators against letter-by-letter references
+# ---------------------------------------------------------------------------
+
+def degeneracies_by_letters(ref, word):
+    """Reference apply_degeneracies: one s_j at a time, innermost first."""
+    for a in reversed(tuple(word)):
+        ref = degenerate(ref, a)
+    return ref
+
+
+def common_by_rounds(refs):
+    """Reference factor_common: strip the largest shared index, then look
+    for shared indices again."""
+    refs = list(refs)
+    outer = []
+    while True:
+        common = set(refs[0].word).intersection(*(r.word for r in refs[1:]))
+        if not common:
+            return tuple(outer), tuple(refs)
+        c = max(common)
+        outer.append(c)
+        refs = [SimplexRef(r.gen, tuple(a - 1 if a > c else a for a in r.word if a != c),
+                           r.dim - 1) for r in refs]
+
+
+def outcome(f, *args):
+    """f(*args) with its fields, or the type of what it raised."""
+    try:
+        value = f(*args)
+    except Exception as exc:  # the references raise what the operators must
+        return type(exc)
+    if isinstance(value, SimplexRef):
+        return value, value.gen, value.word, value.dim
+    return value, [(r.gen, r.word, r.dim) for r in value[1]]
+
+
+@st.composite
+def normal_refs(draw, dim=None):
+    """A simplex in normal form: a generator of dimension p under a normal
+    word that is in range, of dimension dim when given."""
+    n = draw(st.integers(0, 5)) if dim is None else dim
+    p = draw(st.integers(0, n))
+    word = tuple(sorted(draw(st.permutations(range(n)))[:n - p], reverse=True))
+    return SimplexRef(draw(st.sampled_from(["x", ("y", 1), 7])), word, n)
+
+
+# normal words in range and out of range, words out of order or repeating a
+# letter, and negative letters
+words_strategy = st.one_of(
+    st.sets(st.integers(0, 7), max_size=4).map(lambda w: tuple(sorted(w, reverse=True))),
+    st.lists(st.integers(-1, 7), max_size=4).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_refs(), words_strategy)
+def test_apply_degeneracies_matches_letters(ref, word):
+    assert outcome(apply_degeneracies, ref, word) == outcome(degeneracies_by_letters, ref, word)
+    assert outcome(apply_degeneracies, ref, list(word)) == outcome(degeneracies_by_letters,
+                                                                   ref, word)
+
+
+def test_apply_degeneracies_one_step_path_is_guarded():
+    v, e = SimplexRef("v"), SimplexRef("e", (), 1)
+    assert apply_degeneracies(v, (1, 0)) == SimplexRef("v", (1, 0), 2)
+    # words out of order or repeating a letter are normalized
+    assert apply_degeneracies(e, (0, 1)) == SimplexRef("e", (2, 0), 3)
+    assert apply_degeneracies(e, (1, 1)) == SimplexRef("e", (2, 1), 3)
+    for word in [(2, 0), (0, 1), (1, 1), (0, -1), (3,)]:
+        with pytest.raises(IndexError):
+            apply_degeneracies(v, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(1, 3), st.booleans())
+def test_factor_common_matches_rounds(data, n, k, as_list):
+    refs = [data.draw(normal_refs(n)) for _ in range(k)]
+    given_refs = refs if as_list else tuple(refs)
+    assert outcome(factor_common, given_refs) == outcome(common_by_rounds, refs)
+
+
+def test_factor_common_strips_every_shared_index():
+    a = SimplexRef("a", (4, 2, 1), 5)
+    b = SimplexRef("b", (4, 3, 1), 5)
+    assert factor_common((a, b)) == ((4, 1), (SimplexRef("a", (1,), 3), SimplexRef("b", (2,), 3)))
+    assert factor_common((a, SimplexRef("c", (), 5))) == ((), (a, SimplexRef("c", (), 5)))
+
+
+@pytest.mark.parametrize("in_order", [True, False])
+def test_simplicial_map_refuses_wrong_image_dimension(in_order):
+    X = hf.standard_simplex(2)
+    Y = hf.point()
+    right = {g: Y.ref((0,), full_word(X.dim_of[g])) for g in X.all_gens()}
+    keys = list(right) if in_order else list(reversed(right))
+    assert SimplicialMap(X, Y, {g: right[g] for g in keys}).assignment == right
+    wrong = {g: right[g] for g in keys}
+    wrong[(0, 1)] = Y.ref((0,))
+    with pytest.raises(ValueError, match=r"image of \(0, 1\) has dimension 0, want 1"):
+        SimplicialMap(X, Y, wrong)
 
 
 def test_apply_operator_identities():

@@ -59,13 +59,40 @@ PINNED = [
     # the largest preimages a command builds in about a second
     ("group-completion Z2 -f z2.hfd --max-dim 5", 0,
      "76b5bfbc3ae3f09c76d401485138ee09f2e90a485456699a38156b94c98e3e45"),
+    # realizations of a non-group monoid, with a diagram
+    ("classify M2 -f idem.hfd --max-dim 5", 0,
+     "0276b4ea19bba9ff1b79002cbf8b8d6c3ddadbb66f6cc74360ed71ec0736fd62"),
+    ("borel M2 -f idem.hfd --max-dim 3", 0,
+     "634cf96b7ceaf7df9b9005037960460ee76667add22751430388489754db3bd3"),
 ]
 
+# three-element monoids, declared by MONOIDS below: Z/3 and the two
+# non-group monoids of the classify benchmark, Z/2 with an adjoined zero and
+# the monoid whose two non-units are left zeros
+MONOID_PINNED = [
+    ("classify Z3 -f z3.hfd --max-dim 4", 0,
+     "4c4c227ee6f0b883284c1cd29a039257cee580fb7e7e1aceee47496a1374d546"),
+    ("classify ZeroZ2 -f zero_z2.hfd --max-dim 4", 0,
+     "41deaba0e1405c17a6860bf92cb8e080acea2bf012884b941ec224bfb33829ea"),
+    ("classify LeftZeros -f left_zeros.hfd --max-dim 4", 0,
+     "3beeccb117b70c415dbac890112fcb760fbde78ed01ac316de0ebba62b123561"),
+]
 
-def stable_report(line: str) -> tuple[int, str]:
-    """Exit code and stdout digest of one command line, fixtures resolved."""
+MONOIDS = {
+    "z3.hfd": "monoid Z3 { elements u, a, b; unit u;\n"
+              "  mul { a.a = b; a.b = u; b.a = u; b.b = a; } }\n",
+    "zero_z2.hfd": "monoid ZeroZ2 { elements u, t, z; unit u;\n"
+                   "  mul { t.t = u; t.z = z; z.t = z; z.z = z; } }\n",
+    "left_zeros.hfd": "monoid LeftZeros { elements u, a, b; unit u;\n"
+                      "  mul { a.a = a; a.b = a; b.a = b; b.b = b; } }\n",
+}
+
+
+def stable_report(line: str, directory: Path = FIXTURES) -> tuple[int, str]:
+    """Exit code and stdout digest of one command line, its file resolved
+    in directory."""
     argv = line.split() + ["--format", "json", "--stable"]
-    argv[argv.index("-f") + 1] = str(FIXTURES / argv[argv.index("-f") + 1])
+    argv[argv.index("-f") + 1] = str(directory / argv[argv.index("-f") + 1])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
@@ -75,3 +102,10 @@ def stable_report(line: str) -> tuple[int, str]:
 @pytest.mark.parametrize("line,code,digest", PINNED, ids=[p[0] for p in PINNED])
 def test_stable_report_is_pinned(line, code, digest):
     assert stable_report(line) == (code, digest)
+
+
+@pytest.mark.parametrize("line,code,digest", MONOID_PINNED, ids=[p[0] for p in MONOID_PINNED])
+def test_monoid_report_is_pinned(line, code, digest, tmp_path):
+    for name, text in MONOIDS.items():
+        (tmp_path / name).write_text(text)
+    assert stable_report(line, tmp_path) == (code, digest)
