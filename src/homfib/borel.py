@@ -394,6 +394,9 @@ class SimplicialSpace:
 
     def __init__(self, levels: list[SimplicialSet], face_maps: list[list[SimplicialMap]],
                  degeneracy: Callable[[int, int], SimplicialMap]):
+        if not callable(degeneracy):
+            raise TypeError("degeneracy is a function (n, i) -> the map X_n -> X_{n+1}, "
+                            f"not {type(degeneracy).__name__}")
         self.levels = levels
         self.face_maps = face_maps
         self._degeneracy = degeneracy
@@ -479,24 +482,20 @@ class ThickRealization:
         self.N = N
         paths: dict = {}
         stages, rows = zip(*(top_cells(source.levels[n], n, N, paths) for n in range(N + 1)))
-        # each row entry becomes a SimplexRef on its generator ("c", n, (a, b))
-        for n, by_core in enumerate(rows):
-            for _, row in by_core.values():
-                row[:] = [SimplexRef(("c", n, pair), (), pair[0].dim) for pair in row]
         # in order of n, then of (a, b) by rank: this is canonical_key order
         # already
         space = SimplicialSet._in_canonical_order(
-            N, {d: tuple(cell[3][cell[7]].gen for cells in stages for cell in cells[d])
+            N, {d: tuple(("c", n, cell[1]) for n, cells in enumerate(stages) for cell in cells[d])
                 for d in range(N + 1)}, {})
         self.space = space
         self.stage_of = {gen: gen[1] for gen in space.all_gens()}
         for n, cells in enumerate(stages):
             X = source.levels[n]
             for d in range(1, N + 1):
-                for _, (_, b), _, row, faces, _, _, j in cells[d]:
-                    space.faces[row[j].gen] = tuple(
-                        row[face] if face.__class__ is int
-                        else self._exposed_face(rows, n, X, b, i, face)
+                for _, pair, _, row, faces, _, _ in cells[d]:
+                    space.faces[("c", n, pair)] = tuple(
+                        _row_ref(row, n, face) if face.__class__ is int
+                        else self._exposed_face(rows, n, X, pair[1], i, face)
                         for i, face in enumerate(faces))
 
     def _exposed_face(self, rows: tuple[dict, ...], n: int, X: SimplicialSet, b: SimplexRef,
@@ -517,7 +516,7 @@ class ThickRealization:
                 core = None if y.word else y.gen
         if core is not None:
             by_words, row = rows[m][core]
-            return row[by_words[words]]
+            return _row_ref(row, m, by_words[words])
         # a degenerate face of a core or image of one
         vertices = tuple(v for v in range(n + 1) if v != dropped.get(0))
         return self.assemble(n, SimplexRef(vertices, words[0], b.dim - 1), X.face(b, i))
@@ -546,6 +545,14 @@ class ThickRealization:
     def subspace_at_stage(self, m: int) -> SimplicialSet:
         keep = [g for g, n in self.stage_of.items() if n <= m]
         return full_subcomplex(self.space, keep)
+
+
+def _row_ref(row: list, n: int, j: int) -> SimplexRef:
+    """row[j] of a row of stage n as a SimplexRef on its generator
+    ("c", n, (a, b)); a row entry (a, b) becomes one when first read."""
+    if row[j].__class__ is not SimplexRef:
+        row[j] = SimplexRef(("c", n, row[j]), (), row[j][0].dim)
+    return row[j]
 
 
 def thick_realize(source: SimplicialSpace, N: int | None = None) -> ThickRealization:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 
@@ -414,14 +414,9 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
-        # an assignment keyed by the source's generators in order, as most
-        # are built, is checked without hashing its keys again
-        dims = source.dim_of
-        if not (list(self.assignment) == list(dims)
-                and list(map(attrgetter("dim"), self.assignment.values())) == list(dims.values())):
-            for g, r in self.assignment.items():
-                if dims[g] != r.dim:
-                    raise ValueError(f"image of {g!r} has dimension {r.dim}, want {dims[g]}")
+        for g, r in self.assignment.items():
+            if source.dim_of[g] != r.dim:
+                raise ValueError(f"image of {g!r} has dimension {r.dim}, want {source.dim_of[g]}")
         self._cache: dict = {}
 
     def __call__(self, ref: SimplexRef) -> SimplexRef:
@@ -748,11 +743,11 @@ def _ez_group(table: tuple[list[tuple], dict], parts: list[list[tuple]]) -> list
     Returns per tuple of cores (ids, (path index by words, row), cells):
     ids are the cores' member ids, row holds the generators (s_I1 x_1, ...,
     s_Ik x_k) over them in path order, and a cell is the list [key, gen,
-    n, row, faces, ids, None, j] of the generator row[j] of degree n, faces
-    being its path's face table and key = (rank_1, word_1, ..., rank_k,
-    word_k), the generator's place in canonical_key order.  A reader of row
-    may replace an entry by a SimplexRef on its generator, and keeps the
-    cell's faces in slot 6.
+    n, row, faces, ids, None] of a generator of degree n, faces being its
+    path's face table and key = (rank_1, word_1, ..., rank_k, word_k), the
+    generator's place in canonical_key order.  A reader of row may replace
+    an entry by its generator's SimplexRef, and keeps the cell's faces in
+    its last slot.
     """
     entries, by_words = table
     out = []
@@ -761,7 +756,7 @@ def _ez_group(table: tuple[list[tuple], dict], parts: list[list[tuple]]) -> list
         row = list(zip(*refs))
         cells = []
         for j, (n, _, faces) in enumerate(entries):
-            cells.append([sum([part[j] for part in keys], ()), row[j], n, row, faces, ids, None, j])
+            cells.append([sum([part[j] for part in keys], ()), row[j], n, row, faces, ids, None])
         out.append((ids, (by_words, row), cells))
     return out
 
@@ -822,7 +817,7 @@ def _fibre_space(spaces: list[SimplicialSet], cells: list[list[list]], rows: dic
 def _cell_faces(P: SimplicialSet, spaces: list[SimplicialSet], tables: list[list[tuple]],
                 rows: dict, cell: list) -> tuple[SimplexRef, ...]:
     """The faces d_0..d_n of one cell of _fibre_space."""
-    _, gen, n, row, faces, ids, _, _ = cell
+    _, gen, n, row, faces, ids, _ = cell
     entries = []
     for i, face in enumerate(faces):
         if face.__class__ is int:
@@ -849,7 +844,7 @@ def top_cells(X: SimplicialSet, n: int, N: int, paths: dict) -> tuple[list[list[
 
     They come from the enumerator, iota being the only core of its factor,
     in the order product_many would give them.  Returns the cells per
-    degree, each the list [key, (a, b), d, row, faces, ids, None, j] of
+    degree, each the list [key, (a, b), d, row, faces, ids, None] of
     _ez_group, and per core x of X the pair (index of a path by its words,
     row) of the cells over iota and x.  faces[i] is the index in row of
     d_i (a, b) when that face is a cell over the same cores; otherwise it

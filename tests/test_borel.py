@@ -12,6 +12,7 @@ from homfib.borel import (
     BorelConstruction,
     Diagram,
     Telescope,
+    SimplicialSpace,
     ThickRealization,
     borel_level,
     borel_space,
@@ -634,7 +635,7 @@ def test_classify_work_counts(monkeypatch):
     assert built == [4, 2, 1, 2, 4, 8, 16]
     assert degeneracies[0] == 0
     assert assembled[0] == 0
-    assert refs[0] == 323
+    assert refs[0] == 307
 
 
 def test_degeneracy_maps_are_built_when_read():
@@ -644,3 +645,6 @@ def test_degeneracy_maps_are_built_when_read():
     assert validate_simplicial_space(space) == []
     assert [len(maps) for maps in space.degeneracy_maps] == [1, 2, 3, 0]
     assert space.degeneracy_maps[1][0] is space.degeneracy_maps[1][0]
+    # the lists of maps the constructor used to take are refused at once
+    with pytest.raises(TypeError, match="degeneracy is a function"):
+        SimplicialSpace(space.levels, space.face_maps, space.degeneracy_maps)
