@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Callable
 
 from .fibration import (
@@ -35,10 +36,12 @@ from .sset import (
     SimplicialSet,
     apply_degeneracies,
     canonical_key,
+    face_ids,
     factor_common,
     full_subcomplex,
     full_word,
     identity_map,
+    image_ids,
     is_isomorphism,
     product,
     product_many,
@@ -370,6 +373,44 @@ def _borel_face(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> Simp
     return SimplicialMap(src, dst, assignment)
 
 
+_gen_of = attrgetter("gen")
+
+
+def _vertex_keys(X: SimplicialSet) -> list[tuple]:
+    """(component, element names) of each vertex of a Borel level, in order.
+    Vertices come first in X.all_gens(), so a vertex's place here is its id."""
+    return [(comp, tuple(map(_gen_of, refs))) for comp, refs in X.gens(0)]
+
+
+def _on_vertices(m: SimplicialMap) -> dict[tuple, Any]:
+    """A map out of a product of two spaces on its vertices, by generator:
+    (x, y) -> the image vertex."""
+    return {(x.gen, y.gen): r.gen for (x, y), r in m.assignment.items() if not r.dim}
+
+
+def _vertex_faces(n, keys: list[tuple], below: dict, mul: dict, act: dict) -> list[list[int]]:
+    """d_0..d_n of a Borel level whose generators are all vertices, as id
+    tables, worked out by element names as _borel_face works them out by
+    simplices.  keys are the level's _vertex_keys; below maps those of level
+    n - 1 to their ids; mul and act are the compositions and the actions
+    _on_vertices, by the keys of cat.compositions and diag.actions."""
+    tables = []
+    for k in range(n + 1):
+        if k == n:
+            images = ((comp[:n], e[1:]) for comp, e in keys)
+        elif k == 0:
+            images = ((comp[1:], e[:n - 1] + (act[comp[1], comp[0]][e[n - 1], e[n]],))
+                      for comp, e in keys)
+        else:
+            t = n - k
+            images = ((comp[:k] + comp[k + 1:],
+                       e[:t - 1] + (mul[comp[k + 1], comp[k], comp[k - 1]][e[t], e[t - 1]],)
+                       + e[t + 1:])
+                      for comp, e in keys)
+        tables.append(list(map(below.__getitem__, images)))
+    return tables
+
+
 def _borel_degeneracy(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> SimplicialMap:
     assignment = {}
     for gen in src.all_gens():
@@ -386,24 +427,36 @@ def _borel_degeneracy(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -
 class SimplicialSpace:
     """Levels with face and degeneracy maps; identities checked on demand.
 
-    face_maps[n][i] : X_n -> X_{n-1} come with the levels, since the thick
-    realization attaches its stages through them.  degeneracy_maps[n][i] :
-    X_n -> X_{n+1} are made by degeneracy(n, i) when first read: the
-    realization never reads them, validate_simplicial_space does.
+    face_tables[n][i] is the face d_i : X_n -> X_{n-1} as an id table (a
+    generator's id is its place in all_gens()): per generator of X_n, the
+    id of its image's generator in X_{n-1}, None where the image is
+    degenerate.  The thick realization attaches its stages through these
+    tables.  The maps face_maps[n][i] : X_n -> X_{n-1}, made by face(n, i),
+    and degeneracy_maps[n][i] : X_n -> X_{n+1}, made by degeneracy(n, i),
+    are built when first read: assemble reads the face maps,
+    validate_simplicial_space reads both.
     """
 
-    def __init__(self, levels: list[SimplicialSet], face_maps: list[list[SimplicialMap]],
+    def __init__(self, levels: list[SimplicialSet], face_tables: list[list[list]],
+                 face: Callable[[int, int], SimplicialMap],
                  degeneracy: Callable[[int, int], SimplicialMap]):
-        if not callable(degeneracy):
-            raise TypeError("degeneracy is a function (n, i) -> the map X_n -> X_{n+1}, "
-                            f"not {type(degeneracy).__name__}")
+        for name, make, target in (("face", face, "X_{n-1}"),
+                                   ("degeneracy", degeneracy, "X_{n+1}")):
+            if not callable(make):
+                raise TypeError(f"{name} is a function (n, i) -> the map X_n -> {target}, "
+                                f"not {type(make).__name__}")
         self.levels = levels
-        self.face_maps = face_maps
+        self.face_tables = face_tables
+        self._face = face
         self._degeneracy = degeneracy
 
     @property
     def top(self) -> int:
         return len(self.levels) - 1
+
+    @cached_property
+    def face_maps(self) -> list[list[SimplicialMap]]:
+        return [[]] + [[self._face(n, i) for i in range(n + 1)] for n in range(1, self.top + 1)]
 
     @cached_property
     def degeneracy_maps(self) -> list[list[SimplicialMap]]:
@@ -418,6 +471,10 @@ def validate_simplicial_space(space: SimplicialSpace) -> list[str]:
         if f.assignment != g.assignment:
             problems.append(label)
 
+    for n in range(1, N + 1):
+        for i in range(n + 1):
+            if image_ids(space.face_maps[n][i]) != space.face_tables[n][i]:
+                problems.append(f"d_{i} table differs from its map at level {n}")
     for n in range(2, N + 1):
         for j in range(1, n + 1):
             for i in range(j):
@@ -449,11 +506,33 @@ def validate_simplicial_space(space: SimplicialSpace) -> list[str]:
 
 
 def borel_space(cat: SimplicialCategory, diag: Diagram, N: int) -> SimplicialSpace:
-    """The Borel construction as a simplicial space with levels 0..N."""
+    """The Borel construction as a simplicial space with levels 0..N.
+
+    The face tables of a level whose generators are all vertices (every
+    level of a monoid's hom-set with a discrete diagram) are worked out by
+    element names.  Those of any other level are read off its face maps,
+    which are then kept for face_maps.
+    """
     levels = [borel_level(cat, diag, n, N) for n in range(N + 1)]
-    face_maps = [[]] + [[_borel_face(cat, diag, n, k, levels[n], levels[n - 1])
-                         for k in range(n + 1)] for n in range(1, N + 1)]
-    return SimplicialSpace(levels, face_maps, lambda n, k: _borel_degeneracy(
+    built: dict[tuple, SimplicialMap] = {}
+
+    def face(n, k):
+        if (n, k) not in built:
+            built[n, k] = _borel_face(cat, diag, n, k, levels[n], levels[n - 1])
+        return built[n, k]
+
+    mul = {key: _on_vertices(comp) for key, comp in cat.compositions.items()}
+    act = {key: _on_vertices(action) for key, action in diag.actions.items()}
+    tables = [[]]
+    below = {key: i for i, key in enumerate(_vertex_keys(levels[0]))}
+    for n in range(1, N + 1):
+        keys = _vertex_keys(levels[n])
+        if len(keys) == len(levels[n].dim_of):
+            tables.append(_vertex_faces(n, keys, below, mul, act))
+        else:
+            tables.append([image_ids(face(n, k)) for k in range(n + 1)])
+        below = {key: i for i, key in enumerate(keys)}
+    return SimplicialSpace(levels, tables, face, lambda n, k: _borel_degeneracy(
         cat, diag, n, k, levels[n], levels[n + 1]))
 
 
@@ -470,11 +549,13 @@ class ThickRealization:
     product_many would give them.  A face that keeps a on the top simplex
     and b's core is read from the cell's row.  Any other exposes a face of
     a core: one that drops vertex v of Delta[n] goes down to stage n - 1
-    through the level face map d_v, which is exactly the attaching rule of
-    the stage pushouts.  When the face of b's core and its image under d_v
-    are nondegenerate, the face is the cell over that image with the words
-    of the shorter path, read from the rows of its stage; otherwise it is
-    assembled.  The degeneracy maps of the source are never read.
+    through the level face d_v, which is exactly the attaching rule of the
+    stage pushouts.  Cores are followed by id, through X_n's face table
+    and the source's face tables.  When the face of b's core and its image
+    under d_v are nondegenerate, the face is the cell over that image with
+    the words of the shorter path, read from the rows of its stage, which
+    are keyed by core id; otherwise it is assembled, which reads the face
+    maps.  The degeneracy maps of the source are never read.
     """
 
     def __init__(self, source: SimplicialSpace, N: int):
@@ -492,28 +573,26 @@ class ThickRealization:
         for n, cells in enumerate(stages):
             X = source.levels[n]
             for d in range(1, N + 1):
-                for _, pair, _, row, faces, _, _ in cells[d]:
+                for _, pair, _, row, faces, ids, _ in cells[d]:
                     space.faces[("c", n, pair)] = tuple(
                         _row_ref(row, n, face) if face.__class__ is int
-                        else self._exposed_face(rows, n, X, pair[1], i, face)
+                        else self._exposed_face(rows, n, X, pair[1], ids[1], i, face)
                         for i, face in enumerate(faces))
 
     def _exposed_face(self, rows: tuple[dict, ...], n: int, X: SimplicialSet, b: SimplexRef,
-                      i: int, face: tuple) -> SimplexRef:
-        """d_i of a cell (a, b) of stage n whose entry in the face table of
-        sset.top_cells is face = (drops, words); rows are the stages' rows."""
+                      core: int, i: int, face: tuple) -> SimplexRef:
+        """d_i of a cell (a, b) of stage n, core the id of b's core in X,
+        whose entry in the face table of sset.top_cells is face = (drops,
+        words); rows are the stages' rows."""
         drops, words = face
         dropped = dict(drops)  # factor -> the vertex of its core that d_i drops
-        core = b.gen
         if 1 in dropped:
-            y = X.faces[core][dropped[1]]
-            core = None if y.word else y.gen
+            core = face_ids(X)[core][dropped[1]]
         m = n
         if 0 in dropped:
             m = n - 1
             if core is not None:
-                y = self.source.face_maps[n][dropped[0]].assignment[core]
-                core = None if y.word else y.gen
+                core = self.source.face_tables[n][dropped[0]][core]
         if core is not None:
             by_words, row = rows[m][core]
             return _row_ref(row, m, by_words[words])
@@ -577,9 +656,10 @@ def realize_map(src: ThickRealization, dst: ThickRealization,
 def constant_space(X: SimplicialSet, N: int) -> SimplicialSpace:
     """The constant simplicial space on X."""
     ident = identity_map(X)
+    ids = list(range(len(X.dim_of)))
     levels = [X for _ in range(N + 1)]
-    face_maps = [[]] + [[ident for _ in range(n + 1)] for n in range(1, N + 1)]
-    return SimplicialSpace(levels, face_maps, lambda n, k: ident)
+    tables = [[]] + [[ids] * (n + 1) for n in range(1, N + 1)]
+    return SimplicialSpace(levels, tables, lambda n, k: ident, lambda n, k: ident)
 
 
 # ---------------------------------------------------------------------------

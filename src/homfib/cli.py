@@ -147,10 +147,14 @@ def _check(name: str, verdict: bool, witnesses=()) -> dict:
             "witnesses": [str(w) for w in witnesses]}
 
 
+# the DSL keyword that declares the entries of each table of a Document
+_KEYWORDS = {"ssets": "sset", "maps": "map", "categories": "monoid", "diagrams": "diagram"}
+
+
 def _need(doc: Document, table: str, name: str):
     pool = getattr(doc, table)
     if name not in pool:
-        raise CommandError(f"no {table[:-1]} named {name!r} in the document")
+        raise CommandError(f"no {_KEYWORDS[table]} named {name!r} in the document")
     return pool[name]
 
 

@@ -124,9 +124,6 @@ class IntMatrix:
     def column(self, j: int) -> dict[int, int]:
         return {i: self.rows[i][j] for i in self.cols.get(j, ())}
 
-    def row(self, i: int) -> dict[int, int]:
-        return dict(self.rows.get(i, {}))
-
     # -- elementary operations ---------------------------------------------
     #
     # Each one leaves the row dicts (key order included) and the column sets

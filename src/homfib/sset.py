@@ -703,9 +703,10 @@ def _members(X: SimplicialSet) -> dict[Any, tuple]:
     return members
 
 
-def _face_ids(X: SimplicialSet) -> list[tuple]:
-    """Per member id of X, the ids of the generator's faces (None for a
-    degenerate face).  Kept on X."""
+def face_ids(X: SimplicialSet) -> list[tuple]:
+    """X's face table by ids: a generator's id is its place in
+    X.all_gens(), and entry g holds the ids of the faces d_0, d_1, ... of
+    generator g (None for a degenerate face).  Kept on X."""
     faces = X._cache.get("face ids")
     if faces is None:
         members = _members(X)
@@ -713,6 +714,15 @@ def _face_ids(X: SimplicialSet) -> list[tuple]:
             tuple(None if r.word else members[r.gen][1] for r in X.faces.get(g, ()))
             for g in members]
     return faces
+
+
+def image_ids(f: SimplicialMap) -> list:
+    """f by ids: per generator of f's source, by its place in all_gens(),
+    the place of its image's generator in f's target, None where the image
+    is degenerate."""
+    members = _members(f.target)
+    return [None if r.word else members[r.gen][1]
+            for r in map(f.assignment.__getitem__, f.source.all_gens())]
 
 
 def _ez_table(kappas: tuple, N: int, paths: dict) -> tuple[list[tuple], dict]:
@@ -805,7 +815,7 @@ def _fibre_space(spaces: list[SimplicialSet], cells: list[list[list]], rows: dic
     """
     P = SimplicialSet._in_canonical_order(
         N, {n: tuple(map(itemgetter(1), cells[n])) for n in range(N + 1)}, {})
-    tables = [_face_ids(X) for X in spaces]
+    tables = [face_ids(X) for X in spaces]
     for n in range(1, N + 1):
         for cell in cells[n]:
             if cell[6] is None:
@@ -845,9 +855,10 @@ def top_cells(X: SimplicialSet, n: int, N: int, paths: dict) -> tuple[list[list[
     They come from the enumerator, iota being the only core of its factor,
     in the order product_many would give them.  Returns the cells per
     degree, each the list [key, (a, b), d, row, faces, ids, None] of
-    _ez_group, and per core x of X the pair (index of a path by its words,
-    row) of the cells over iota and x.  faces[i] is the index in row of
-    d_i (a, b) when that face is a cell over the same cores; otherwise it
+    _ez_group, and per core x of X, keyed by its id (its place in
+    X.all_gens(), ids[1] of its cells), the pair (index of a path by its
+    words, row) of the cells over iota and x.  faces[i] is the index in row
+    of d_i (a, b) when that face is a cell over the same cores; otherwise it
     is (drops, words), and d_i (a, b) is (s_wa c, s_wb y) for words =
     (wa, wb), c being d_v iota if (0, v) is in drops and iota otherwise,
     and y being d_j x if (1, j) is in drops and x otherwise.  paths keeps
@@ -856,8 +867,7 @@ def top_cells(X: SimplicialSet, n: int, N: int, paths: dict) -> tuple[list[list[
     top = ((0,) * (n + 1), [(0, 0, tuple(range(n + 1)))])
     groups = (zip(top, level) for level in _by_dimension(X, N))
     cells, rows = _ez_cells(_ez_groups(groups, N, paths), N)
-    gens = list(X.all_gens())
-    return cells, {gens[x]: row for (_, x), row in rows.items()}
+    return cells, {x: row for (_, x), row in rows.items()}
 
 
 def product_many(spaces: list[SimplicialSet], N: int | None = None) -> ProductResult:

@@ -94,3 +94,50 @@ def corpus_maps():
     maps["cover_6_3"] = hf.cyclic_cover_map(6, 3)
     maps["borel_z2"] = borel_total(cat, restriction_diagram(cat, "1"), 2).pi
     return maps
+
+
+# A document in the DSL, written out by the tests rather than kept under
+# fixtures/: Z/2 with a diagram `round` whose value is the one-vertex circle
+# (t acts by the identity), so the Borel levels are not discrete, and a map
+# `fold` whose source has a 2-simplex.
+ROUND_DOCUMENT = """\
+monoid Z2 {
+  elements u, t;
+  unit u;
+  mul { t.t = u; }
+}
+
+sset ring {
+  v : dim 0 faces [];
+  e : dim 1 faces [v, v];
+}
+
+map turn : ring -> ring { v -> v; e -> e; }
+
+diagram round over Z2 {
+  F(1) = ring;
+  act(1,1): t -> turn;
+}
+
+sset tri {
+  a : dim 0 faces [];
+  b : dim 0 faces [];
+  c : dim 0 faces [];
+  ab : dim 1 faces [b, a];
+  ac : dim 1 faces [c, a];
+  bc : dim 1 faces [c, b];
+  abc : dim 2 faces [bc, ac, ab];
+}
+
+sset seg {
+  p : dim 0 faces [];
+  q : dim 0 faces [];
+  pq : dim 1 faces [q, p];
+}
+
+map fold : tri -> seg {
+  a -> p;  b -> p;  c -> q;
+  ab -> s0 p;  ac -> pq;  bc -> pq;
+  abc -> s0 pq;
+}
+"""

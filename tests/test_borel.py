@@ -46,6 +46,7 @@ from homfib.sset import (
     tuple_into,
 )
 
+from corpus import ROUND_DOCUMENT
 from oracles import bar_resolution_homology, cyclic_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -157,6 +158,14 @@ def test_borel_space_satisfies_simplicial_identities():
     for diag in (trivial_diagram(cat), restriction_diagram(cat, "1")):
         space = borel_space(cat, diag, 3)
         assert validate_simplicial_space(space) == []
+
+
+def test_validation_compares_face_tables_with_face_maps():
+    cat = z2_category()
+    space = borel_space(cat, restriction_diagram(cat, "1"), 2)
+    table = space.face_tables[2][1]
+    table[0], table[1] = table[1], table[0]
+    assert validate_simplicial_space(space) == ["d_1 table differs from its map at level 2"]
 
 
 def test_d0_uses_the_action():
@@ -531,6 +540,70 @@ def test_levels_and_realization_match_references(case, N):
     assert_matches_references(*reference_cases()[case], N)
 
 
+def small_monoid(unit, others, products):
+    """from_monoid of the table with the unit's products filled in."""
+    elements = [unit, *others]
+    table = {(a, b): b if a == unit else a for a in elements for b in elements
+             if unit in (a, b)}
+    table.update(products)
+    return from_monoid(table, unit)
+
+
+def face_table_cases():
+    """name -> (category, diagram, whether every level is discrete)."""
+    monoids = {
+        "Z2": z2_category(), "Z3": z3_category(),
+        "Z2 with a zero": small_monoid("u", ["t", "z"], {
+            ("t", "t"): "u", ("t", "z"): "z", ("z", "t"): "z", ("z", "z"): "z"}),
+        "left zeros": small_monoid("u", ["a", "b"], {
+            ("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}),
+    }
+    cases = {}
+    for name, cat in monoids.items():
+        cases[f"{name} trivial"] = (cat, trivial_diagram(cat), True)
+        cases[f"{name} restriction"] = (cat, restriction_diagram(cat, "1"), True)
+    idem = dsl.parse((FIXTURES / "idem.hfd").read_text())
+    cat = idem.categories["M2"]
+    cases["M2 restriction"] = (cat, restriction_diagram(cat, "1"), True)
+    cases["M2 flat"] = (cat, idem.diagrams["flat"], True)
+    for name, (cat, diag) in reference_cases().items():
+        if name.startswith("interval") or name in ("Z2 constant cone", "idempotent telescope"):
+            cases[name] = (cat, diag, False)
+    doc = dsl.parse(ROUND_DOCUMENT)
+    cases["Z2 round"] = (doc.categories["Z2"], doc.diagrams["round"], False)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(face_table_cases()))
+def test_face_tables_match_the_face_maps(case, monkeypatch):
+    # an entry is the id (place in all_gens) of the image's generator, and
+    # None exactly where the image is degenerate; discrete levels get their
+    # tables from element names, without building a face map
+    cat, diag, discrete = face_table_cases()[case]
+    N = 4 if discrete else 3
+    made = []
+    real_face = borel_module._borel_face
+    monkeypatch.setattr(borel_module, "_borel_face",
+                        lambda *args: made.append(args[2:4]) or real_face(*args))
+    space = borel_space(cat, diag, N)
+    monkeypatch.undo()
+    assert made == ([] if discrete else [(n, k) for n in range(1, N + 1) for k in range(n + 1)])
+    for n in range(1, N + 1):
+        src, dst = space.levels[n], space.levels[n - 1]
+        assert discrete == all(d == 0 for d in src.dim_of.values())
+        below = list(dst.all_gens())
+        for k in range(n + 1):
+            table = space.face_tables[n][k]
+            face = real_face(cat, diag, n, k, src, dst)
+            assert len(table) == len(src.dim_of)
+            for g, entry in zip(src.all_gens(), table):
+                image = face.assignment[g]
+                if image.word:
+                    assert entry is None
+                else:
+                    assert below[entry] == image.gen
+
+
 def test_interval_category_is_lawful():
     cat = interval_category()
     assert validate_category(cat) == []
@@ -597,12 +670,15 @@ def test_classify_work_counts(monkeypatch):
     # enumerates its cells itself, and whole products Delta[n] x X_n would
     # add 651 generators.  Nothing reads the Borel degeneracy maps, so none
     # is built (10 were), and every face of a realization cell is read from
-    # the cells' rows, with no assemble call (128 were made).  1,204
-    # SimplexRefs were made when the degeneracy maps were built, each
-    # degeneracy letter made one and each face of a cell was assembled.
-    built, degeneracies, assembled, refs = [], [0], [0], [0]
+    # the cells' rows, with no assemble call (128 were made).  The levels
+    # are discrete, so their face tables come from the element names and no
+    # face map is built (14 were).  1,204 SimplexRefs were made when the
+    # degeneracy maps were built, each degeneracy letter made one and each
+    # face of a cell was assembled; 307 when the face maps were built.
+    built, degeneracies, faces, assembled, refs = [], [0], [0], [0], [0]
     real = sset_module.product_many
     real_degeneracy = borel_module._borel_degeneracy
+    real_face = borel_module._borel_face
     real_assemble = ThickRealization.assemble
     real_init = SimplexRef.__init__
 
@@ -614,6 +690,10 @@ def test_classify_work_counts(monkeypatch):
     def counting_degeneracy(*args):
         degeneracies[0] += 1
         return real_degeneracy(*args)
+
+    def counting_face(*args):
+        faces[0] += 1
+        return real_face(*args)
 
     def counting_assemble(self, *args):
         assembled[0] += 1
@@ -627,6 +707,7 @@ def test_classify_work_counts(monkeypatch):
     monkeypatch.setattr(borel_module, "product_many", counting, raising=False)
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     monkeypatch.setattr(borel_module, "_borel_degeneracy", counting_degeneracy)
+    monkeypatch.setattr(borel_module, "_borel_face", counting_face)
     monkeypatch.setattr(ThickRealization, "assemble", counting_assemble)
     monkeypatch.setattr(SimplexRef, "__init__", counting_init)
     report = cli.run("classify", doc, {"target": "Z2", "max_dim": 4})
@@ -634,17 +715,23 @@ def test_classify_work_counts(monkeypatch):
     assert [row["torsion"] for row in report.homology] == [[], [2], [2]]
     assert built == [4, 2, 1, 2, 4, 8, 16]
     assert degeneracies[0] == 0
+    assert faces[0] == 0
     assert assembled[0] == 0
-    assert refs[0] == 307
+    assert refs[0] == 81
 
 
 def test_degeneracy_maps_are_built_when_read():
     cat = z2_category()
     space = borel_space(cat, trivial_diagram(cat), 3)
-    assert "degeneracy_maps" not in vars(space)
+    assert "degeneracy_maps" not in vars(space) and "face_maps" not in vars(space)
     assert validate_simplicial_space(space) == []
     assert [len(maps) for maps in space.degeneracy_maps] == [1, 2, 3, 0]
+    assert [len(maps) for maps in space.face_maps] == [0, 2, 3, 4]
     assert space.degeneracy_maps[1][0] is space.degeneracy_maps[1][0]
-    # the lists of maps the constructor used to take are refused at once
+    assert space.face_maps[1][0] is space.face_maps[1][0]
+    # lists of maps in place of the functions that make them are refused at once
     with pytest.raises(TypeError, match="degeneracy is a function"):
-        SimplicialSpace(space.levels, space.face_maps, space.degeneracy_maps)
+        SimplicialSpace(space.levels, space.face_tables, lambda n, i: None,
+                        space.degeneracy_maps)
+    with pytest.raises(TypeError, match="face is a function"):
+        SimplicialSpace(space.levels, space.face_tables, space.face_maps, space.degeneracy_maps)

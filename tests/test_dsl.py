@@ -296,6 +296,17 @@ def test_unknown_target_rejected():
         run("homology", doc, {"target": "nope"})
 
 
+@pytest.mark.parametrize("argv,keyword,name", [
+    (["classify", "Z3"], "monoid", "Z3"),
+    (["homology", "disc"], "sset", "disc"),
+    (["check-weakfib", "squash"], "map", "squash"),
+    (["group-completion", "M2", "--diagram", "square"], "diagram", "square"),
+])
+def test_missing_name_is_named_by_its_keyword(argv, keyword, name, capsys):
+    assert main(argv + ["-f", str(FIXTURES / "idem.hfd")]) == 2
+    assert capsys.readouterr().err == f"homfib: no {keyword} named {name!r} in the document\n"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(CommandError):
         run("frobnicate", parse(CIRCLE), {"target": "circle"})

@@ -3,12 +3,16 @@
 Every command line ends in exit 0 when its verdicts pass, 1 when one
 fails and 2 on a parse or usage error; exit 3 marks an internal error and
 an escaping traceback is a defect.  The inputs are mutants of the fixture
-files, alone or joined: character-level edits, and identifier swaps that
-keep the syntax valid, so that declarations refer to the wrong things.  A
-mutant that parses runs through all nine commands at --max-dim <= 3; one
-that does not parse runs through one of them, since every command stops at
-the same parse error.  The seeds are fixed, so a failure reproduces, and
-the cases together take a few seconds.
+files and of corpus.ROUND_DOCUMENT (a diagram with a circle value and a map
+whose source has a 2-simplex), alone or joined: character-level edits,
+identifier swaps that keep the syntax valid, so that declarations refer to
+the wrong things, and face lists put in another order, which breaks the
+simplicial identities of a 2-simplex.  A mutant that parses runs through
+all nine commands at --max-dim <= 3; one that does not parse runs through
+one of them, since every command stops at the same parse error.  A command
+whose sset, or whose map's source or target, fails validation must refuse
+it as not a simplicial set rather than compute on it.  The seeds are
+fixed, so a failure reproduces, and the cases together take a few seconds.
 """
 
 import contextlib
@@ -21,10 +25,14 @@ import pytest
 
 from homfib import cli
 from homfib.dsl import DslError, parse
+from homfib.sset import validate
+
+from corpus import ROUND_DOCUMENT
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.hfd"))
-TEXTS = [path.read_text() for path in FIXTURES]
+TEXTS = [path.read_text() for path in FIXTURES] + [ROUND_DOCUMENT]
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+FACE_LIST = re.compile(r"faces \[([^\]]*,[^\]]*)\]")
 DECLARED = re.compile(r"\b(sset|map|monoid|diagram)\s+([A-Za-z_][A-Za-z0-9_]*)")
 KEYWORDS = {"sset", "map", "monoid", "diagram", "dim", "faces", "elements", "unit",
             "mul", "over", "F", "act"}
@@ -87,6 +95,32 @@ def identifier_swap(rng: random.Random, text: str) -> str:
     return text
 
 
+def face_shuffle(rng: random.Random, text: str) -> str:
+    """text with the entries of one face list of two or more faces put in
+    another order; it still parses, but a simplex of dimension 2 or more
+    may no longer satisfy the simplicial identities."""
+    spots = list(FACE_LIST.finditer(text))
+    if not spots:
+        return text
+    spot = rng.choice(spots)
+    entries = [entry.strip() for entry in spot.group(1).split(",")]
+    rng.shuffle(entries)
+    return text[:spot.start(1)] + ", ".join(entries) + text[spot.end(1):]
+
+
+def malformed_target(doc, command: str, name: str) -> bool:
+    """Whether the command reads an sset that fails validation: its target
+    sset, or the source or target of its target map."""
+    kind = TARGET_KIND[command]
+    if kind == "sset" and name in doc.ssets:
+        spaces = [doc.ssets[name]]
+    elif kind == "map" and name in doc.maps:
+        spaces = [doc.maps[name].source, doc.maps[name].target]
+    else:
+        return False
+    return not all(validate(X).ok for X in spaces)
+
+
 def command_line(rng: random.Random, command: str, text: str) -> list[str]:
     """command on a name of the kind it reads, with drawn flags."""
     names = declared(text, TARGET_KIND[command]) or IDENT.findall(text) or ["nothing"]
@@ -110,23 +144,33 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("mutate,seed", [(char_mutant, 6101), (identifier_swap, 6102)])
+@pytest.mark.parametrize("mutate,seed", [(char_mutant, 6101), (identifier_swap, 6102),
+                                         (face_shuffle, 6103)])
 def test_fuzzed_documents_keep_the_exit_code_contract(mutate, seed, tmp_path):
     rng = random.Random(seed)
     path = tmp_path / "fuzz.hfd"
-    seen = set()
-    for case in range(CASES):
+    seen, malformed = set(), 0
+    # a shuffled document nearly always parses and runs all nine commands,
+    # so a quarter of the cases take as long
+    for case in range(CASES // 4 if mutate is face_shuffle else CASES):
         text = mutate(rng, document(rng))
         path.write_text(text)
         try:
-            parse(text)
+            doc = parse(text)
             commands = cli.COMMANDS
         except DslError:   # every command stops at the same parse error
-            commands = [cli.COMMANDS[case % len(cli.COMMANDS)]]
+            doc, commands = None, [cli.COMMANDS[case % len(cli.COMMANDS)]]
         for command in commands:
             argv = command_line(rng, command, text)
             code, err = run_main(argv[:2] + ["-f", str(path)] + argv[2:])
             assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err, text)
             seen.add(code)
+            if doc is not None and malformed_target(doc, command, argv[1]):
+                # refused before any work, whatever the flags would ask for
+                code, err = run_main([command, argv[1], "-f", str(path)])
+                assert code == 2 and "is not a simplicial set" in err, (argv, code, err, text)
+                malformed += 1
     # the mutants reach passing and failing verdicts as well as refusals
     assert seen == {0, 1, 2}
+    if mutate is face_shuffle:
+        assert malformed

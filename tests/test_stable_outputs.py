@@ -2,7 +2,8 @@
 
 Each command's report is pinned by its SHA-256 digest and exit code.  The
 digests were taken before the Eilenberg-Zilber enumerator replaced the
-simplex scans of `pullback` and `product_many`; a change that keeps every
+simplex scans of `pullback` and `product_many` (the diagram with a circle
+value, before the Borel faces became id tables); a change that keeps every
 verdict, certificate and generator order keeps them.  A deliberate change
 of a report updates the digest here and says why.
 """
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from homfib import cli
+
+from corpus import ROUND_DOCUMENT
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -88,6 +91,14 @@ MONOIDS = {
 }
 
 
+# a diagram whose value is not discrete, from corpus.ROUND_DOCUMENT: its Borel
+# levels have edges, so their face maps are read off simplicial maps
+ROUND_PINNED = [
+    ("group-completion Z2 -f round.hfd --diagram round --max-dim 3", 0,
+     "eb156a89eb4604a7e718161d994f361651a5c3839b4381dbc16f7e019d49fdac"),
+]
+
+
 def stable_report(line: str, directory: Path = FIXTURES) -> tuple[int, str]:
     """Exit code and stdout digest of one command line, its file resolved
     in directory."""
@@ -108,4 +119,10 @@ def test_stable_report_is_pinned(line, code, digest):
 def test_monoid_report_is_pinned(line, code, digest, tmp_path):
     for name, text in MONOIDS.items():
         (tmp_path / name).write_text(text)
+    assert stable_report(line, tmp_path) == (code, digest)
+
+
+@pytest.mark.parametrize("line,code,digest", ROUND_PINNED, ids=[p[0] for p in ROUND_PINNED])
+def test_round_report_is_pinned(line, code, digest, tmp_path):
+    (tmp_path / "round.hfd").write_text(ROUND_DOCUMENT)
     assert stable_report(line, tmp_path) == (code, digest)
