@@ -43,8 +43,10 @@ from .sset import (
     identity_map,
     image_ids,
     is_isomorphism,
+    members,
     product,
     product_many,
+    rank_by,
     standard_simplex,
     top_cells,
     tuple_into,
@@ -329,7 +331,8 @@ def _component_space(components: dict[Any, list[SimplicialSet]], N: int) -> Simp
     Generators are (tag, g) for each generator g of product_many(factors, N),
     and faces are the product's faces tagged the same way.  Tags are taken in
     canonical_key order and each product is in that order already, so the
-    level needs no sort.
+    level needs no sort, and it ranks its generators by (tag, rank in the
+    product).
     """
     tags = sorted(components, key=canonical_key)
     products = [product_many(components[tag], N).space for tag in tags]
@@ -339,6 +342,9 @@ def _component_space(components: dict[Any, list[SimplicialSet]], N: int) -> Simp
     for tag, P in zip(tags, products):
         for g, entries in P.faces.items():
             S.faces[(tag, g)] = tuple(S.ref((tag, r.gen), r.word) for r in entries)
+    ranks = [members(P) for P in products]
+    rank_by(S, [(t, ranks[t][g][0]) for d in range(N + 1)
+                for t, P in enumerate(products) for g in P.gens(d)])
     return S
 
 
@@ -564,10 +570,12 @@ class ThickRealization:
         paths: dict = {}
         stages, rows = zip(*(top_cells(source.levels[n], n, N, paths) for n in range(N + 1)))
         # in order of n, then of (a, b) by rank: this is canonical_key order
-        # already
+        # already, and the ranks come from (n, key of the cell)
         space = SimplicialSet._in_canonical_order(
             N, {d: tuple(("c", n, cell[1]) for n, cells in enumerate(stages) for cell in cells[d])
                 for d in range(N + 1)}, {})
+        rank_by(space, [(n, cell[0]) for d in range(N + 1)
+                        for n, cells in enumerate(stages) for cell in cells[d]])
         self.space = space
         self.stage_of = {gen: gen[1] for gen in space.all_gens()}
         for n, cells in enumerate(stages):

@@ -11,6 +11,17 @@ sits behind the deep_ops flag.  A comparison's operator phi: [k] -> [m] is
 its vertex table, a tuple of k + 1 values; it is a coface exactly when no
 value repeats, and no map between standard simplices is built for it.
 
+A coface comparison dp(rho . phi) -> dp(rho) is a list of generator
+positions per degree.  dp(rho . phi) is the pullback of dp(rho) along phi,
+so the comparison (a, b) -> (phi(a), b) is the inclusion of the part over
+the face phi spans: the generators (a, b) of dp(rho) with every vertex of
+a among phi's values.  phi is injective and monotone, so it keeps the
+canonical_key order of vertex tuples, and b's ranks are shared: the
+comparison keeps generator order, and the images in degree k are those
+generators' places in dp(rho), in order.  induced and is_homology_iso read
+nothing else; the comparison's assignment is built from the positions
+only when a caller reads it as a map.
+
 The degeneracy comparisons cannot fail, by a homotopy lemma.  dp(s_i sigma)
 is the pullback of dp(sigma) along the codegeneracy sigma^i: Delta[n+1] ->
 Delta[n], and the comparison is the section (a, b) -> (delta^i a, b), with
@@ -49,8 +60,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from .homology import IsoCertificate, homology, is_acyclic, is_homology_iso, share_pool
+from .homology import IsoCertificate, homology_summary, is_acyclic, is_homology_iso, share_pool
 from .sset import (
+    PositionMap,
+    PullbackResult,
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
@@ -66,15 +79,23 @@ from .sset import (
 )
 
 
-@dataclass
 class PreimageRecord:
-    """dp(sigma): the preimage space with its two structure maps."""
+    """dp(sigma): the preimage space with its two structure maps, to
+    Delta[n] and to E, which are built when first read."""
 
-    sigma: SimplexRef
-    space: SimplicialSet
-    base_map: SimplicialMap   # to Delta[n]
-    total_map: SimplicialMap  # to E
-    comparisons: dict = field(default_factory=dict)
+    def __init__(self, sigma: SimplexRef, pb: PullbackResult):
+        self.sigma = sigma
+        self.space = pb.space
+        self.comparisons: dict = {}
+        self._pullback = pb
+
+    @property
+    def base_map(self) -> SimplicialMap:
+        return self._pullback.to_left
+
+    @property
+    def total_map(self) -> SimplicialMap:
+        return self._pullback.to_right
 
 
 @dataclass
@@ -113,7 +134,7 @@ class PreimageCalculator:
             bound = n + self.p.source.max_dim
         pb = pullback(classifying, self.p, bound)
         share_pool(pb.space, self.pool)
-        rec = PreimageRecord(sigma, pb.space, pb.to_left, pb.to_right)
+        rec = PreimageRecord(sigma, pb)
         self._records[sigma] = rec
         return rec
 
@@ -122,25 +143,26 @@ class PreimageCalculator:
         map given by its vertex table.
 
         When phi is a coface, with no repeated value (every face comparison
-        and every degeneracy section), it keeps each generator (a, b)
-        nondegenerate: phi(a) has a's word, so (phi(a), b) is a generator of
-        dp(rho) and is looked up.  Only a non-injective phi, a deep_ops
-        word, needs tuple_into.
+        and every degeneracy section), it is a PositionMap: in each degree,
+        the places of the generators (a, b) of dp(rho) whose vertices of a
+        are all values of phi (see the module docstring).  Only a
+        non-injective phi, a deep_ops word, is built generator by generator,
+        with tuple_into.
         """
         dst = self.record(rho)
         src = self.record(classify_image(self.p.target, rho, phi))
-        assignment = {}
+        values = set(phi)
+        if len(values) == len(phi):
+            def positions(k):
+                return [j for j, (a, _) in enumerate(dst.space.gens(k))
+                        if values.issuperset(a.gen)]
+            return PositionMap(src.space, dst.space, positions)
         at = phi.__getitem__
-        if len(set(phi)) < len(phi):
-            for g in src.space.all_gens():
-                a, b = g
-                image = ref_from_monotone(map(at, monotone_of_ref(a)))
-                assignment[g] = tuple_into(dst.space, (image, b))
-        else:
-            ref = dst.space.ref
-            for g in src.space.all_gens():
-                a, b = g
-                assignment[g] = ref((SimplexRef(tuple(map(at, a.gen)), a.word, a.dim), b))
+        assignment = {}
+        for g in src.space.all_gens():
+            a, b = g
+            image = ref_from_monotone(map(at, monotone_of_ref(a)))
+            assignment[g] = tuple_into(dst.space, (image, b))
         return SimplicialMap(src.space, dst.space, assignment)
 
 
@@ -348,7 +370,7 @@ def fiber_homology_over_contractible(p: SimplicialMap, up_to: int) -> Contractib
     """
     B, E = p.target, p.source
     warnings = []
-    if homology(B, 0).summary() != (1, ()):
+    if homology_summary(B, 0) != (1, ()):
         warnings.append("base is not connected")
     if not is_acyclic(B, B.max_dim):
         warnings.append("base is not acyclic through its computable range")
@@ -361,7 +383,7 @@ def fiber_homology_over_contractible(p: SimplicialMap, up_to: int) -> Contractib
         ok, _ = is_homology_iso(rec.total_map, up_to)
         inclusion_checks.append((rec.sigma, ok))
         verdict = verdict and ok
-    table = [homology(E, k).summary() for k in range(up_to + 1)]
+    table = [homology_summary(E, k) for k in range(up_to + 1)]
     return ContractibleBaseReport(verdict, table, weak.checks,
                                   inclusion_checks, warnings)
 
@@ -416,9 +438,9 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
         raise ValueError(f"unknown base vertex {spec.vertex!r}")
     comp = components[spec.vertex]
     calc = preimage_calculator(p, up_to + 1)
-    declared = [homology(spec.fiber, k).summary() for k in range(up_to + 1)]
+    declared = [homology_summary(spec.fiber, k) for k in range(up_to + 1)]
     base_rec = calc.record(B.ref(spec.vertex))
-    vertex_table = [homology(base_rec.space, k).summary() for k in range(up_to + 1)]
+    vertex_table = [homology_summary(base_rec.space, k) for k in range(up_to + 1)]
     table_ok = declared == vertex_table
     comparisons = []
     verdict = table_ok
@@ -428,7 +450,7 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
             continue
         if sigma.dim == 0:
             rec = calc.record(sigma)
-            ok = [homology(rec.space, d).summary() for d in range(up_to + 1)] == declared
+            ok = [homology_summary(rec.space, d) for d in range(up_to + 1)] == declared
         else:
             ok, _ = is_homology_iso(calc.comparison(sigma, (0,)), up_to)
         comparisons.append((sigma, ok))

@@ -3,9 +3,11 @@
 Chains are normalized: the degree-k module is free on the nondegenerate
 k-generators and faces landing on degenerate simplices contribute zero to
 the boundary.  Homology groups come with explicit cycle representatives,
-which makes induced maps computable; the isomorphism test presents the
-kernel and cokernel of an induced map and reduces those presentations,
-so torsion is handled exactly rather than by comparing invariants.
+built when first read, which makes induced maps computable; the
+isomorphism test presents the kernel and cokernel of an induced map and
+reduces those presentations, so torsion is handled exactly rather than by
+comparing invariants.  A caller that reads only ranks and torsion reads
+homology_summary, which builds no cycle.
 
 Z/p results are read off the same two integer Smith forms per degree that
 the integral ones use (see _DegreeData), so there is one elimination
@@ -26,14 +28,15 @@ owner (one per PreimageCalculator), and there is no process-wide cache.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain
 from math import isqrt
 from types import MappingProxyType
-from typing import Any
+from typing import Any, Callable
 
 from .snf import IntMatrix, smith_normal_form
-from .sset import SimplicialMap, SimplicialSet
+from .sset import PositionMap, SimplicialMap, SimplicialSet
 
 Z = 0  # coefficient tag: 0 means the integers, p >= 2 means Z/p
 
@@ -96,14 +99,22 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
 
 @dataclass
 class HomologyGroup:
-    """Rank, invariant factors and explicit cycle representatives."""
+    """Rank, invariant factors and explicit cycle representatives.
+
+    The representatives, basis, are made by cycles() when first read, as
+    cycles given by generator -> coefficient.
+    """
 
     degree: int
     free_rank: int
     torsion: list[int]
-    basis: list[dict[Any, int]]  # cycles as generator -> coefficient
+    cycles: Callable[[], list[dict[Any, int]]] = field(repr=False, compare=False)
     valid: bool
     ring: int = Z
+
+    @cached_property
+    def basis(self) -> list[dict[Any, int]]:
+        return self.cycles()
 
     @property
     def invariants(self) -> list[int]:
@@ -257,26 +268,27 @@ def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
     """H_k of X; valid is False above the truncation-guaranteed range."""
     valid = k <= X.max_dim - 1
     if k < 0 or k > X.max_dim:
-        return HomologyGroup(k, 0, [], [], valid, coefficients)
+        return HomologyGroup(k, 0, [], list, valid, coefficients)
     key = ("hom", k, coefficients)
     if key in X._cache:
         return X._cache[key]
-    data = _degree_data(X, k)
-    names = normalized_chains(X).gens[k]
-    if coefficients:
-        cycles = data.mod_p_cycles(_field(coefficients))
-        free_rank, torsion = len(cycles), []
-    else:
-        cycles = [data.cycle_of(j) for j in range(len(data.kept))]
-        free_rank = sum(1 for d in data.orders if d == 0)
-        torsion = [d for d in data.orders if d > 1]
-    basis = [{names[i]: v for i, v in c.items()} for c in cycles]
-    group = HomologyGroup(k, free_rank, torsion, basis, valid, coefficients)
+    free_rank, torsion = homology_summary(X, k, coefficients)
+    cycles = partial(_named_cycles, _degree_data(X, k), normalized_chains(X).gens[k],
+                     coefficients)
+    group = HomologyGroup(k, free_rank, list(torsion), cycles, valid, coefficients)
     X._cache[key] = group
     return group
 
 
-def _summary(X: SimplicialSet, k: int, coefficients: int) -> tuple[int, tuple[int, ...]]:
+def _named_cycles(data: _DegreeData, names: tuple, coefficients: int) -> list[dict[Any, int]]:
+    """The homology basis of data as cycles on the generators' names."""
+    found = (data.mod_p_cycles(coefficients) if coefficients
+             else [data.cycle_of(j) for j in range(len(data.kept))])
+    return [{names[i]: v for i, v in c.items()} for c in found]
+
+
+def homology_summary(X: SimplicialSet, k: int,
+                     coefficients: int = Z) -> tuple[int, tuple[int, ...]]:
     """homology(X, k, coefficients).summary(), read off the Smith form data
     without building the cycle basis."""
     if k < 0 or k > X.max_dim:
@@ -303,16 +315,13 @@ def is_acyclic(X: SimplicialSet, up_to: int, coefficients: int = Z) -> bool:
 
 def chain_map_images(f: SimplicialMap, k: int) -> list[int | None]:
     """The degree-k chain map as a list: per source generator, the target
-    index of its image under f, or None where the image is degenerate."""
+    index of its image under f, or None where the image is degenerate.  A
+    PositionMap gives its positions as they are."""
+    if isinstance(f, PositionMap):
+        return f.images(k)
     index = normalized_chains(f.target).index.get(k, {})
     return [None if r.word else index[r.gen]
             for r in map(f.assignment.__getitem__, normalized_chains(f.source).gens.get(k, ()))]
-
-
-def chain_map_matrix(f: SimplicialMap, k: int) -> IntMatrix:
-    """The degree-k chain map: images through f, degenerate images dropped."""
-    return IntMatrix.from_columns(normalized_chains(f.target).dim(k), [
-        {} if t is None else {t: 1} for t in chain_map_images(f, k)])
 
 
 def _push(images: list[int | None], w: Mapping[int, int]) -> dict[int, int]:
@@ -459,8 +468,8 @@ def is_homology_iso(f: SimplicialMap, up_to: int,
                                     lambda: induced_map_kernel_cokernel(ind))
             kernel, coker = list(kernel), list(coker)
             ok = not kernel and not coker
-        certificates.append(IsoCertificate(k, _summary(f.source, k, coefficients),
-                                           _summary(f.target, k, coefficients),
+        certificates.append(IsoCertificate(k, homology_summary(f.source, k, coefficients),
+                                           homology_summary(f.target, k, coefficients),
                                            kernel, coker, ok))
         verdict = verdict and ok
     return verdict, certificates

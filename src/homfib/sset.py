@@ -30,6 +30,9 @@ shallow:
 - products and pullbacks emit their generators in canonical_key order
   directly, from per-space canonical ranks, instead of sorting by the
   recursive canonical_key;
+- a space the enumerator builds ranks its own generators by its cells'
+  keys, (rank, word) per factor, which are in canonical_key order
+  already, so canonical_key is never called on its generators (rank_by);
 - faces_spanned works out the faces of a base simplex once and keeps
   them on the base.
 
@@ -45,15 +48,22 @@ and the bound and are kept on the map as well.  A face that drops an
 interior point of a path is again such a tuple and is looked up; only one
 that exposes a face of a core reads that core's face table.  top_cells is
 the enumerator's public face, for the cells of Delta[n] x X over the top
-simplex that a thick realization attaches.
+simplex that a thick realization attaches.  A product's projections and a
+pullback's two legs are built when first read.
+
+A map that sends generators to generators of the same degree can be given
+by positions (PositionMap): per degree, the place of each image in the
+target's generator order, which is all a chain map reads.  Its assignment
+is built from the positions when first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +446,49 @@ class SimplicialMap:
         return f"SimplicialMap({len(self.assignment)} generators)"
 
 
+class PositionMap(SimplicialMap):
+    """A map that sends each generator to a generator of the same degree,
+    given by positions.
+
+    positions(k) lists, for the generators of source.gens(k) in order, the
+    places of their images in target.gens(k).  It is called once per
+    degree, when that degree is first read through images(k); a list whose
+    length is not the source's rank in that degree is an internal error.
+    The assignment is built from the positions when first read.
+    """
+
+    def __init__(self, source: SimplicialSet, target: SimplicialSet,
+                 positions: Callable[[int], list[int]]):
+        self.source = source
+        self.target = target
+        self._positions = positions
+        self._images: dict[int, list[int]] = {}
+        self._cache = {}
+
+    def images(self, k: int) -> list[int]:
+        """The degree-k positions; empty outside the source's degrees."""
+        if k < 0 or k > self.source.max_dim:
+            return []
+        images = self._images.get(k)
+        if images is None:
+            images = self._positions(k)
+            if len(images) != len(self.source.gens(k)):
+                raise RuntimeError(
+                    f"{len(images)} positions for the {len(self.source.gens(k))} "
+                    f"generators of degree {k}")
+            self._images[k] = images
+        return images
+
+    @cached_property
+    def assignment(self) -> dict[Any, SimplexRef]:
+        out = {}
+        for k in range(self.source.max_dim + 1):
+            gens = self.target.gens(k)
+            out.update((g, SimplexRef(gens[j], (), k))
+                       for g, j in zip(self.source.gens(k), self.images(k)))
+        return out
+
+
 def identity_map(X: SimplicialSet) -> SimplicialMap:
     return inclusion_map(X, X)
 
@@ -606,10 +659,18 @@ def factor_common(refs: tuple[SimplexRef, ...]) -> tuple[tuple[int, ...], tuple[
         for r in refs)
 
 
-@dataclass
 class ProductResult:
-    space: SimplicialSet
-    projections: tuple[SimplicialMap, ...]
+    """A product of factors, with its projections, built when first read."""
+
+    def __init__(self, space: SimplicialSet, factors: list[SimplicialSet]):
+        self.space = space
+        self.factors = tuple(factors)
+
+    @cached_property
+    def projections(self) -> tuple[SimplicialMap, ...]:
+        gens = list(self.space.all_gens())
+        return tuple(SimplicialMap(self.space, X, {g: g[t] for g in gens})
+                     for t, X in enumerate(self.factors))
 
 
 def tuple_into(space: SimplicialSet, refs: tuple[SimplexRef, ...],
@@ -683,24 +744,39 @@ def _ez_paths(kappas: tuple[tuple[int, ...], ...], N: int) -> list[tuple]:
             for points in found]
 
 
-def _members(X: SimplicialSet) -> dict[Any, tuple]:
+def rank_by(X: SimplicialSet, keys: list) -> None:
+    """Let X's canonical ranks come from keys instead of canonical_key.
+
+    keys holds one sort key per generator, in X.all_gens() order, whose
+    order, ties included, is the canonical_key order of the generators.
+    They are sorted when the ranks are first read.  The enumerator's
+    spaces have such keys: (rank, word) per factor.
+    """
+    X._cache["keys"] = keys
+
+
+def members(X: SimplicialSet) -> dict[Any, tuple]:
     """Each generator of X as a member (rank, id, generator), kept on X.
 
     The rank is the generator's place in canonical_key order over all
     degrees of X; generators with equal keys share a rank, so a stable
-    sort by rank is a stable sort by canonical_key.  The id is a small
-    integer, unique in X.
+    sort by rank is a stable sort by canonical_key.  The keys are those
+    given to rank_by, if any, else canonical_key.  The id is the
+    generator's place in X.all_gens().
     """
-    members = X._cache.get("members")
-    if members is None:
-        keys = {g: canonical_key(g) for g in X.all_gens()}
-        rank, previous, r = {}, None, -1
-        for g in sorted(keys, key=keys.__getitem__):
-            if keys[g] != previous:
-                r, previous = r + 1, keys[g]
-            rank[g] = r
-        members = X._cache["members"] = {g: (rank[g], i, g) for i, g in enumerate(keys)}
-    return members
+    found = X._cache.get("members")
+    if found is None:
+        gens = list(X.all_gens())
+        keys = X._cache.pop("keys", None)
+        if keys is None:
+            keys = list(map(canonical_key, gens))
+        rank, previous, r = [0] * len(gens), None, -1
+        for i in sorted(range(len(gens)), key=keys.__getitem__):
+            if keys[i] != previous:
+                r, previous = r + 1, keys[i]
+            rank[i] = r
+        found = X._cache["members"] = {g: (rank[i], i, g) for i, g in enumerate(gens)}
+    return found
 
 
 def face_ids(X: SimplicialSet) -> list[tuple]:
@@ -709,10 +785,10 @@ def face_ids(X: SimplicialSet) -> list[tuple]:
     generator g (None for a degenerate face).  Kept on X."""
     faces = X._cache.get("face ids")
     if faces is None:
-        members = _members(X)
+        ids = members(X)
         faces = X._cache["face ids"] = [
-            tuple(None if r.word else members[r.gen][1] for r in X.faces.get(g, ()))
-            for g in members]
+            tuple(None if r.word else ids[r.gen][1] for r in X.faces.get(g, ()))
+            for g in ids]
     return faces
 
 
@@ -720,8 +796,8 @@ def image_ids(f: SimplicialMap) -> list:
     """f by ids: per generator of f's source, by its place in all_gens(),
     the place of its image's generator in f's target, None where the image
     is degenerate."""
-    members = _members(f.target)
-    return [None if r.word else members[r.gen][1]
+    ids = members(f.target)
+    return [None if r.word else ids[r.gen][1]
             for r in map(f.assignment.__getitem__, f.source.all_gens())]
 
 
@@ -746,7 +822,7 @@ def _ez_group(table: tuple[list[tuple], dict], parts: list[list[tuple]]) -> list
     """The nondegenerate simplices over one group, on its _ez_table.
 
     A group is one surjection kappa per factor onto one shared core, and
-    per factor the _members whose images are kappa onto it, given as
+    per factor the members whose images are kappa onto it, given as
     their _ez_parts on the table; a product is the case where every core
     is the point.
 
@@ -773,11 +849,11 @@ def _ez_group(table: tuple[list[tuple], dict], parts: list[list[tuple]]) -> list
 
 def _ez_groups(groups: Iterable[tuple], N: int, paths: dict) -> Iterator[list[tuple]]:
     """_ez_group of each (kappas, members) group with a path."""
-    for kappas, members in groups:
+    for kappas, factors in groups:
         table = _ez_table(kappas, N, paths)
         if table[0]:
             yield _ez_group(table, [_ez_parts(table[0], t, factor)
-                                    for t, factor in enumerate(members)])
+                                    for t, factor in enumerate(factors)])
 
 
 def _ez_cells(groups: Iterable[list[tuple]], N: int) -> tuple[list[list[list]], dict]:
@@ -798,8 +874,8 @@ def _ez_cells(groups: Iterable[list[tuple]], N: int) -> tuple[list[list[list]], 
 def _by_dimension(X: SimplicialSet, N: int) -> list[tuple]:
     """X's generators through degree N as (kappa, members) pairs over the
     point: one pair per nonempty degree p, kappa the collapse of [p]."""
-    members = _members(X)
-    return [((0,) * (p + 1), [members[x] for x in X.gens(p)])
+    ranked = members(X)
+    return [((0,) * (p + 1), [ranked[x] for x in X.gens(p)])
             for p in range(min(N, X.max_dim) + 1) if X.gens(p)]
 
 
@@ -815,6 +891,7 @@ def _fibre_space(spaces: list[SimplicialSet], cells: list[list[list]], rows: dic
     """
     P = SimplicialSet._in_canonical_order(
         N, {n: tuple(map(itemgetter(1), cells[n])) for n in range(N + 1)}, {})
+    rank_by(P, [cell[0] for n in range(N + 1) for cell in cells[n]])
     tables = [face_ids(X) for X in spaces]
     for n in range(1, N + 1):
         for cell in cells[n]:
@@ -884,34 +961,42 @@ def product_many(spaces: list[SimplicialSet], N: int | None = None) -> ProductRe
     if N is None:
         N = sum(X.max_dim for X in spaces)
     groups = (zip(*group) for group in itertools.product(*(_by_dimension(X, N) for X in spaces)))
-    P = _fibre_space(spaces, *_ez_cells(_ez_groups(groups, N, {}), N), N)
-    projections = []
-    for t, X in enumerate(spaces):
-        projections.append(SimplicialMap(P, X, {g: g[t] for g in P.all_gens()}))
-    return ProductResult(P, tuple(projections))
+    return ProductResult(_fibre_space(spaces, *_ez_cells(_ez_groups(groups, N, {}), N), N), spaces)
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, N: int | None = None) -> ProductResult:
     return product_many([X, Y], N)
 
 
-@dataclass
 class PullbackResult:
-    space: SimplicialSet
-    to_left: SimplicialMap
-    to_right: SimplicialMap
+    """A pullback P of X -> B <- Y, with its legs P -> X and P -> Y, built
+    when first read."""
+
+    def __init__(self, space: SimplicialSet, left: SimplicialSet, right: SimplicialSet):
+        self.space = space
+        self.left = left
+        self.right = right
+
+    @cached_property
+    def to_left(self) -> SimplicialMap:
+        return SimplicialMap(self.space, self.left, {g: g[0] for g in self.space.all_gens()})
+
+    @cached_property
+    def to_right(self) -> SimplicialMap:
+        return SimplicialMap(self.space, self.right, {g: g[1] for g in self.space.all_gens()})
 
 
 def _core_index(h: SimplicialMap) -> dict[Any, tuple]:
     """h's source generators by the core of their image, then by kappa.
 
     core -> ((kappa, members), ...), kappa the surjection of the image onto
-    its core and members its _members over it.  Built once, kept on h.
+    its core and members the members of h.source over it.  Built once,
+    kept on h.
     """
     index = h._cache.get("cores")
     if index is None:
         by_core: dict[Any, dict] = {}
-        for x, member in _members(h.source).items():
+        for x, member in members(h.source).items():
             image = h.assignment[x]
             by_core.setdefault(image.gen, {}).setdefault(
                 word_surjection(image.word, image.dim), []).append(member)
@@ -968,10 +1053,7 @@ def pullback(f: SimplicialMap, g: SimplicialMap, N: int | None = None) -> Pullba
                 if group is None:
                     group = built[key] = _ez_group(table, [_ez_parts(table[0], 0, [x]), parts])
                 groups.append(group)
-    P = _fibre_space([X, Y], *_ez_cells(groups, N), N)
-    to_left = SimplicialMap(P, X, {g: g[0] for g in P.all_gens()})
-    to_right = SimplicialMap(P, Y, {g: g[1] for g in P.all_gens()})
-    return PullbackResult(P, to_left, to_right)
+    return PullbackResult(_fibre_space([X, Y], *_ez_cells(groups, N), N), X, Y)
 
 
 # ---------------------------------------------------------------------------

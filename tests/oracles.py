@@ -3,9 +3,12 @@
 Everything here is deliberately separate from the library's own reduction
 code: dense textbook Smith reduction with first-nonzero pivoting, gcd-of-
 minors invariant factors, Bareiss determinants, counting arguments, a
-bar-resolution group homology calculator, and the entry-by-entry Smith form
+bar-resolution group homology calculator, the entry-by-entry Smith form
 engine with all four transforms tracked eagerly, kept as the differential
-reference for homfib.snf.
+reference for homfib.snf, and a weak-fibration verdict computed from
+scanned preimages and dense matrices.  Only that last one and scan_pullback
+read homfib, for its simplicial sets and operators, and they import it when
+called.
 """
 
 from fractions import Fraction
@@ -385,3 +388,168 @@ def reference_smith_normal_form(M):
     diagonal = [work[i, i] for i in range(limit)]
     rank = sum(1 for d in diagonal if d)
     return diagonal, rank, u, u_inv, v, v_inv
+
+
+def scan_pullback(f, g, N):
+    """Reference fiber product: scan every n-simplex of both sources."""
+    from homfib.sset import SimplicialSet, tuple_into
+
+    X, Y = f.source, g.source
+    generators = {k: [] for k in range(N + 1)}
+    for n in range(N + 1):
+        by_image = {}
+        for a in X.refs_of_dim(n):
+            by_image.setdefault(f(a), []).append(a)
+        for b in Y.refs_of_dim(n):
+            for a in by_image.get(g(b), ()):
+                if not (set(a.word) & set(b.word)):
+                    generators[n].append((a, b))
+    P = SimplicialSet(N, generators, {})
+    P.faces.update({
+        gen: tuple(tuple_into(P, (X.face(gen[0], i), Y.face(gen[1], i)))
+                   for i in range(P.dim_of[gen] + 1))
+        for gen in P.all_gens() if P.dim_of[gen] >= 1})
+    return P
+
+
+def dense_kernel_basis(rows, ncols):
+    """A basis of the integer kernel {x : rows x = 0}, by unimodular column
+    operations on the matrix and on an identity beside it: the columns that
+    end up zero span the kernel."""
+    a = [list(r) for r in rows]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def col_sub(j, t, q):   # column j -= q * column t
+        for m in (a, v):
+            for row in m:
+                row[j] -= q * row[t]
+
+    def col_swap(j, t):
+        for m in (a, v):
+            for row in m:
+                row[j], row[t] = row[t], row[j]
+
+    t = 0
+    for row in a:
+        while t < ncols:
+            live = [j for j in range(t, ncols) if row[j]]
+            if not live:
+                break
+            col_swap(t, min(live, key=lambda j: abs(row[j])))
+            for j in live:
+                if j != t and row[j]:
+                    col_sub(j, t, row[j] // row[t])
+            if not any(row[j] for j in range(t + 1, ncols)):
+                t += 1
+                break
+    return [[v[i][j] for i in range(ncols)] for j in range(t, ncols)]
+
+
+def _rank_and_covolume(columns, n):
+    """Rank and product of the nonzero invariant factors of the lattice the
+    columns (vectors of length n) span."""
+    if not columns or not n:
+        return 0, 1
+    diag = [d for d in dense_snf_diagonal([list(r) for r in zip(*columns)]) if d]
+    covolume = 1
+    for d in diag:
+        covolume *= abs(d)
+    return len(diag), covolume
+
+
+def _columns(matrix, nrows, ncols):
+    return [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
+
+
+def dense_iso_degrees(dA, dC, F, dims_a, dims_c, up_to):
+    """The degrees k <= up_to where a chain map f: A -> C is not an
+    isomorphism on H_k, from dense matrices.
+
+    dA[k] and dC[k] are the boundary matrices out of degree k (lists of
+    rows), F[k] the degree-k chain map (rows in C_k, columns in A_k), and
+    dims the ranks of the chain groups; degree up_to + 1 must be present.
+    With Z_k the cycles and B_k the boundaries, H_k(f) is onto when
+    f(Z_k A) + B_k C is all of Z_k C, a saturated lattice, and one-to-one
+    when L = {z in Z_k A : f z in B_k C} is no bigger than B_k A.  Lattices
+    are compared by rank and covolume (the product of the nonzero Smith
+    invariants of a spanning set), which determine a sublattice's index.
+    """
+    failing = []
+    for k in range(up_to + 1):
+        na, nc, nc1 = dims_a[k], dims_c[k], dims_c[k + 1]
+        cycles = dense_kernel_basis(dA[k], na) if k else \
+            [[int(i == j) for i in range(na)] for j in range(na)]
+        images = [[sum(F[k][i][t] * z[t] for t in range(na)) for i in range(nc)]
+                  for z in cycles]
+        boundaries_c = _columns(dC[k + 1], nc, nc1)
+        cycles_c = nc - (_rank_and_covolume(_columns(dC[k], dims_c[k - 1], nc), dims_c[k - 1])[0]
+                         if k else 0)
+        rank, covolume = _rank_and_covolume(images + boundaries_c, nc)
+        onto = rank == cycles_c and covolume == 1
+        # (y, w) with f(cycles . y) = d w; L is spanned by cycles . y
+        block = [[images[j][i] for j in range(len(images))] + [-b[i] for b in boundaries_c]
+                 for i in range(nc)]
+        lifted = [[sum(y[j] * cycles[j][t] for j in range(len(cycles))) for t in range(na)]
+                  for y in dense_kernel_basis(block, len(images) + nc1)]
+        one_to_one = (_rank_and_covolume(lifted, na)
+                      == _rank_and_covolume(_columns(dA[k + 1], na, dims_a[k + 1]), na))
+        if not (onto and one_to_one):
+            failing.append(k)
+    return failing
+
+
+def dense_boundaries(X, top):
+    """The normalized boundary matrices of X out of degrees 0..top, as lists
+    of rows over X.gens(k - 1) and X.gens(k)."""
+    out = [[]]
+    for k in range(1, top + 1):
+        below = {g: i for i, g in enumerate(X.gens(k - 1))}
+        d = [[0] * len(X.gens(k)) for _ in below]
+        for j, g in enumerate(X.gens(k)):
+            for i, r in enumerate(X.faces[g]):
+                if not r.word:
+                    d[below[r.gen]][j] += (-1) ** i
+        out.append(d)
+    return out
+
+
+def weak_check_oracle(p, up_to):
+    """The face comparisons dp(d_i sigma) -> dp(sigma) of p, each as
+    ((sigma, ("d", i)), failing degrees), in the order of the base's
+    generators; the preimages come from scan_pullback at bound up_to + 1
+    and the comparison sends (a, b) to (delta^i a, b)."""
+    from homfib.sset import SimplexRef, representing_map
+
+    B, N = p.target, up_to + 1
+    preimages = {}
+
+    def preimage(sigma):
+        if sigma not in preimages:
+            P = scan_pullback(representing_map(B, sigma), p, N)
+            preimages[sigma] = (P, dense_boundaries(P, N), [len(P.gens(k)) for k in range(N + 1)])
+        return preimages[sigma]
+
+    out = []
+    for g in B.all_gens():
+        sigma = B.ref(g)
+        for i in range(sigma.dim + 1 if sigma.dim else 0):
+            (A, dA, dims_a), (C, dC, dims_c) = preimage(B.face(sigma, i)), preimage(sigma)
+            F = []
+            for k in range(N + 1):
+                place = {gen: j for j, gen in enumerate(C.gens(k))}
+                column = [place[(SimplexRef(tuple(v + (v >= i) for v in a.gen), a.word, a.dim), b)]
+                          for a, b in A.gens(k)]
+                F.append([[int(column[j] == r) for j in range(dims_a[k])]
+                          for r in range(dims_c[k])])
+            out.append(((sigma, ("d", i)), dense_iso_degrees(dA, dC, F, dims_a, dims_c, up_to)))
+    return out
+
+
+def canonical_ranks(X):
+    """Each generator's place in canonical_key order over all degrees of X,
+    equal keys sharing a place, in X.all_gens() order."""
+    from homfib.sset import canonical_key
+
+    keys = [canonical_key(g) for g in X.all_gens()]
+    place = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [place[key] for key in keys]

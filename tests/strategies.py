@@ -98,3 +98,20 @@ def random_ssets(draw, max_dim=3):
                 faces[g] = tuple(chosen)
         X = SimplicialSet(k, generators, faces)
     return draw(st.just(X).filter(lambda X: hf.validate(X).ok))
+
+
+@st.composite
+def maps_of_ssets(draw):
+    """A map whose base need not be a simplex: the projection X x Y -> X of
+    two random_ssets (truncated at 2), the identity of one, its collapse
+    onto a point, or a covering of cyclic graphs C_jk -> C_k."""
+    kind = draw(st.sampled_from(["projection", "identity", "collapse", "cover"]))
+    if kind == "cover":
+        k = draw(st.integers(1, 3))
+        return hf.cyclic_cover_map(k * draw(st.integers(1, 3)), k)
+    X = draw(random_ssets(max_dim=2))
+    if kind == "projection":
+        return hf.product(X, draw(random_ssets(max_dim=2)), 2).projections[0]
+    if kind == "identity":
+        return hf.identity_map(X)
+    return hf.sset.constant_map(X, hf.point(), (0,))

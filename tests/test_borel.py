@@ -1,4 +1,5 @@
 import itertools
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ from homfib.sset import (
 )
 
 from corpus import ROUND_DOCUMENT
-from oracles import bar_resolution_homology, cyclic_table
+from oracles import bar_resolution_homology, canonical_ranks, cyclic_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -664,6 +665,32 @@ def test_random_monoids_match_references(monoid, N, restricted):
     assert_matches_references(cat, diag, N)
 
 
+def assert_levels_and_realization_rank_by_their_keys(cat, diag, N):
+    # a level ranks by (tag, rank in its product), a realization by (stage,
+    # key of the cell); both must give the canonical_key ranks
+    spaces = [borel_level(cat, diag, n, N) for n in range(N + 1)]
+    spaces.append(thick_realize(borel_space(cat, diag, N), N).space)
+    for X in spaces:
+        assert "keys" in X._cache
+        assert [rank for rank, _, _ in sset_module.members(X).values()] == canonical_ranks(X)
+
+
+@settings(max_examples=25, deadline=None)
+@given(monoid_tables(), st.integers(1, 3), st.booleans())
+def test_borel_levels_and_realizations_rank_by_their_keys(monoid, N, restricted):
+    table, unit = monoid
+    cat = from_monoid(table, unit)
+    diag = restriction_diagram(cat, "1") if restricted else trivial_diagram(cat)
+    assert_levels_and_realization_rank_by_their_keys(cat, diag, N)
+
+
+@pytest.mark.parametrize("case", sorted(reference_cases()))
+def test_reference_levels_and_realizations_rank_by_their_keys(case):
+    # two objects give a level several tags; the interval category, the
+    # cone and the telescope give factors of positive dimension
+    assert_levels_and_realization_rank_by_their_keys(*reference_cases()[case], 2)
+
+
 def test_classify_work_counts(monkeypatch):
     # products are built for the composition, the trivial action and one
     # Borel level per stage, 37 generators in all; the realization
@@ -675,12 +702,22 @@ def test_classify_work_counts(monkeypatch):
     # face map is built (14 were).  1,204 SimplexRefs were made when the
     # degeneracy maps were built, each degeneracy letter made one and each
     # face of a cell was assembled; 307 when the face maps were built.
+    # The products' projections are built when read, and nothing reads
+    # them: 1 simplicial map, where 18 were built, 17 of them projections.
+    # The spaces the enumerator builds (products, Borel levels, the
+    # realization) rank their generators by their cells' keys, so
+    # canonical_key sees none of their generators (62 calls did).
     built, degeneracies, faces, assembled, refs = [], [0], [0], [0], [0]
+    maps, projected, enumerated, keyed = [0], [0], set(), [0]
     real = sset_module.product_many
     real_degeneracy = borel_module._borel_degeneracy
     real_face = borel_module._borel_face
     real_assemble = ThickRealization.assemble
     real_init = SimplexRef.__init__
+    real_map = SimplicialMap.__init__
+    real_ordered = SimplicialSet._in_canonical_order.__func__
+    real_key = sset_module.canonical_key
+    real_projections = sset_module.ProductResult.projections.func
 
     def counting(spaces, N=None):
         result = real(spaces, N)
@@ -703,6 +740,25 @@ def test_classify_work_counts(monkeypatch):
         refs[0] += 1
         real_init(self, *args)
 
+    def counting_map(self, *args):
+        maps[0] += 1
+        real_map(self, *args)
+
+    def recording_ordered(cls, max_dim, generators, faces):
+        enumerated.update(map(id, itertools.chain(*generators.values())))
+        return real_ordered(cls, max_dim, generators, faces)
+
+    def counting_key(x):
+        keyed[0] += id(x) in enumerated
+        return real_key(x)
+
+    def counting_projections(self):
+        projected[0] += len(self.factors)
+        return real_projections(self)
+
+    counted = cached_property(counting_projections)
+    counted.__set_name__(sset_module.ProductResult, "projections")
+
     monkeypatch.setattr(sset_module, "product_many", counting)
     monkeypatch.setattr(borel_module, "product_many", counting, raising=False)
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
@@ -710,6 +766,10 @@ def test_classify_work_counts(monkeypatch):
     monkeypatch.setattr(borel_module, "_borel_face", counting_face)
     monkeypatch.setattr(ThickRealization, "assemble", counting_assemble)
     monkeypatch.setattr(SimplexRef, "__init__", counting_init)
+    monkeypatch.setattr(SimplicialMap, "__init__", counting_map)
+    monkeypatch.setattr(SimplicialSet, "_in_canonical_order", classmethod(recording_ordered))
+    monkeypatch.setattr(sset_module, "canonical_key", counting_key)
+    monkeypatch.setattr(sset_module.ProductResult, "projections", counted)
     report = cli.run("classify", doc, {"target": "Z2", "max_dim": 4})
     monkeypatch.undo()
     assert [row["torsion"] for row in report.homology] == [[], [2], [2]]
@@ -718,6 +778,8 @@ def test_classify_work_counts(monkeypatch):
     assert faces[0] == 0
     assert assembled[0] == 0
     assert refs[0] == 81
+    assert maps[0] == 1 and projected[0] == 0
+    assert len(enumerated) > 37 and keyed[0] == 0
 
 
 def test_degeneracy_maps_are_built_when_read():

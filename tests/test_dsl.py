@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -477,6 +478,23 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "homfib: internal error: RuntimeError: boom second line\n"
+
+
+def test_an_internal_value_error_is_not_a_refusal(monkeypatch, capsys):
+    # only CommandError and DslError refuse an input (exit 2); a ValueError
+    # from inside homfib, such as a failed d d = 0 check, is a defect
+    # the package exports a function named homology, so reach the module by path
+    homology_module = importlib.import_module("homfib.homology")
+
+    def broken(X):
+        raise ValueError("boundary squared is nonzero in degree 2")
+
+    monkeypatch.setattr(homology_module, "normalized_chains", broken)
+    assert main(["homology", "circle", "-f", str(FIXTURES / "circle.hfd")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("homfib: internal error: ValueError: "
+                            "boundary squared is nonzero in degree 2\n")
 
 
 NOT_SIMPLICIAL = """

@@ -1,5 +1,6 @@
 import importlib
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from homfib import cli, dsl
 from homfib.fibration import (
     KnownFiberSpec,
     PreimageCalculator,
+    classify_image,
     dp,
     dp_along,
     fiber_homology_over_contractible,
@@ -19,10 +21,22 @@ from homfib.fibration import (
     vertex_components,
     weak_fibration_check,
 )
-from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet, constant_map
+from homfib.borel import borel_total, from_monoid, restriction_diagram
+from homfib.homology import chain_map_images
+from homfib.sset import (
+    PositionMap,
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
+    constant_map,
+    monotone_of_ref,
+    ref_from_monotone,
+    tuple_into,
+)
 
-from corpus import collapse_circle_to_interval, projection_over_simplex, two_points
-from strategies import maps_to_simplex
+from corpus import collapse_circle_to_interval, corpus_maps, projection_over_simplex, two_points
+from oracles import cyclic_table, weak_check_oracle
+from strategies import maps_of_ssets, maps_to_simplex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the package exports a function named homology, so reach the modules by path
@@ -378,15 +392,23 @@ def test_group_completion_work_counts(monkeypatch):
 
 def test_comparisons_build_no_standard_maps(monkeypatch):
     # a comparison's phi is its vertex table, so no standard map between
-    # standard simplices is built: 194 simplicial maps on this job, where
-    # building phi and a representing map per comparison made 318, 62 of
-    # them standard maps
-    built, standard = [0], [0]
+    # standard simplices is built: building phi and a representing map per
+    # comparison made 318 simplicial maps on this job, 62 of them standard
+    # maps.  A face comparison is a PositionMap whose assignment nobody
+    # reads, and the legs of a pullback or a product are built when read,
+    # which the weak check never does: 36 maps, where 164 were built with
+    # the comparisons as assignments and every leg built eagerly.
+    built, standard, assigned = [0], [0], [0]
     real_init = SimplicialMap.__init__
+    real_assignment = PositionMap.assignment.func
 
     def counting_init(self, *args, **kwargs):
         built[0] += 1
         real_init(self, *args, **kwargs)
+
+    def counting_assignment(self):
+        assigned[0] += 1
+        return real_assignment(self)
 
     def counting_standard(real):
         def standard_map(*args, **kwargs):
@@ -395,6 +417,9 @@ def test_comparisons_build_no_standard_maps(monkeypatch):
         return standard_map
 
     monkeypatch.setattr(SimplicialMap, "__init__", counting_init)
+    counted = cached_property(counting_assignment)
+    counted.__set_name__(PositionMap, "assignment")
+    monkeypatch.setattr(PositionMap, "assignment", counted)
     for name, module in list(sys.modules.items()):
         if name.startswith("homfib") and hasattr(module, "standard_map"):
             monkeypatch.setattr(module, "standard_map", counting_standard(module.standard_map))
@@ -402,7 +427,8 @@ def test_comparisons_build_no_standard_maps(monkeypatch):
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
     assert standard[0] == 0
-    assert built[0] <= 200
+    assert built[0] == 36
+    assert assigned[0] == 0
 
 
 def test_pullback_work_is_bounded_by_its_output(monkeypatch):
@@ -450,7 +476,9 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     # at most V1, V1^-1, U2 and U2^-1, a kernel presentation V alone, and the
     # cokernels the diagonal alone, so 102 were built.  The iso test reads
     # the homology summaries off the Smith forms, with no cycle basis, so a
-    # target's V1 and U2^-1 are built only if it is also a source: 86.
+    # target's V1 and U2^-1 are built only if it is also a source: 86.  The
+    # fibre tables read summaries too, and the homology rows build no cycle
+    # basis either: 82.
     replays, snf_forms, diagonal_reads = [], [], []
     real_replay = snf_module._replay
     real_snf = homology_module.smith_normal_form
@@ -477,9 +505,9 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
     assert len(snf_forms) == 124
-    assert len(replays) == 86
+    assert len(replays) == 82
     assert all(len(form._built) <= 2 for form in snf_forms)
-    assert sum(len(form._built) for form in snf_forms) == 86
+    assert sum(len(form._built) for form in snf_forms) == 82
     assert len(diagonal_reads) == 18 and not any(diagonal_reads)
 
 
@@ -552,3 +580,133 @@ def test_dp_record_carries_neighbor_comparisons():
     assert rec.comparisons[("s", 0)].source is rec.space
     for m in rec.comparisons.values():
         assert hf.validate_map(m).ok
+
+
+# ---------------------------------------------------------------------------
+# an independent verdict oracle for the weak check
+# ---------------------------------------------------------------------------
+
+IDEMPOTENT = {("u", "u"): "u", ("u", "e"): "e", ("e", "u"): "e", ("e", "e"): "e"}
+MONOIDS = {"Z/2": (cyclic_table(2), 0), "Z/3": (cyclic_table(3), 0), "idempotent": (IDEMPOTENT, "u")}
+
+
+def borel_projection(monoid, N):
+    cat = from_monoid(*MONOIDS[monoid])
+    return borel_total(cat, restriction_diagram(cat, "1"), N).pi
+
+
+def library_verdicts(p, up_to):
+    """weak_fibration_check's checks as ((sigma, op), failing degrees)."""
+    report = weak_fibration_check(p, up_to)
+    assert all(report.lemma.values())
+    checks = [((c.sigma, c.op), [t.degree for t in c.certificates if not t.ok])
+              for c in report.checks]
+    assert report.verdict == (not any(degrees for _, degrees in checks))
+    return checks
+
+
+def assert_matches_oracle(p, up_to):
+    assert library_verdicts(p, up_to) == weak_check_oracle(p, up_to)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_maps()))
+def test_weak_check_matches_the_dense_oracle_on_the_corpus(name):
+    p = corpus_maps()[name]
+    for up_to in range(p.source.max_dim + 1):
+        assert_matches_oracle(p, up_to)
+
+
+@pytest.mark.parametrize("monoid,N", [(m, N) for m in MONOIDS for N in (1, 2, 3)])
+def test_weak_check_matches_the_dense_oracle_on_borel_projections(monoid, N):
+    # the idempotent monoid's projection fails: e does not act invertibly
+    p = borel_projection(monoid, N)
+    checks = weak_check_oracle(p, N - 1)
+    assert library_verdicts(p, N - 1) == checks
+    assert any(degrees for _, degrees in checks) == (monoid == "idempotent")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 2))
+def test_weak_check_matches_the_dense_oracle_on_maps_to_simplices(data, m):
+    p = data.draw(maps_to_simplex(m))
+    assert_matches_oracle(p, data.draw(st.integers(0, p.source.max_dim)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps_of_ssets(), st.integers(0, 1))
+def test_weak_check_matches_the_dense_oracle_on_other_bases(p, up_to):
+    assert_matches_oracle(p, up_to)
+
+
+def test_the_oracle_sees_a_failure_in_each_degree():
+    # the collapse of the circle onto an interval fails at degree 1 only,
+    # over both ends; two points over the end 0 of an interval fail at
+    # degree 0, over d_0 only
+    assert [degrees for _, degrees in weak_check_oracle(collapse_circle_to_interval(), 1)] \
+        == [[1], [1]]
+    d1 = hf.standard_simplex(1)
+    p = SimplicialMap(two_points(), d1, {g: d1.ref((0,)) for g in two_points().all_gens()})
+    assert [degrees for _, degrees in weak_check_oracle(p, 0)] == [[0], []]
+
+
+# ---------------------------------------------------------------------------
+# face comparisons as generator positions
+# ---------------------------------------------------------------------------
+
+def map_built_comparison(calc, rho, phi):
+    """The comparison dp(rho . phi) -> dp(rho) built generator by generator."""
+    dst = calc.record(rho)
+    src = calc.record(classify_image(calc.p.target, rho, phi))
+    return SimplicialMap(src.space, dst.space, {
+        (a, b): tuple_into(dst.space, (ref_from_monotone(phi[v] for v in monotone_of_ref(a)), b))
+        for a, b in src.space.all_gens()})
+
+
+def assert_positions_match_maps(p, up_to):
+    """Every coface comparison the checks make (faces, the strong check's
+    (0,), degeneracy sections) gives the chain map of the map-built one."""
+    calc = PreimageCalculator(p, up_to + 1)
+    B = p.target
+    made = 0
+    for g in B.all_gens():
+        sigma = B.ref(g)
+        cases = list(fibration_module._generating_comparisons(sigma))
+        if sigma.dim:
+            cases.append((None, sigma, (0,)))
+        for _, rho, phi in cases:
+            f, built = calc.comparison(rho, phi), map_built_comparison(calc, rho, phi)
+            assert isinstance(f, PositionMap)
+            for k in range(-1, up_to + 3):
+                assert f.images(k) == chain_map_images(built, k)
+            assert f.assignment == built.assignment
+            made += 1
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(corpus_maps()))
+def test_positions_match_the_map_built_comparisons_on_the_corpus(name):
+    p = corpus_maps()[name]
+    assert assert_positions_match_maps(p, p.source.max_dim)
+
+
+@pytest.mark.parametrize("monoid,N", [(m, N) for m in MONOIDS for N in (1, 2, 3)])
+def test_positions_match_the_map_built_comparisons_on_borel_projections(monoid, N):
+    assert assert_positions_match_maps(borel_projection(monoid, N), N - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_positions_match_the_map_built_comparisons_on_random_maps(data, m):
+    p = data.draw(st.one_of(maps_to_simplex(m), maps_of_ssets()))
+    assert_positions_match_maps(p, data.draw(st.integers(0, 2)))
+
+
+def test_a_position_list_of_the_wrong_length_is_refused():
+    p = hf.cyclic_cover_map(6, 3)
+    calc = PreimageCalculator(p, 2)
+    f = calc.comparison(p.target.ref(("e", 0)), (1,))
+    short = PositionMap(f.source, f.target, lambda k: f.images(k)[1:])
+    with pytest.raises(RuntimeError, match="positions for the"):
+        hf.is_homology_iso(short, 1)
+    assert hf.is_homology_iso(f, 1)[0]
+    assert f.images(-1) == f.images(3) == []

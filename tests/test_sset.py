@@ -15,6 +15,7 @@ from homfib.sset import (
     degenerate,
     factor_common,
     full_word,
+    members,
     monotone_of_ref,
     ref_from_monotone,
     tuple_into,
@@ -23,7 +24,7 @@ from homfib.sset import (
 )
 
 from corpus import corpus_maps
-from oracles import product_nondegenerate_counts
+from oracles import canonical_ranks, product_nondegenerate_counts, scan_pullback
 from strategies import maps_to_simplex, random_ssets
 
 
@@ -381,26 +382,6 @@ def test_pullback_disjoint_vertices_empty():
     assert pb.space.is_empty()
 
 
-def scan_pullback(f, g, N):
-    """Reference fiber product: scan every n-simplex of both sources."""
-    X, Y = f.source, g.source
-    generators = {k: [] for k in range(N + 1)}
-    for n in range(N + 1):
-        by_image = {}
-        for a in X.refs_of_dim(n):
-            by_image.setdefault(f(a), []).append(a)
-        for b in Y.refs_of_dim(n):
-            for a in by_image.get(g(b), ()):
-                if not (set(a.word) & set(b.word)):
-                    generators[n].append((a, b))
-    P = SimplicialSet(N, generators, {})
-    P.faces.update({
-        gen: tuple(tuple_into(P, (X.face(gen[0], i), Y.face(gen[1], i)))
-                   for i in range(P.dim_of[gen] + 1))
-        for gen in P.all_gens() if P.dim_of[gen] >= 1})
-    return P
-
-
 def assert_pullback_matches_scan(f, g, N):
     pb = hf.pullback(f, g, N)
     ref = scan_pullback(f, g, N)
@@ -694,3 +675,63 @@ def test_euler_characteristic_multiplicative(xname, yname):
     p = hf.product(X, Y)  # full bound: the characteristic is exact
     assert hf.euler_characteristic(p.space) == \
         hf.euler_characteristic(X) * hf.euler_characteristic(Y)
+
+
+# ---------------------------------------------------------------------------
+# canonical ranks from the enumerator's keys
+# ---------------------------------------------------------------------------
+
+def assert_ranked_by_keys(X):
+    """X carries its cells' keys, and the ranks members reads off them are
+    the canonical_key ranks, with ids in all_gens() order."""
+    assert "keys" in X._cache
+    ranked = list(members(X).values())
+    assert [rank for rank, _, _ in ranked] == canonical_ranks(X)
+    assert [(i, g) for _, i, g in ranked] == list(enumerate(X.all_gens()))
+    assert "keys" not in X._cache
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(random_ssets(max_dim=2), min_size=1, max_size=3), st.integers(0, 3))
+def test_products_rank_by_their_keys(spaces, N):
+    assert_ranked_by_keys(hf.product_many(spaces, N).space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(0, 3))
+def test_pullbacks_rank_by_their_keys(data, m, N):
+    f = data.draw(maps_to_simplex(m))
+    g = data.draw(maps_to_simplex(m))
+    assert_ranked_by_keys(hf.pullback(f, g, N).space)
+    sigma = data.draw(st.sampled_from(list(f.target.refs_of_dim(data.draw(st.integers(0, m))))))
+    assert_ranked_by_keys(hf.pullback(hf.representing_map(f.target, sigma), g, N).space)
+
+
+def test_spaces_without_keys_rank_by_canonical_key():
+    X = hf.cyclic_graph(4)
+    assert "keys" not in X._cache
+    assert [rank for rank, _, _ in members(X).values()] == canonical_ranks(X)
+
+
+def test_generators_with_equal_keys_share_a_rank():
+    # a tuple and a frozenset of the same ints have one canonical_key, and
+    # so do the pairs they make in a product
+    X = SimplicialSet(0, {0: [(1, 2), frozenset({1, 2}), "z"]}, {})
+    assert [rank for rank, _, _ in members(X).values()] == [0, 1, 1]
+    assert_ranked_by_keys(hf.product_many([X, hf.point()]).space)
+
+
+def test_product_projections_are_built_when_read():
+    X, Y = hf.standard_simplex(1), hf.cyclic_graph(2)
+    pr = hf.product(X, Y)
+    assert "projections" not in vars(pr)
+    first, second = pr.projections
+    assert pr.projections is pr.projections
+    assert (first.target, second.target) == (X, Y)
+    assert all(first.assignment[g] == g[0] and second.assignment[g] == g[1]
+               for g in pr.space.all_gens())
+    assert hf.validate_map(first).ok and hf.validate_map(second).ok
+    pb = hf.pullback(first, hf.identity_map(X))
+    assert "to_left" not in vars(pb) and "to_right" not in vars(pb)
+    assert pb.to_left.target is pr.space and pb.to_right.target is X
+    assert hf.validate_map(pb.to_left).ok and hf.validate_map(pb.to_right).ok
