@@ -40,8 +40,6 @@ from .sset import (
     factor_common,
     full_subcomplex,
     full_word,
-    identity_map,
-    image_ids,
     is_isomorphism,
     members,
     product,
@@ -358,10 +356,13 @@ def borel_level(cat: SimplicialCategory, diag: Diagram, n: int, N: int) -> Simpl
     return _component_space(components, N)
 
 
-def _borel_face(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> SimplicialMap:
-    assignment = {}
-    for gen in src.all_gens():
-        comp, refs = gen
+def _borel_face(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> list:
+    """The face d_k : X_n -> X_{n-1} of the Borel levels src = X_n and dst =
+    X_{n-1}, as a SimplicialSpace face table: the outer face forgets a
+    factor, the inner faces compose and d_0 acts."""
+    ids = members(dst)
+    table = []
+    for comp, refs in src.all_gens():
         if k == n:
             new_comp = comp[:n]
             pieces = refs[1:]
@@ -375,8 +376,9 @@ def _borel_face(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> Simp
             composed = cat.compose(comp[k + 1], comp[k], comp[k - 1],
                                    refs[t], refs[t - 1])
             pieces = refs[: t - 1] + (composed,) + refs[t + 1:]
-        assignment[gen] = tuple_into(dst, pieces, component=new_comp)
-    return SimplicialMap(src, dst, assignment)
+        image = tuple_into(dst, pieces, component=new_comp)
+        table.append(image if image.word else ids[image.gen][1])
+    return table
 
 
 _gen_of = attrgetter("gen")
@@ -417,97 +419,89 @@ def _vertex_faces(n, keys: list[tuple], below: dict, mul: dict, act: dict) -> li
     return tables
 
 
-def _borel_degeneracy(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> SimplicialMap:
-    assignment = {}
-    for gen in src.all_gens():
-        comp, refs = gen
-        d = src.dim_of[gen]
-        new_comp = comp[: k + 1] + (comp[k],) + comp[k + 1:]
-        ident = cat.identity_ref(comp[k], d)
-        t = n - k
-        pieces = refs[:t] + (ident,) + refs[t:]
-        assignment[gen] = tuple_into(dst, pieces, component=new_comp)
-    return SimplicialMap(src, dst, assignment)
-
-
 class SimplicialSpace:
-    """Levels with face and degeneracy maps; identities checked on demand.
+    """Levels X_0..X_N and their faces d_i : X_n -> X_{n-1}, nothing else.
 
-    face_tables[n][i] is the face d_i : X_n -> X_{n-1} as an id table (a
-    generator's id is its place in all_gens()): per generator of X_n, the
-    id of its image's generator in X_{n-1}, None where the image is
-    degenerate.  The thick realization attaches its stages through these
-    tables.  The maps face_maps[n][i] : X_n -> X_{n-1}, made by face(n, i),
-    and degeneracy_maps[n][i] : X_n -> X_{n+1}, made by degeneracy(n, i),
-    are built when first read: assemble reads the face maps,
-    validate_simplicial_space reads both.
+    The thick realization attaches its stages through face maps only, so a
+    simplicial space here holds no degeneracy maps; the unit and
+    composition laws they would come from are checked on the category and
+    the diagram, by validate_category and validate_diagram.
+
+    face_tables[n][i] is d_i on X_n, one entry per generator of X_n in
+    all_gens() order (a generator's id is its place there): the id of the
+    image's generator in X_{n-1} where the image is nondegenerate, and the
+    image itself, a SimplexRef of X_{n-1}, where it is degenerate.  So the
+    table is the whole face map, and face(n, i, x) reads it for any simplex
+    x of X_n.
     """
 
-    def __init__(self, levels: list[SimplicialSet], face_tables: list[list[list]],
-                 face: Callable[[int, int], SimplicialMap],
-                 degeneracy: Callable[[int, int], SimplicialMap]):
-        for name, make, target in (("face", face, "X_{n-1}"),
-                                   ("degeneracy", degeneracy, "X_{n+1}")):
-            if not callable(make):
-                raise TypeError(f"{name} is a function (n, i) -> the map X_n -> {target}, "
-                                f"not {type(make).__name__}")
+    def __init__(self, levels: list[SimplicialSet], face_tables: list[list[list]]):
         self.levels = levels
         self.face_tables = face_tables
-        self._face = face
-        self._degeneracy = degeneracy
 
     @property
     def top(self) -> int:
         return len(self.levels) - 1
 
     @cached_property
-    def face_maps(self) -> list[list[SimplicialMap]]:
-        return [[]] + [[self._face(n, i) for i in range(n + 1)] for n in range(1, self.top + 1)]
+    def _gens(self) -> list[tuple]:
+        """Each level's generators by id."""
+        return [tuple(X.all_gens()) for X in self.levels]
 
-    @cached_property
-    def degeneracy_maps(self) -> list[list[SimplicialMap]]:
-        return [[self._degeneracy(n, i) for i in range(n + 1)] for n in range(self.top)] + [[]]
+    def face(self, n: int, i: int, x: SimplexRef) -> SimplexRef:
+        """d_i x in X_{n-1} for any simplex x of X_n, degenerate ones included."""
+        image = self.face_tables[n][i][members(self.levels[n])[x.gen][1]]
+        if image.__class__ is int:
+            image = self.levels[n - 1].ref(self._gens[n - 1][image])
+        return apply_degeneracies(image, x.word)
+
+
+def _entry_problem(space: SimplicialSpace, n: int, i: int) -> str | None:
+    """Where d_i's table on X_n does not send each generator of X_n to a
+    simplex of X_{n-1} of its dimension, if it does not."""
+    src, dst = space.levels[n], space.levels[n - 1]
+    below = space._gens[n - 1]
+    table = space.face_tables[n][i]
+    if len(table) != len(src.dim_of):
+        return f"d_{i} table at level {n} has {len(table)} entries for {len(src.dim_of)} generators"
+    for g, entry in zip(src.all_gens(), table):
+        if entry.__class__ is int:
+            ok = 0 <= entry < len(below) and dst.dim_of[below[entry]] == src.dim_of[g]
+        else:
+            ok = (entry.__class__ is SimplexRef and bool(entry.word) and dst.has_ref(entry)
+                  and entry.dim == src.dim_of[g])
+        if not ok:
+            return f"d_{i} at level {n} sends {g!r} to {entry!r}, not a simplex of its dimension"
+    return None
 
 
 def validate_simplicial_space(space: SimplicialSpace) -> list[str]:
-    problems = []
-    N = space.top
+    """The problems of a simplicial space's faces, first problem first.
 
-    def eq(f, g, label):
-        if f.assignment != g.assignment:
-            problems.append(label)
-
-    for n in range(1, N + 1):
+    Each table must send every generator of X_n to a simplex of X_{n-1} of
+    the same dimension (an id, or a degenerate SimplexRef); the identities
+    are checked only once every table does, since they read the tables.
+    Then each d_i must commute with the faces of X_n, and d_i d_j = d_{j-1}
+    d_i for i < j on every generator.
+    """
+    problems = [problem for n in range(1, space.top + 1) for i in range(n + 1)
+                if (problem := _entry_problem(space, n, i))]
+    if problems:
+        return problems
+    face = space.face
+    for n in range(1, space.top + 1):
+        X, below = space.levels[n], space.levels[n - 1]
         for i in range(n + 1):
-            if image_ids(space.face_maps[n][i]) != space.face_tables[n][i]:
-                problems.append(f"d_{i} table differs from its map at level {n}")
-    for n in range(2, N + 1):
+            if not all(below.face(face(n, i, X.ref(g)), k) == face(n, i, X.face(X.ref(g), k))
+                       for g, d in X.dim_of.items() if d for k in range(d + 1)):
+                problems.append(f"d_{i} is not simplicial at level {n}")
+    for n in range(2, space.top + 1):
+        refs = list(map(space.levels[n].ref, space.levels[n].all_gens()))
         for j in range(1, n + 1):
             for i in range(j):
-                eq(space.face_maps[n - 1][i].compose(space.face_maps[n][j]),
-                   space.face_maps[n - 1][j - 1].compose(space.face_maps[n][i]),
-                   f"d_{i} d_{j} mismatch at level {n}")
-    for n in range(N):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                if n + 2 <= N:
-                    eq(space.degeneracy_maps[n + 1][j + 1].compose(space.degeneracy_maps[n][i]),
-                       space.degeneracy_maps[n + 1][i].compose(space.degeneracy_maps[n][j]),
-                       f"s_{j+1} s_{i} mismatch at level {n}")
-    for n in range(1, N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                left = space.face_maps[n + 1][i].compose(space.degeneracy_maps[n][j])
-                if i == j or i == j + 1:
-                    ident = {g: space.levels[n].ref(g) for g in space.levels[n].all_gens()}
-                    if left.assignment != ident:
-                        problems.append(f"d_{i} s_{j} is not the identity at level {n}")
-                elif i < j:
-                    eq(left, space.degeneracy_maps[n - 1][j - 1].compose(space.face_maps[n][i]),
-                       f"d_{i} s_{j} mismatch at level {n}")
-                else:
-                    eq(left, space.degeneracy_maps[n - 1][j].compose(space.face_maps[n][i - 1]),
-                       f"d_{i} s_{j} mismatch at level {n}")
+                if any(face(n - 1, i, face(n, j, x)) != face(n - 1, j - 1, face(n, i, x))
+                       for x in refs):
+                    problems.append(f"d_{i} d_{j} mismatch at level {n}")
     return problems
 
 
@@ -516,17 +510,10 @@ def borel_space(cat: SimplicialCategory, diag: Diagram, N: int) -> SimplicialSpa
 
     The face tables of a level whose generators are all vertices (every
     level of a monoid's hom-set with a discrete diagram) are worked out by
-    element names.  Those of any other level are read off its face maps,
-    which are then kept for face_maps.
+    element names; those of any other level by _borel_face, simplex by
+    simplex.  No simplicial map is built.
     """
     levels = [borel_level(cat, diag, n, N) for n in range(N + 1)]
-    built: dict[tuple, SimplicialMap] = {}
-
-    def face(n, k):
-        if (n, k) not in built:
-            built[n, k] = _borel_face(cat, diag, n, k, levels[n], levels[n - 1])
-        return built[n, k]
-
     mul = {key: _on_vertices(comp) for key, comp in cat.compositions.items()}
     act = {key: _on_vertices(action) for key, action in diag.actions.items()}
     tables = [[]]
@@ -536,10 +523,10 @@ def borel_space(cat: SimplicialCategory, diag: Diagram, N: int) -> SimplicialSpa
         if len(keys) == len(levels[n].dim_of):
             tables.append(_vertex_faces(n, keys, below, mul, act))
         else:
-            tables.append([image_ids(face(n, k)) for k in range(n + 1)])
+            tables.append([_borel_face(cat, diag, n, k, levels[n], levels[n - 1])
+                           for k in range(n + 1)])
         below = {key: i for i, key in enumerate(keys)}
-    return SimplicialSpace(levels, tables, face, lambda n, k: _borel_degeneracy(
-        cat, diag, n, k, levels[n], levels[n + 1]))
+    return SimplicialSpace(levels, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +547,8 @@ class ThickRealization:
     and the source's face tables.  When the face of b's core and its image
     under d_v are nondegenerate, the face is the cell over that image with
     the words of the shorter path, read from the rows of its stage, which
-    are keyed by core id; otherwise it is assembled, which reads the face
-    maps.  The degeneracy maps of the source are never read.
+    are keyed by core id; otherwise it is assembled through the source's
+    face.  A generator's stage is its gen[1].
     """
 
     def __init__(self, source: SimplicialSpace, N: int):
@@ -577,7 +564,6 @@ class ThickRealization:
         rank_by(space, [(n, cell[0]) for d in range(N + 1)
                         for n, cells in enumerate(stages) for cell in cells[d]])
         self.space = space
-        self.stage_of = {gen: gen[1] for gen in space.all_gens()}
         for n, cells in enumerate(stages):
             X = source.levels[n]
             for d in range(1, N + 1):
@@ -601,7 +587,7 @@ class ThickRealization:
             m = n - 1
             if core is not None:
                 core = self.source.face_tables[n][dropped[0]][core]
-        if core is not None:
+        if core.__class__ is int:
             by_words, row = rows[m][core]
             return _row_ref(row, m, by_words[words])
         # a degenerate face of a core or image of one
@@ -610,11 +596,11 @@ class ThickRealization:
 
     def assemble(self, n: int, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         """The class of a simplex (a, b) of Delta[n] x X_n in the realization."""
-        members = set(a.gen)
+        spanned = set(a.gen)
         m = n
         for v in range(n, -1, -1):
-            if v not in members:
-                b = self.source.face_maps[m][v](b)
+            if v not in spanned:
+                b = self.source.face(m, v, b)
                 m -= 1
         a = SimplexRef(tuple(range(m + 1)), a.word, a.dim)
         word, core = factor_common((a, b))
@@ -630,7 +616,7 @@ class ThickRealization:
         return SimplicialMap(X, self.space, assignment)
 
     def subspace_at_stage(self, m: int) -> SimplicialSet:
-        keep = [g for g, n in self.stage_of.items() if n <= m]
+        keep = [g for g in self.space.all_gens() if g[1] <= m]
         return full_subcomplex(self.space, keep)
 
 
@@ -663,11 +649,10 @@ def realize_map(src: ThickRealization, dst: ThickRealization,
 
 def constant_space(X: SimplicialSet, N: int) -> SimplicialSpace:
     """The constant simplicial space on X."""
-    ident = identity_map(X)
     ids = list(range(len(X.dim_of)))
     levels = [X for _ in range(N + 1)]
     tables = [[]] + [[ids] * (n + 1) for n in range(1, N + 1)]
-    return SimplicialSpace(levels, tables, lambda n, k: ident, lambda n, k: ident)
+    return SimplicialSpace(levels, tables)
 
 
 # ---------------------------------------------------------------------------

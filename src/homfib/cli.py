@@ -95,9 +95,11 @@ def emit(report: Report, fmt: str = "json", stable: bool = False) -> str:
         mark = "PASS" if c["verdict"] else "FAIL"
         witness = f"  [{'; '.join(c['witnesses'])}]" if c["witnesses"] else ""
         lines.append(f"  {mark} {c['name']}{witness}")
+    ring = report.params.get("coefficients", "Z")
+    ring = "Z" if ring == "Z" else f"Z/{ring[1:]}"  # a free summand over Zp is Z/p
     for h in report.homology:
         torsion = " + ".join(f"Z/{d}" for d in h["torsion"])
-        free = " + ".join(["Z"] * h["free_rank"])
+        free = " + ".join([ring] * h["free_rank"])
         group = " + ".join(x for x in (free, torsion) if x) or "0"
         lines.append(f"  H_{h['degree']}({h['space']}) = {group}")
     if not stable:

@@ -51,6 +51,11 @@ the enumerator's public face, for the cells of Delta[n] x X over the top
 simplex that a thick realization attaches.  A product's projections and a
 pullback's two legs are built when first read.
 
+A generator's id is its place in X.all_gens().  members(X) gives each
+generator its canonical rank and id, and face_ids(X) gives X's face table
+by ids, None where a face is degenerate; both are kept on X.  The
+enumerator and the thick realization follow cores by these ids.
+
 A map that sends generators to generators of the same degree can be given
 by positions (PositionMap): per degree, the place of each image in the
 target's generator order, which is all a chain map reads.  Its assignment
@@ -790,15 +795,6 @@ def face_ids(X: SimplicialSet) -> list[tuple]:
             tuple(None if r.word else ids[r.gen][1] for r in X.faces.get(g, ()))
             for g in ids]
     return faces
-
-
-def image_ids(f: SimplicialMap) -> list:
-    """f by ids: per generator of f's source, by its place in all_gens(),
-    the place of its image's generator in f's target, None where the image
-    is degenerate."""
-    ids = members(f.target)
-    return [None if r.word else ids[r.gen][1]
-            for r in map(f.assignment.__getitem__, f.source.all_gens())]
 
 
 def _ez_table(kappas: tuple, N: int, paths: dict) -> tuple[list[tuple], dict]:

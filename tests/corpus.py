@@ -141,3 +141,31 @@ map fold : tri -> seg {
   abc -> s0 pq;
 }
 """
+
+
+# A document in the DSL, written out by the tests rather than kept under
+# fixtures/: Z/2 with a diagram `still` whose value is the cone of
+# fixtures/degenerate_face.hfd (a triangle with the degenerate face s0 v),
+# t acting by the identity.  Faces of its Borel levels carry degeneracy
+# words, so its realization reads degenerate images from the level faces.
+CONE_DOCUMENT = """\
+monoid Z2 {
+  elements u, t;
+  unit u;
+  mul { t.t = u; }
+}
+
+sset cone {
+  v : dim 0 faces [];
+  w : dim 0 faces [];
+  e : dim 1 faces [w, v];
+  t : dim 2 faces [e, e, s0 v];
+}
+
+map keep : cone -> cone { v -> v; w -> w; e -> e; t -> t; }
+
+diagram still over Z2 {
+  F(1) = cone;
+  act(1,1): t -> keep;
+}
+"""

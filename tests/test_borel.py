@@ -47,7 +47,7 @@ from homfib.sset import (
     tuple_into,
 )
 
-from corpus import ROUND_DOCUMENT
+from corpus import CONE_DOCUMENT, ROUND_DOCUMENT
 from oracles import bar_resolution_homology, canonical_ranks, cyclic_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -161,12 +161,45 @@ def test_borel_space_satisfies_simplicial_identities():
         assert validate_simplicial_space(space) == []
 
 
-def test_validation_compares_face_tables_with_face_maps():
+def test_validation_reports_a_corrupted_face_table():
     cat = z2_category()
     space = borel_space(cat, restriction_diagram(cat, "1"), 2)
     table = space.face_tables[2][1]
     table[0], table[1] = table[1], table[0]
-    assert validate_simplicial_space(space) == ["d_1 table differs from its map at level 2"]
+    assert validate_simplicial_space(space) == ["d_0 d_1 mismatch at level 2",
+                                                "d_1 d_2 mismatch at level 2"]
+
+
+def test_validation_reports_entries_outside_the_level_below():
+    # an id out of range, a degenerate image of the wrong dimension and a
+    # nondegenerate image given as a SimplexRef are not read as faces
+    cat = z2_category()
+    space = borel_space(cat, constant_diagram(cat, cone()), 2)
+    below = space.levels[1]
+    for entry in (len(below.dim_of), SimplexRef(below.gens(0)[0], (0,), 1),
+                  below.ref(below.gens(0)[0])):
+        bad = SimplicialSpace(space.levels, [tables[:] for tables in space.face_tables])
+        bad.face_tables[2][1] = [entry] + space.face_tables[2][1][1:]
+        gen = next(space.levels[2].all_gens())
+        assert validate_simplicial_space(bad) == [
+            f"d_1 at level 2 sends {gen!r} to {entry!r}, not a simplex of its dimension"]
+    short = SimplicialSpace(space.levels, [tables[:] for tables in space.face_tables])
+    short.face_tables[1][0] = short.face_tables[1][0][1:]
+    assert validate_simplicial_space(short)[0].startswith("d_0 table at level 1 has")
+
+
+def test_validation_reports_a_face_that_is_not_simplicial():
+    # d_0 with the images of the two ends of an edge of X_1 swapped still
+    # sends vertices to vertices, but no longer commutes with the edge's faces
+    cat = z2_category()
+    space = borel_space(cat, constant_diagram(cat, cone()), 1)
+    assert validate_simplicial_space(space) == []
+    X = space.levels[1]
+    edge = next(g for g in X.all_gens() if X.dim_of[g] == 1)
+    ids = [list(X.all_gens()).index(r.gen) for r in X.faces[edge]]
+    table = space.face_tables[1][0]
+    table[ids[0]], table[ids[1]] = table[ids[1]], table[ids[0]]
+    assert validate_simplicial_space(space) == ["d_0 is not simplicial at level 1"]
 
 
 def test_d0_uses_the_action():
@@ -176,7 +209,7 @@ def test_d0_uses_the_action():
     lvl1 = space.levels[1]
     # (f_1, x) with d_0 = x * f_1
     gen = (("1", "1"), (SimplexRef(1, (), 0), SimplexRef(1, (), 0)))
-    image = space.face_maps[1][0].assignment[gen]
+    image = space.face(1, 0, lvl1.ref(gen))
     assert image.gen == (("1",), (SimplexRef(0, (), 0),))
 
 
@@ -479,7 +512,7 @@ def realized_class(source, n, r):
     m = n
     for v in range(n, -1, -1):
         if v not in a.gen:
-            b = source.face_maps[m][v](b)
+            b = source.face(m, v, b)
             m -= 1
     word, core = factor_common((SimplexRef(tuple(range(m + 1)), a.word, a.dim), b))
     return SimplexRef(("c", m, core), word, r.dim)
@@ -496,7 +529,7 @@ def assert_matches_references(cat, diag, N):
     space, stage_of = filtering_realization(source, N)
     assert r.space.generators == space.generators
     assert r.space.faces == space.faces
-    assert r.stage_of == stage_of
+    assert {gen: gen[1] for gen in r.space.all_gens()} == stage_of
     assert hf.validate(r.space).ok
 
 
@@ -576,10 +609,10 @@ def face_table_cases():
 
 
 @pytest.mark.parametrize("case", list(face_table_cases()))
-def test_face_tables_match_the_face_maps(case, monkeypatch):
-    # an entry is the id (place in all_gens) of the image's generator, and
-    # None exactly where the image is degenerate; discrete levels get their
-    # tables from element names, without building a face map
+def test_face_tables_match_borel_face(case, monkeypatch):
+    # discrete levels get their tables from element names, without
+    # _borel_face, and those tables must be _borel_face's; the others come
+    # from _borel_face, once per face
     cat, diag, discrete = face_table_cases()[case]
     N = 4 if discrete else 3
     made = []
@@ -592,17 +625,8 @@ def test_face_tables_match_the_face_maps(case, monkeypatch):
     for n in range(1, N + 1):
         src, dst = space.levels[n], space.levels[n - 1]
         assert discrete == all(d == 0 for d in src.dim_of.values())
-        below = list(dst.all_gens())
         for k in range(n + 1):
-            table = space.face_tables[n][k]
-            face = real_face(cat, diag, n, k, src, dst)
-            assert len(table) == len(src.dim_of)
-            for g, entry in zip(src.all_gens(), table):
-                image = face.assignment[g]
-                if image.word:
-                    assert entry is None
-                else:
-                    assert below[entry] == image.gen
+            assert space.face_tables[n][k] == real_face(cat, diag, n, k, src, dst)
 
 
 def test_interval_category_is_lawful():
@@ -665,6 +689,51 @@ def test_random_monoids_match_references(monoid, N, restricted):
     assert_matches_references(cat, diag, N)
 
 
+def reference_face(cat, diag, below, n, i, x):
+    """d_i x in below = X_{n-1} for any simplex x of the Borel level X_n,
+    worked out on x's factors (each the core's factor under x's word) from
+    the composition and action maps."""
+    comp, refs = x.gen
+    # refs[t] in hom(i_{n-t}, i_{n-t-1}) for t < n, refs[n] in F(i_0)
+    refs = [apply_degeneracies(r, x.word) for r in refs]
+    if i == n:
+        comp, refs = comp[:n], refs[1:]
+    elif i == 0:
+        refs[n - 1:] = [diag.act(comp[1], comp[0], refs[n - 1], refs[n])]
+        comp = comp[1:]
+    else:
+        t = n - i
+        refs[t - 1:t + 1] = [cat.compose(comp[i + 1], comp[i], comp[i - 1], refs[t], refs[t - 1])]
+        comp = comp[:i] + comp[i + 1:]
+    return tuple_into(below, tuple(refs), component=comp)
+
+
+def assert_faces_match_the_reference(cat, diag, N):
+    space = borel_space(cat, diag, N)
+    for n in range(1, N + 1):
+        X, below = space.levels[n], space.levels[n - 1]
+        for d in range(N + 1):
+            for x in X.refs_of_dim(d):
+                for i in range(n + 1):
+                    assert space.face(n, i, x) == reference_face(cat, diag, below, n, i, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(monoid_tables(), st.integers(1, 3), st.booleans())
+def test_faces_match_the_reference_on_random_monoids(monoid, N, restricted):
+    table, unit = monoid
+    cat = from_monoid(table, unit)
+    diag = restriction_diagram(cat, "1") if restricted else trivial_diagram(cat)
+    assert_faces_match_the_reference(cat, diag, N)
+
+
+@pytest.mark.parametrize("case", sorted(reference_cases()))
+def test_faces_match_the_reference_on_reference_cases(case):
+    # every simplex, degenerate ones included; the cone gives degenerate
+    # table entries, the interval category and the telescope faces with words
+    assert_faces_match_the_reference(*reference_cases()[case], 3)
+
+
 def assert_levels_and_realization_rank_by_their_keys(cat, diag, N):
     # a level ranks by (tag, rank in its product), a realization by (stage,
     # key of the cell); both must give the canonical_key ranks
@@ -695,11 +764,10 @@ def test_classify_work_counts(monkeypatch):
     # products are built for the composition, the trivial action and one
     # Borel level per stage, 37 generators in all; the realization
     # enumerates its cells itself, and whole products Delta[n] x X_n would
-    # add 651 generators.  Nothing reads the Borel degeneracy maps, so none
-    # is built (10 were), and every face of a realization cell is read from
+    # add 651 generators.  Every face of a realization cell is read from
     # the cells' rows, with no assemble call (128 were made).  The levels
-    # are discrete, so their face tables come from the element names and no
-    # face map is built (14 were).  1,204 SimplexRefs were made when the
+    # are discrete, so their face tables come from the element names and
+    # _borel_face is not called (it built 14 face maps).  1,204 SimplexRefs were made when the
     # degeneracy maps were built, each degeneracy letter made one and each
     # face of a cell was assembled; 307 when the face maps were built.
     # The products' projections are built when read, and nothing reads
@@ -707,10 +775,9 @@ def test_classify_work_counts(monkeypatch):
     # The spaces the enumerator builds (products, Borel levels, the
     # realization) rank their generators by their cells' keys, so
     # canonical_key sees none of their generators (62 calls did).
-    built, degeneracies, faces, assembled, refs = [], [0], [0], [0], [0]
+    built, faces, assembled, refs = [], [0], [0], [0]
     maps, projected, enumerated, keyed = [0], [0], set(), [0]
     real = sset_module.product_many
-    real_degeneracy = borel_module._borel_degeneracy
     real_face = borel_module._borel_face
     real_assemble = ThickRealization.assemble
     real_init = SimplexRef.__init__
@@ -723,10 +790,6 @@ def test_classify_work_counts(monkeypatch):
         result = real(spaces, N)
         built.append(result.space.gen_count())
         return result
-
-    def counting_degeneracy(*args):
-        degeneracies[0] += 1
-        return real_degeneracy(*args)
 
     def counting_face(*args):
         faces[0] += 1
@@ -762,7 +825,6 @@ def test_classify_work_counts(monkeypatch):
     monkeypatch.setattr(sset_module, "product_many", counting)
     monkeypatch.setattr(borel_module, "product_many", counting, raising=False)
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
-    monkeypatch.setattr(borel_module, "_borel_degeneracy", counting_degeneracy)
     monkeypatch.setattr(borel_module, "_borel_face", counting_face)
     monkeypatch.setattr(ThickRealization, "assemble", counting_assemble)
     monkeypatch.setattr(SimplexRef, "__init__", counting_init)
@@ -774,7 +836,6 @@ def test_classify_work_counts(monkeypatch):
     monkeypatch.undo()
     assert [row["torsion"] for row in report.homology] == [[], [2], [2]]
     assert built == [4, 2, 1, 2, 4, 8, 16]
-    assert degeneracies[0] == 0
     assert faces[0] == 0
     assert assembled[0] == 0
     assert refs[0] == 81
@@ -782,18 +843,28 @@ def test_classify_work_counts(monkeypatch):
     assert len(enumerated) > 37 and keyed[0] == 0
 
 
-def test_degeneracy_maps_are_built_when_read():
-    cat = z2_category()
-    space = borel_space(cat, trivial_diagram(cat), 3)
-    assert "degeneracy_maps" not in vars(space) and "face_maps" not in vars(space)
-    assert validate_simplicial_space(space) == []
-    assert [len(maps) for maps in space.degeneracy_maps] == [1, 2, 3, 0]
-    assert [len(maps) for maps in space.face_maps] == [0, 2, 3, 4]
-    assert space.degeneracy_maps[1][0] is space.degeneracy_maps[1][0]
-    assert space.face_maps[1][0] is space.face_maps[1][0]
-    # lists of maps in place of the functions that make them are refused at once
-    with pytest.raises(TypeError, match="degeneracy is a function"):
-        SimplicialSpace(space.levels, space.face_tables, lambda n, i: None,
-                        space.degeneracy_maps)
-    with pytest.raises(TypeError, match="face is a function"):
-        SimplicialSpace(space.levels, space.face_tables, space.face_maps, space.degeneracy_maps)
+def test_cone_diagram_builds_no_face_map(monkeypatch):
+    # the cone's levels are not discrete, so their tables come from
+    # _borel_face, and some faces of realization cells are degenerate images
+    # of level faces, which assemble reads through SimplicialSpace.face;
+    # neither builds a simplicial map (the face maps were 2 + 3 + 4 = 9)
+    doc = dsl.parse(CONE_DOCUMENT)
+    cat, diag = doc.categories["Z2"], doc.diagrams["still"]
+    maps, assembled = [0], [0]
+    real_map, real_assemble = SimplicialMap.__init__, ThickRealization.assemble
+
+    def counting_map(self, *args):
+        maps[0] += 1
+        real_map(self, *args)
+
+    def counting_assemble(self, *args):
+        assembled[0] += 1
+        return real_assemble(self, *args)
+
+    monkeypatch.setattr(SimplicialMap, "__init__", counting_map)
+    monkeypatch.setattr(ThickRealization, "assemble", counting_assemble)
+    r = thick_realize(borel_space(cat, diag, 3), 3)
+    monkeypatch.undo()
+    assert maps[0] == 0
+    assert assembled[0] > 0
+    assert hf.validate(r.space).ok

@@ -258,7 +258,16 @@ def test_empty_checks_report():
 def test_text_format_renders():
     doc = parse(CIRCLE)
     text = emit(run("homology", doc, {"target": "circle"}), "text", stable=True)
-    assert "H_1(circle) = Z" in text
+    assert "  H_1(circle) = Z" in text.splitlines()
+
+
+def test_text_format_names_the_coefficient_ring():
+    # over Z3 the free summand of H_1 is Z/3; the JSON report stays as it is
+    doc = parse(CIRCLE)
+    report = run("homology", doc, {"target": "circle", "coefficients": "Z3"})
+    lines = emit(report, "text", stable=True).splitlines()
+    assert "  H_0(circle) = Z/3" in lines and "  H_1(circle) = Z/3" in lines
+    assert report.homology[1]["free_rank"] == 1 and report.homology[1]["torsion"] == []
 
 
 def test_homology_command_mod_p():

@@ -17,7 +17,7 @@ import pytest
 
 from homfib import cli
 
-from corpus import ROUND_DOCUMENT
+from corpus import CONE_DOCUMENT, ROUND_DOCUMENT
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,6 +98,16 @@ ROUND_PINNED = [
      "eb156a89eb4604a7e718161d994f361651a5c3839b4381dbc16f7e019d49fdac"),
 ]
 
+# a diagram whose value is the cone, from corpus.CONE_DOCUMENT: faces of its
+# Borel levels can be degenerate, and its realization assembles the faces of
+# cells that expose them; the only command whose realization does.  The
+# report holds BZ2's homology and the gates, so its digest is the round
+# diagram's
+CONE_PINNED = [
+    ("group-completion Z2 -f cone.hfd --diagram still --max-dim 3", 0,
+     "eb156a89eb4604a7e718161d994f361651a5c3839b4381dbc16f7e019d49fdac"),
+]
+
 
 def stable_report(line: str, directory: Path = FIXTURES) -> tuple[int, str]:
     """Exit code and stdout digest of one command line, its file resolved
@@ -125,4 +135,10 @@ def test_monoid_report_is_pinned(line, code, digest, tmp_path):
 @pytest.mark.parametrize("line,code,digest", ROUND_PINNED, ids=[p[0] for p in ROUND_PINNED])
 def test_round_report_is_pinned(line, code, digest, tmp_path):
     (tmp_path / "round.hfd").write_text(ROUND_DOCUMENT)
+    assert stable_report(line, tmp_path) == (code, digest)
+
+
+@pytest.mark.parametrize("line,code,digest", CONE_PINNED, ids=[p[0] for p in CONE_PINNED])
+def test_cone_report_is_pinned(line, code, digest, tmp_path):
+    (tmp_path / "cone.hfd").write_text(CONE_DOCUMENT)
     assert stable_report(line, tmp_path) == (code, digest)
