@@ -853,8 +853,8 @@ class GroupCompletionReport:
 
 
 def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
-                           fibers: list[KnownFiberSpec] | None = None
-                           ) -> GroupCompletionReport:
+                           fibers: list[KnownFiberSpec] | None = None,
+                           deep_ops: bool = False) -> GroupCompletionReport:
     """The four-gate desk rendering of the generalized group completion.
 
     1. every morphism vertex acts by homology equivalences on the diagram;
@@ -862,6 +862,9 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
     3. the d_0-induced fiber maps are homology equivalences;
     4. the realized projection is a weak homology fibration whose vertex
        preimages match the registered fibers.
+
+    deep_ops hands gate 4's weak check every operator word, as in
+    weak_fibration_check.
     """
     up_to = N - 1
     gates = []
@@ -904,7 +907,7 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
         for f in cat.hom(i, j).gens(0) if not morphism_cache[(i, j, f)]]
     gates.append(Gate("d0-fiber-maps", not witnesses, witnesses))
 
-    weak = weak_fibration_check(construction.pi, up_to)
+    weak = weak_fibration_check(construction.pi, up_to, deep_ops=deep_ops)
     realization_ok = weak.verdict
     witnesses = [(c.sigma, c.op) for c in weak.failures()]
     if fibers is None:

@@ -323,7 +323,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         E = f.source
         up_to = min(n_bound, E.max_dim)
         valid_up_to = E.max_dim - 1
-        weak = weak_fibration_check(f, up_to)
+        weak = weak_fibration_check(f, up_to, deep_ops=deep)
         checks.append(_check("weak homology fibration", weak.verdict,
                              [f"{c.sigma!r},{c.op}" for c in weak.failures()[:5]]))
         sf = sub.sd_over_simplex(f)
@@ -357,7 +357,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         else:
             diag = bor.restriction_diagram(cat, "1")
         valid_up_to = n_bound - 1
-        report = bor.group_completion_check(cat, diag, n_bound)
+        report = bor.group_completion_check(cat, diag, n_bound, deep_ops=deep)
         for gate in report.gates:
             checks.append(_check(f"gate: {gate.name}", gate.ok,
                                  [str(w) for w in gate.witnesses[:5]]))

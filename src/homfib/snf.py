@@ -10,10 +10,12 @@ unimodular change-of-basis matrices U, V and their inverses are built from
 those logs on first read and then kept, so a caller that reads only the
 diagonal builds none of them.
 
-The elementary operations work on the row dicts and the column index
-directly.  They leave every dict and set exactly as writing the affected
-entries one at a time would, in the same order, because the divisibility
-scan picks the first offending row in row-dict order.
+When the pivot at (t, t) does not divide every entry still below and to
+the right of it, the row of least index i > t holding such an entry is
+added to row t and the reduction goes on.  No choice reads the order of
+a row dict or a column set, so a Smith form, its transforms included,
+depends on the matrix's entries alone, not on the order they were
+written in.
 """
 
 from __future__ import annotations
@@ -126,9 +128,9 @@ class IntMatrix:
 
     # -- elementary operations ---------------------------------------------
     #
-    # Each one leaves the row dicts (key order included) and the column sets
-    # (history of adds and discards included) as the entry-by-entry writes
-    # of the textbook operation would, in the same order.
+    # Each keeps the invariants the readers rely on: no row dict is empty,
+    # cols[j] is exactly the set of rows with a nonzero entry in column j,
+    # and no column set is empty.
 
     def row_add(self, i: int, i2: int, c: int):
         """row i += c * row i2"""
@@ -136,12 +138,8 @@ class IntMatrix:
         if not c or not src:
             return
         rows, cols = self.rows, self.cols
-        row = rows.get(i)
+        row = rows.setdefault(i, {})
         for j, v in (list(src.items()) if i == i2 else src.items()):
-            if row is None:
-                row = rows[i] = {j: c * v}
-                cols[j].add(i)
-                continue
             w = row.get(j, 0) + c * v
             if w:
                 if j not in row:
@@ -149,13 +147,12 @@ class IntMatrix:
                 row[j] = w
             else:
                 del row[j]
-                if not row:
-                    del rows[i]
-                    row = None
                 s = cols[j]
                 s.discard(i)
                 if not s:
                     del cols[j]
+        if not row:
+            del rows[i]
 
     def col_add(self, j: int, j2: int, c: int):
         """col j += c * col j2"""
@@ -163,107 +160,54 @@ class IntMatrix:
         if not c or not src:
             return
         rows, cols = self.rows, self.cols
+        s = cols.get(j)
+        if s is None:
+            s = cols[j] = set()
         for i in (list(src) if j == j2 else src):
             row = rows[i]
             w = row.get(j, 0) + c * row[j2]
             if w:
                 if j not in row:
-                    s = cols.get(j)
-                    if s is None:
-                        s = cols[j] = set()
                     s.add(i)
                 row[j] = w
             else:
                 del row[j]
+                s.discard(i)
                 if not row:
                     del rows[i]
-                s = cols[j]
-                s.discard(i)
-                if not s:
-                    del cols[j]
+        if not s:
+            del cols[j]
 
     def row_swap(self, i: int, i2: int):
-        if i == i2:
-            return
         rows, cols = self.rows, self.cols
-        a, b = rows.get(i), rows.get(i2)
-        if a is None and b is None:
-            return
-        a, b = a or {}, b or {}
-        # shared columns keep their places; the others move in union order
-        new_a = {j: b[j] for j in a if j in b}
-        new_b = {j: a[j] for j in b if j in a}
-        sides = []
-        for j in set(a) | set(b):
+        a, b = rows.pop(i, {}), rows.pop(i2, {})
+        for j in a.keys() ^ b.keys():
+            s = cols[j]
             if j in a:
-                if j in b:
-                    continue
-                new_b[j] = a[j]
-                s = cols[j]
                 s.discard(i)
-                if not s:
-                    del cols[j]
-                    s = cols[j] = set()
                 s.add(i2)
-                sides.append(0)
             else:
-                new_a[j] = b[j]
-                s = cols[j]
-                s.add(i)
                 s.discard(i2)
-                sides.append(1)
-        # a row emptied before it refills goes to the end of the row dict:
-        # an absent row, or one whose columns all come first in union order
-        if not a:
-            del rows[i2]
-            rows[i] = new_a
-            return
-        if not b:
-            del rows[i]
-            rows[i2] = new_b
-            return
-        disjoint = len(sides) == len(a) + len(b)
-        if disjoint and sides == sorted(sides):
-            del rows[i]
-        rows[i] = new_a
-        if disjoint and sides == sorted(sides, reverse=True):
-            del rows[i2]
-        rows[i2] = new_b
+                s.add(i)
+        if a:
+            rows[i2] = a
+        if b:
+            rows[i] = b
 
     def col_swap(self, j: int, j2: int):
-        if j == j2:
-            return
         rows, cols = self.rows, self.cols
-        for i in set(cols.get(j, ())) | set(cols.get(j2, ())):
+        a, b = cols.pop(j, set()), cols.pop(j2, set())
+        for i in a | b:
             row = rows[i]
-            a, b = row.get(j, 0), row.get(j2, 0)
-            if a and b:
-                row[j], row[j2] = b, a
-            elif a:
-                del row[j]
-                if not row:
-                    del rows[i]
-                    rows[i] = row
-                row[j2] = a
-                s = cols[j]
-                s.discard(i)
-                if not s:
-                    del cols[j]
-                s = cols.get(j2)
-                if s is None:
-                    s = cols[j2] = set()
-                s.add(i)
-            else:
-                row[j] = b
-                del row[j2]
-                s = cols.get(j)
-                if s is None:
-                    s = cols[j] = set()
-                s.add(i)
-                s = cols[j2]
-                s.discard(i)
-                if not s:
-                    del cols[j2]
+            x, y = row.pop(j, 0), row.pop(j2, 0)
+            if x:
+                row[j2] = x
+            if y:
+                row[j] = y
+        if a:
+            cols[j2] = a
+        if b:
+            cols[j] = b
 
     def row_negate(self, i: int):
         row = self.rows.get(i, {})
@@ -425,7 +369,7 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
 
     Greedy smallest-magnitude pivoting with deterministic (row, col)
     tie-breaks; the divisibility chain is enforced during reduction by
-    folding any offending entry into the pivot row.
+    folding the least offending row into the pivot row.
     """
     work = M.copy()
     rows, cols = work.rows, work.cols
@@ -476,15 +420,9 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
         pivot = rows[t][t]
         offender = None
         if pivot != 1 and pivot != -1:
-            for i, row in rows.items():
-                if i <= t:
-                    continue
-                for j, val in row.items():
-                    if j > t and val % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # rows past t hold entries right of column t only
+            offender = min((i for i, row in rows.items() if i > t
+                            and any(v % pivot for v in row.values())), default=None)
         if offender is not None:
             work.row_add(t, offender, 1)
             row_ops.append((t, offender, 1))

@@ -295,8 +295,9 @@ def reference_smith_normal_form(M):
 
     The engine homfib.snf replaced: the same pivot rule and operations,
     each applied entry by entry to the working copy and to U, U^-1, V and
-    V^-1 at once.  Returns (diagonal, rank, u, u_inv, v, v_inv), the
-    matrices as ReferenceMatrix.
+    V^-1 at once.  A pivot that does not divide every entry below and to
+    its right takes the least such row index into its row.  Returns
+    (diagonal, rank, u, u_inv, v, v_inv), the matrices as ReferenceMatrix.
     """
     work = ReferenceMatrix.copy_of(M)
     nr, nc = M.nrows, M.ncols
@@ -369,7 +370,7 @@ def reference_smith_normal_form(M):
             break
         pivot = work[t, t]
         offender = None
-        for i, row in work.rows.items():
+        for i, row in sorted(work.rows.items()):
             if i <= t:
                 continue
             for j, val in row.items():

@@ -36,6 +36,7 @@ from homfib.borel import (
     validate_simplicial_space,
     vertex_fiber_isomorphic,
 )
+from homfib.homology import homology_summary
 from homfib.sset import (
     SimplexRef,
     SimplicialMap,
@@ -868,3 +869,23 @@ def test_cone_diagram_builds_no_face_map(monkeypatch):
     assert maps[0] == 0
     assert assembled[0] > 0
     assert hf.validate(r.space).ok
+
+
+
+def test_total_realization_tells_round_from_still():
+    # the group-completion report holds BZ2's homology only, the same for
+    # both diagrams; the total realization is what tells them apart.  t acts
+    # by the identity, so through degree 2 it is BZ2 x F(1), with Kunneth's
+    # homology: F(1) is a circle for round and, for still, a sphere (the
+    # 2-simplex t with faces e, e, s0 v)
+    pinned = {}
+    for text, name in ((ROUND_DOCUMENT, "round"), (CONE_DOCUMENT, "still")):
+        doc = dsl.parse(text)
+        total = borel_total(doc.categories["Z2"], doc.diagrams[name], 3).total.space
+        pinned[name] = ([len(total.gens(k)) for k in range(total.max_dim + 1)],
+                        [homology_summary(total, k) for k in range(3)])
+    assert pinned == {
+        "round": ([1, 5, 16, 44], [(1, ()), (1, (2,)), (0, (2,))]),
+        "still": ([2, 7, 29, 106], [(1, ()), (0, (2,)), (1, ())]),
+    }
+    assert pinned["round"] != pinned["still"]

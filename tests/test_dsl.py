@@ -11,6 +11,7 @@ import homfib as hf
 from homfib import cli
 from homfib.cli import CommandError, Report, emit, main, parse_report, run
 from homfib.dsl import Document, DslError, parse
+from homfib.fibration import weak_fibration_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -437,6 +438,24 @@ def test_main_deep_ops_flag(capsys):
                  "--deep-ops", "--format", "json", "--stable"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["params"]["deep_ops"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["barycenter", "double_interval", "-f", str(FIXTURES / "bundle.hfd")],
+    ["group-completion", "Z2", "-f", str(FIXTURES / "z2.hfd"), "--max-dim", "2"],
+])
+def test_deep_ops_flag_reaches_the_weak_check(argv, monkeypatch, capsys):
+    seen = []
+
+    def spy(p, up_to, deep_ops=False):
+        seen.append(deep_ops)
+        return weak_fibration_check(p, up_to, deep_ops=deep_ops)
+
+    monkeypatch.setattr(cli, "weak_fibration_check", spy)
+    monkeypatch.setattr(hf.borel, "weak_fibration_check", spy)
+    assert main(argv + ["--deep-ops", "--format", "json", "--stable"]) == 0
+    assert seen == [True]
+    assert json.loads(capsys.readouterr().out)["params"]["deep_ops"] is True
 
 
 def test_group_completion_with_declared_diagram():

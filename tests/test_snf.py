@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import homfib as hf
 from homfib.homology import normalized_chains
@@ -111,16 +111,6 @@ def test_known_forms(rows, expected):
 TRANSFORMS = ("u", "u_inv", "v", "v_inv")
 
 
-def layout(m):
-    """Entries in row-dict order, and each column set in iteration order.
-
-    The divisibility scan reads rows in row-dict order, so equal layouts,
-    not only equal entries, keep later Smith forms on the same path.
-    """
-    return ([(i, list(r.items())) for i, r in m.rows.items()],
-            [(j, list(s)) for j, s in m.cols.items()])
-
-
 def assert_matches_reference(m):
     diagonal, rank, *transforms = reference_smith_normal_form(m)
     form = smith_normal_form(m)
@@ -130,8 +120,19 @@ def assert_matches_reference(m):
         got = getattr(form, name)
         assert (got.nrows, got.ncols) == (ref.nrows, ref.ncols)
         assert got.rows == ref.rows, name
-        assert layout(got) == layout(ref), name
+        assert got.cols == ref.cols, name
         assert getattr(form, name) is got
+
+
+def assert_consistent(m):
+    """No empty row dict, no empty column set, and cols[j] exactly the rows
+    with a nonzero entry in column j."""
+    assert all(m.rows.values()) and all(m.cols.values())
+    assert all(v for row in m.rows.values() for v in row.values())
+    occupied = {}
+    for i, j, _ in m.entries():
+        occupied.setdefault(j, set()).add(i)
+    assert m.cols == occupied
 
 
 @st.composite
@@ -169,12 +170,38 @@ def test_engine_matches_reference_on_edge_shapes(rows):
     assert_matches_reference(IntMatrix(0, len(rows)))
 
 
-def test_divisibility_fold_takes_the_first_offender_in_row_dict_order():
-    # after the pivot 5 moves to the top left, rows 1 (the 6) and 2 (the 9)
-    # both break divisibility, and row 2 comes first in the row dict
-    m = IntMatrix.from_entries(3, 2, [(0, 1, 6), (2, 1, 9), (1, 0, 5)])
-    assert list(m.rows) == [0, 2, 1]
+FOLD = [(0, 1, 6), (2, 1, 9), (1, 0, 5)]
+
+
+def test_divisibility_fold_takes_the_least_offending_row():
+    # [[0, 6], [5, 0], [0, 9]]: the pivot 5 moves to the top left, then
+    # rows 1 (the 6) and 2 (the 9) both break divisibility, and row 1 is
+    # folded into row 0.  Reduced by hand, the path is: swap rows 0 and 1;
+    # row 0 += row 1; col 1 -= col 0; swap cols 0 and 1; row 1 -= 6 row 0;
+    # row 2 -= 9 row 0; col 1 -= 5 col 0; row 2 -= row 1; swap rows 1 and 2;
+    # row 2 -= 2 row 1; negate row 1.
+    m = IntMatrix.from_entries(3, 2, FOLD)
+    form = smith_normal_form(m)
+    assert form.diagonal == [1, 15]
+    assert form.u.to_dense() == [[1, 1, 0], [4, 3, -1], [3, 0, -2]]
+    assert form.v.to_dense() == [[-1, 6], [1, -5]]
+    assert form.u.matmul(m).matmul(form.v).to_dense() == [[1, 0], [0, 15], [0, 0]]
     assert_matches_reference(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_matrices())
+@example(IntMatrix.from_entries(3, 2, FOLD))
+@example(IntMatrix.from_rows([[5, 0], [0, 6], [0, 9]]))
+def test_smith_forms_depend_on_entries_alone(m):
+    entries = sorted(m.entries())
+    forms = [smith_normal_form(IntMatrix.from_entries(m.nrows, m.ncols, order))
+             for order in (entries, entries[::-1])]
+    forms.append(smith_normal_form(m))
+    for form in forms[1:]:
+        assert form.diagonal == forms[0].diagonal
+        for name in TRANSFORMS:
+            assert getattr(form, name).rows == getattr(forms[0], name).rows, name
 
 
 def corpus_boundaries():
@@ -200,8 +227,7 @@ OPERATIONS = ("row_add", "col_add", "row_swap", "col_swap", "row_negate", "col_n
 @settings(max_examples=60, deadline=None)
 @given(engine_matrices(), st.data())
 def test_elementary_operations_match_reference(m, data):
-    # both start from a copy, since copying a set can change its layout
-    ref, m = ReferenceMatrix.copy_of(m), m.copy()
+    ref = ReferenceMatrix.copy_of(m)
     for _ in range(data.draw(st.integers(0, 25))):
         op = data.draw(st.sampled_from(OPERATIONS))
         n = m.nrows if op.startswith("row") else m.ncols
@@ -213,4 +239,5 @@ def test_elementary_operations_match_reference(m, data):
             args += (data.draw(st.sampled_from([-2, -1, 1, 3])),)
         getattr(m, op)(*args)
         getattr(ref, op)(*args)
-        assert layout(m) == layout(ref), (op, args)
+        assert (m.rows, m.cols) == (ref.rows, ref.cols), (op, args)
+        assert_consistent(m)
