@@ -29,7 +29,7 @@ from .fibration import (
     strong_check_via_known_fiber,
     weak_fibration_check,
 )
-from .homology import is_homology_iso
+from .homology import Z, is_homology_iso
 from .sset import (
     SimplexRef,
     SimplicialMap,
@@ -790,15 +790,14 @@ class Telescope:
         return SimplicialMap(self.X, self.space, assignment)
 
 
-def telescope_diagram(cat: SimplicialCategory, alpha, stages: int,
-                      base_object=None) -> tuple[Diagram, dict]:
+def telescope_diagram(cat: SimplicialCategory, alpha, stages: int) -> tuple[Diagram, dict]:
     """The stage-truncated telescope diagram along an endomorphism vertex.
 
-    alpha must be a vertex of hom(1,1) for the chosen base object; values
-    are telescopes of hom(i,1) along postcomposition with alpha, with
-    actions extended cylinder-wise.
+    alpha must be a vertex of hom(1,1) for the base object 1, the first of
+    cat.objects; values are telescopes of hom(i,1) along postcomposition
+    with alpha, with actions extended cylinder-wise.
     """
-    one = base_object if base_object is not None else cat.objects[0]
+    one = cat.objects[0]
     if alpha not in cat.hom(one, one).gens(0):
         raise ValueError(f"{alpha!r} is not an endomorphism vertex of {one!r}")
     telescopes = {}
@@ -854,7 +853,8 @@ class GroupCompletionReport:
 
 def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
                            fibers: list[KnownFiberSpec] | None = None,
-                           deep_ops: bool = False) -> GroupCompletionReport:
+                           deep_ops: bool = False,
+                           coefficients: int = Z) -> GroupCompletionReport:
     """The four-gate desk rendering of the generalized group completion.
 
     1. every morphism vertex acts by homology equivalences on the diagram;
@@ -864,7 +864,8 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
        preimages match the registered fibers.
 
     deep_ops hands gate 4's weak check every operator word, as in
-    weak_fibration_check.
+    weak_fibration_check.  Gates 1 and 4 compare homology over the
+    coefficients, Z or Z/p.
     """
     up_to = N - 1
     gates = []
@@ -875,7 +876,7 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
     for i in cat.objects:
         for j in cat.objects:
             for f in cat.hom(i, j).gens(0):
-                ok, _ = is_homology_iso(diag.morphism_map(i, j, f), up_to)
+                ok, _ = is_homology_iso(diag.morphism_map(i, j, f), up_to, coefficients)
                 morphism_cache[(i, j, f)] = ok
                 if not ok:
                     hypothesis_ok = False
@@ -907,7 +908,8 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
         for f in cat.hom(i, j).gens(0) if not morphism_cache[(i, j, f)]]
     gates.append(Gate("d0-fiber-maps", not witnesses, witnesses))
 
-    weak = weak_fibration_check(construction.pi, up_to, deep_ops=deep_ops)
+    weak = weak_fibration_check(construction.pi, up_to, deep_ops=deep_ops,
+                                coefficients=coefficients)
     realization_ok = weak.verdict
     witnesses = [(c.sigma, c.op) for c in weak.failures()]
     if fibers is None:
@@ -915,7 +917,7 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
                                  f"F({i!r})") for i in cat.objects]
     if weak.verdict:
         for spec in fibers:
-            strong = strong_check_via_known_fiber(construction.pi, spec, up_to)
+            strong = strong_check_via_known_fiber(construction.pi, spec, up_to, coefficients)
             if not strong.verdict:
                 realization_ok = False
                 witnesses.append(("known-fiber", spec.vertex))

@@ -273,7 +273,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         f = _simplicial_map(doc, target)
         up_to = max(0, min(n_bound, f.source.max_dim))
         valid_up_to = up_to
-        report = weak_fibration_check(f, up_to, deep_ops=deep)
+        report = weak_fibration_check(f, up_to, deep_ops=deep, coefficients=coefficients)
         checks.append(_check("weak homology fibration", report.verdict,
                              [f"({c.sigma!r}, {c.op}) at degree "
                               f"{[t.degree for t in c.certificates if not t.ok]}"
@@ -323,7 +323,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         E = f.source
         up_to = min(n_bound, E.max_dim)
         valid_up_to = E.max_dim - 1
-        weak = weak_fibration_check(f, up_to, deep_ops=deep)
+        weak = weak_fibration_check(f, up_to, deep_ops=deep, coefficients=coefficients)
         checks.append(_check("weak homology fibration", weak.verdict,
                              [f"{c.sigma!r},{c.op}" for c in weak.failures()[:5]]))
         sf = sub.sd_over_simplex(f)
@@ -340,7 +340,7 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         bc = bor.borel_total(cat, diag, n_bound)
         valid_up_to = n_bound - 1
         checks.append(_check("restriction Borel construction is acyclic",
-                             is_acyclic(bc.total.space, valid_up_to)))
+                             is_acyclic(bc.total.space, valid_up_to, coefficients)))
         rows = _homology_rows(f"E_{target} M_1", bc.total.space, valid_up_to,
                               coefficients)
 
@@ -357,7 +357,8 @@ def run(command: str, doc: Document, flags: dict) -> Report:
         else:
             diag = bor.restriction_diagram(cat, "1")
         valid_up_to = n_bound - 1
-        report = bor.group_completion_check(cat, diag, n_bound, deep_ops=deep)
+        report = bor.group_completion_check(cat, diag, n_bound, deep_ops=deep,
+                                            coefficients=coefficients)
         for gate in report.gates:
             checks.append(_check(f"gate: {gate.name}", gate.ok,
                                  [str(w) for w in gate.witnesses[:5]]))

@@ -1,6 +1,11 @@
 """Plain-text declarations of spaces, maps, monoids and diagrams.
 
-Grammar (whitespace-insensitive, comments run from '#' to end of line):
+Tokens are identifiers [A-Za-z_][A-Za-z0-9_]*, integers (runs of digits)
+and the marks -> { } [ ] ( ) : ; , . =, separated by blanks (space, tab,
+carriage return), newlines and comments from '#' to the end of the line.
+An error's column counts characters from the start of its line, from 1.
+
+Grammar:
 
     sset NAME { SIMPLEX : dim N faces [F0, ..., FN] ; ... }
     map NAME : SRC -> DST { SIMPLEX -> F ; ... }
@@ -38,53 +43,28 @@ class Token:
     col: int
 
 
-_PUNCT = ["->", "{", "}", "[", "]", "(", ")", ":", ";", ",", ".", "="]
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT = re.compile(r"\d+")
+# One alternative per token kind, tried in this order at each position;
+# '->' comes before the one-character marks.
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<blank>[ \t\r]+)|(?P<comment>#[^\n]*)"
+                    r"|(?P<punct>->|[{}\[\]():;,.=])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<int>\d+)")
 
 
 def tokenize(text: str) -> list[Token]:
+    """The ident, int and punct tokens of text with their positions; a
+    position where no token starts is a DslError."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise DslError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in ("punct", "ident", "int"):
+            tokens.append(Token(kind, m.group(), line, pos - line_start + 1))
+        pos = m.end()
     return tokens
 
 
@@ -108,68 +88,74 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def ahead(self) -> str | None:
+        """The next token's text, None at the end of the input."""
+        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        if self.pos == len(self.tokens):
             last = self.tokens[-1] if self.tokens else Token("punct", "", 1, 1)
             raise DslError("unexpected end of input", last.line, last.col)
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str):
         tok = self.next()
         if tok.text != text:
-            raise DslError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+            self.error(tok, f"expected {text!r}, found {tok.text!r}")
+
+    def keyword(self, word: str):
+        tok = self.ident()
+        if tok.text != word:
+            self.error(tok, f"expected {word!r}")
 
     def ident(self, what: str = "name") -> Token:
         tok = self.next()
         if tok.kind != "ident":
-            raise DslError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+            self.error(tok, f"expected {what}, found {tok.text!r}")
         return tok
 
     def name_token(self) -> Token:
         tok = self.next()
         if tok.kind not in ("ident", "int"):
-            raise DslError(f"expected a name, found {tok.text!r}", tok.line, tok.col)
+            self.error(tok, f"expected a name, found {tok.text!r}")
         return tok
+
+    def listed(self, item) -> list:
+        """One item or more, separated by commas."""
+        items = [item()]
+        while self.ahead() == ",":
+            self.next()
+            items.append(item())
+        return items
 
     def error(self, tok: Token, message: str):
         raise DslError(message, tok.line, tok.col)
 
-    def unresolved(self, tok: Token, kind: str, pool) -> DslError:
-        hint = difflib.get_close_matches(tok.text, list(pool), n=3)
-        suffix = f" (did you mean {', '.join(hint)}?)" if hint else ""
-        return DslError(f"unknown {kind} {tok.text!r}{suffix}", tok.line, tok.col)
+    def known(self, tok: Token, kind: str, pool) -> Token:
+        """tok, refused with the closest names in pool unless pool holds it."""
+        if tok.text not in pool:
+            hint = difflib.get_close_matches(tok.text, list(pool), n=3)
+            suffix = f" (did you mean {', '.join(hint)}?)" if hint else ""
+            self.error(tok, f"unknown {kind} {tok.text!r}{suffix}")
+        return tok
 
     def declare(self, kind: str, tok: Token):
         key = (kind, tok.text)
-        table = getattr(self.doc, kind + "s")
-        if tok.text in table:
+        if key in self.doc.spans:
             line, col = self.doc.spans[key]
-            raise DslError(
-                f"duplicate {kind} name {tok.text!r} (first declared at {line}:{col})",
-                tok.line, tok.col)
+            self.error(tok, f"duplicate {kind} name {tok.text!r} "
+                            f"(first declared at {line}:{col})")
         self.doc.spans[key] = (tok.line, tok.col)
 
     # -- grammar -------------------------------------------------------------
 
     def parse(self) -> Document:
-        while self.peek() is not None:
+        while self.ahead() is not None:
             tok = self.ident("declaration keyword")
-            if tok.text == "sset":
-                self.parse_sset()
-            elif tok.text == "map":
-                self.parse_map()
-            elif tok.text == "monoid":
-                self.parse_monoid()
-            elif tok.text == "diagram":
-                self.parse_diagram()
-            else:
+            if tok.text not in self.DECLARATIONS:
                 self.error(tok, f"unknown declaration {tok.text!r}")
+            self.DECLARATIONS[tok.text](self)
         return self.doc
 
     def parse_face_expr(self, names: dict[str, int], owner: str):
@@ -178,11 +164,10 @@ class _Parser:
         while True:
             tok = self.name_token()
             m = re.fullmatch(r"s(\d+)", tok.text)
-            if m and self.peek() is not None and self.peek().text not in (",", "]", ";"):
+            if m and self.ahead() not in (None, ",", "]", ";"):
                 word.append(int(m.group(1)))
                 continue
-            if tok.text not in names:
-                raise self.unresolved(tok, f"simplex in {owner!r}", names)
+            self.known(tok, f"simplex in {owner!r}", names)
             return word, tok.text, tok
 
     def resolve_face_expr(self, face, names: dict[str, int], expected: int,
@@ -204,30 +189,20 @@ class _Parser:
         self.expect("{")
         entries = []  # (simplex, dim, faces=[(word, target, token)], token)
         dims: dict[str, int] = {}
-        while self.peek() and self.peek().text != "}":
+        while self.ahead() not in (None, "}"):
             simplex = self.ident("simplex name")
             if simplex.text in dims:
                 self.error(simplex, f"duplicate simplex {simplex.text!r}")
             self.expect(":")
-            kw = self.ident()
-            if kw.text != "dim":
-                self.error(kw, "expected 'dim'")
+            self.keyword("dim")
             dim_tok = self.next()
             if dim_tok.kind != "int":
                 self.error(dim_tok, "expected a dimension")
             dim = int(dim_tok.text)
-            kw = self.ident()
-            if kw.text != "faces":
-                self.error(kw, "expected 'faces'")
+            self.keyword("faces")
             self.expect("[")
-            faces = []
-            if self.peek() and self.peek().text != "]":
-                while True:
-                    faces.append(self.parse_face_expr(dims, simplex.text))
-                    if self.peek() and self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
+            faces = self.listed(lambda: self.parse_face_expr(dims, simplex.text)) \
+                if self.ahead() not in (None, "]") else []
             self.expect("]")
             self.expect(";")
             if dim == 0 and faces:
@@ -255,21 +230,16 @@ class _Parser:
         name = self.ident("map name")
         self.declare("map", name)
         self.expect(":")
-        src_tok = self.ident("source sset")
-        if src_tok.text not in self.doc.ssets:
-            raise self.unresolved(src_tok, "sset", self.doc.ssets)
+        src_tok = self.known(self.ident("source sset"), "sset", self.doc.ssets)
         self.expect("->")
-        dst_tok = self.ident("target sset")
-        if dst_tok.text not in self.doc.ssets:
-            raise self.unresolved(dst_tok, "sset", self.doc.ssets)
+        dst_tok = self.known(self.ident("target sset"), "sset", self.doc.ssets)
         src, dst = self.doc.ssets[src_tok.text], self.doc.ssets[dst_tok.text]
         dst_dims = {g: dst.dim_of[g] for g in dst.all_gens()}
         self.expect("{")
         assignment = {}
-        while self.peek() and self.peek().text != "}":
-            simplex = self.ident("simplex name")
-            if simplex.text not in src.dim_of:
-                raise self.unresolved(simplex, f"simplex of {src_tok.text!r}", src.dim_of)
+        while self.ahead() not in (None, "}"):
+            simplex = self.known(self.ident("simplex name"),
+                                 f"simplex of {src_tok.text!r}", src.dim_of)
             if simplex.text in assignment:
                 self.error(simplex, f"duplicate image of {simplex.text!r}")
             self.expect("->")
@@ -287,30 +257,19 @@ class _Parser:
         name = self.ident("monoid name")
         self.declare("monoid", name)
         self.expect("{")
-        kw = self.ident()
-        if kw.text != "elements":
-            self.error(kw, "expected 'elements'")
-        elements = [self.name_token().text]
-        while self.peek() and self.peek().text == ",":
-            self.next()
-            elements.append(self.name_token().text)
+        self.keyword("elements")
+        elements = [tok.text for tok in self.listed(self.name_token)]
         self.expect(";")
-        kw = self.ident()
-        if kw.text != "unit":
-            self.error(kw, "expected 'unit'")
-        unit_tok = self.name_token()
-        if unit_tok.text not in elements:
-            raise self.unresolved(unit_tok, "element", elements)
+        self.keyword("unit")
+        unit = self.known(self.name_token(), "element", elements).text
         self.expect(";")
-        kw = self.ident()
-        if kw.text != "mul":
-            self.error(kw, "expected 'mul'")
+        self.keyword("mul")
         self.expect("{")
         table, declared = {}, set()
         for e in elements:
-            table[(unit_tok.text, e)] = e
-            table[(e, unit_tok.text)] = e
-        while self.peek() and self.peek().text != "}":
+            table[(unit, e)] = e
+            table[(e, unit)] = e
+        while self.ahead() not in (None, "}"):
             a = self.name_token()
             self.expect(".")
             b = self.name_token()
@@ -318,8 +277,7 @@ class _Parser:
             c = self.name_token()
             self.expect(";")
             for tok in (a, b, c):
-                if tok.text not in elements:
-                    raise self.unresolved(tok, "element", elements)
+                self.known(tok, "element", elements)
             if (a.text, b.text) in declared:
                 self.error(a, f"duplicate product {a.text}.{b.text}")
             declared.add((a.text, b.text))
@@ -327,39 +285,31 @@ class _Parser:
         self.expect("}")
         self.expect("}")
         try:
-            category = from_monoid(table, unit_tok.text)
+            category = from_monoid(table, unit)
         except ValueError as exc:
             self.error(name, str(exc))
-        self.doc.monoids[name.text] = {
-            "elements": elements, "unit": unit_tok.text, "table": table}
+        self.doc.monoids[name.text] = {"elements": elements, "unit": unit, "table": table}
         self.doc.categories[name.text] = category
 
     def parse_diagram(self):
         name = self.ident("diagram name")
         self.declare("diagram", name)
-        kw = self.ident()
-        if kw.text != "over":
-            self.error(kw, "expected 'over'")
-        cat_tok = self.ident("category name")
-        if cat_tok.text not in self.doc.categories:
-            raise self.unresolved(cat_tok, "monoid/category", self.doc.categories)
+        self.keyword("over")
+        cat_tok = self.known(self.ident("category name"), "monoid/category",
+                             self.doc.categories)
         cat = self.doc.categories[cat_tok.text]
         unit = self.doc.monoids[cat_tok.text]["unit"]
         self.expect("{")
         values: dict[str, SimplicialSet] = {}
         actions: dict[tuple, SimplicialMap] = {}
-        while self.peek() and self.peek().text != "}":
+        while self.ahead() not in (None, "}"):
             kw = self.ident()
             if kw.text == "F":
                 self.expect("(")
-                obj = self.name_token()
-                if obj.text not in cat.objects:
-                    raise self.unresolved(obj, "object", cat.objects)
+                obj = self.known(self.name_token(), "object", cat.objects)
                 self.expect(")")
                 self.expect("=")
-                sset_tok = self.ident("sset name")
-                if sset_tok.text not in self.doc.ssets:
-                    raise self.unresolved(sset_tok, "sset", self.doc.ssets)
+                sset_tok = self.known(self.ident("sset name"), "sset", self.doc.ssets)
                 self.expect(";")
                 if obj.text in values:
                     self.error(kw, f"duplicate value F({obj.text})")
@@ -376,13 +326,9 @@ class _Parser:
                 map_tok = self.ident("map name")
                 self.expect(";")
                 for obj in (obj_i, obj_j):
-                    if obj.text not in cat.objects:
-                        raise self.unresolved(obj, "object", cat.objects)
-                if elem.text not in cat.hom(obj_i.text, obj_j.text).gens(0):
-                    raise self.unresolved(elem, "morphism element",
-                                          cat.hom(obj_i.text, obj_j.text).gens(0))
-                if map_tok.text not in self.doc.maps:
-                    raise self.unresolved(map_tok, "map", self.doc.maps)
+                    self.known(obj, "object", cat.objects)
+                self.known(elem, "morphism element", cat.hom(obj_i.text, obj_j.text).gens(0))
+                self.known(map_tok, "map", self.doc.maps)
                 key = (obj_i.text, obj_j.text, elem.text)
                 if elem.text == unit and obj_i.text == obj_j.text:
                     self.error(elem, f"the unit {unit!r} acts as the identity and takes no act")
@@ -413,6 +359,9 @@ class _Parser:
             return actions[(i, j, f_ref.gen)](x_ref)
 
         self.doc.diagrams[name.text] = build_diagram(cat, values, act_gen)
+
+    DECLARATIONS = {"sset": parse_sset, "map": parse_map,
+                    "monoid": parse_monoid, "diagram": parse_diagram}
 
 
 def parse(text: str) -> Document:

@@ -60,7 +60,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from .homology import IsoCertificate, homology_summary, is_acyclic, is_homology_iso, share_pool
+from .homology import Z, IsoCertificate, homology_summary, is_acyclic, is_homology_iso, share_pool
 from .sset import (
     PositionMap,
     PullbackResult,
@@ -302,8 +302,8 @@ def _weak_comparisons(sigma: SimplexRef, lemma: dict):
             yield _degeneracy_comparison(sigma, i)
 
 
-def weak_fibration_check(p: SimplicialMap, up_to: int,
-                         deep_ops: bool = False) -> WeakFibrationReport:
+def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
+                         coefficients: int = Z) -> WeakFibrationReport:
     """Test the weak homology fibration property on face comparisons.
 
     For a face d_i the comparison runs dp(d_i sigma) -> dp(sigma) and is
@@ -313,7 +313,8 @@ def weak_fibration_check(p: SimplicialMap, up_to: int,
     checked once per (n, i) and recorded in the report's lemma, and where
     it fails the ('s', i) comparisons are computed like the faces.  With
     deep_ops every monotone operator word into [n] is checked instead,
-    degeneracies included.  Checks come in canonical simplex order.
+    degeneracies included.  Every comparison is tested over the
+    coefficients, Z or Z/p.  Checks come in canonical simplex order.
     """
     calc = preimage_calculator(p, up_to + 1)
     B = p.target
@@ -324,7 +325,7 @@ def weak_fibration_check(p: SimplicialMap, up_to: int,
         gens = _operator_word_comparisons(sigma) if deep_ops \
             else _weak_comparisons(sigma, lemma)
         for op, rho, phi in gens:
-            ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to)
+            ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
             checks.append(ComparisonCheck(sigma, op, ok, certs))
     verdict = all(c.ok for c in checks)
     return WeakFibrationReport(verdict, up_to, checks, lemma)
@@ -422,15 +423,16 @@ class StrongFiberReport:
     vertex_table: list[tuple[int, tuple[int, ...]]]
 
 
-def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
-                                 up_to: int) -> StrongFiberReport:
+def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: int,
+                                 coefficients: int = Z) -> StrongFiberReport:
     """Compare every preimage in a component against a registered fibre.
 
     Each dp(sigma) is connected to the preimage of sigma's leading vertex by
     the canonical comparison map, and the vertex preimage is compared with
     the declared fibre by homology table; together with the weak property
     this realizes the conclusion of the weak => strong theorem on instances
-    whose homotopy fibre is independently known.
+    whose homotopy fibre is independently known.  Tables and comparisons
+    are taken over the coefficients, Z or Z/p.
     """
     B = p.target
     components = vertex_components(B)
@@ -438,9 +440,10 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
         raise ValueError(f"unknown base vertex {spec.vertex!r}")
     comp = components[spec.vertex]
     calc = preimage_calculator(p, up_to + 1)
-    declared = [homology_summary(spec.fiber, k) for k in range(up_to + 1)]
+    declared = [homology_summary(spec.fiber, k, coefficients) for k in range(up_to + 1)]
     base_rec = calc.record(B.ref(spec.vertex))
-    vertex_table = [homology_summary(base_rec.space, k) for k in range(up_to + 1)]
+    vertex_table = [homology_summary(base_rec.space, k, coefficients)
+                    for k in range(up_to + 1)]
     table_ok = declared == vertex_table
     comparisons = []
     verdict = table_ok
@@ -450,9 +453,10 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec,
             continue
         if sigma.dim == 0:
             rec = calc.record(sigma)
-            ok = [homology_summary(rec.space, d) for d in range(up_to + 1)] == declared
+            ok = [homology_summary(rec.space, d, coefficients)
+                  for d in range(up_to + 1)] == declared
         else:
-            ok, _ = is_homology_iso(calc.comparison(sigma, (0,)), up_to)
+            ok, _ = is_homology_iso(calc.comparison(sigma, (0,)), up_to, coefficients)
         comparisons.append((sigma, ok))
         verdict = verdict and ok
     return StrongFiberReport(verdict, table_ok, comparisons, declared, vertex_table)

@@ -35,7 +35,7 @@ from math import isqrt
 from types import MappingProxyType
 from typing import Any, Callable
 
-from .snf import IntMatrix, smith_normal_form
+from .snf import IntMatrix, SmithForm, smith_normal_form
 from .sset import PositionMap, SimplicialMap, SimplicialSet
 
 Z = 0  # coefficient tag: 0 means the integers, p >= 2 means Z/p
@@ -374,16 +374,10 @@ def induced(f: SimplicialMap, k: int, coefficients: int = Z) -> InducedMap:
     return InducedMap(k, cols, list(src.orders), list(dst.orders))
 
 
-def _cokernel(rel: IntMatrix) -> list[int]:
-    """Invariant factors (0 = Z) of the cokernel of a relation matrix."""
-    form = smith_normal_form(rel)
+def _cokernel(form: SmithForm) -> list[int]:
+    """Invariant factors (0 = Z) of the cokernel of the matrix form reduces."""
     factors = [d for d in form.invariant_factors() if d != 1]
-    return factors + [0] * (rel.nrows - form.rank)
-
-
-def _diagonal(invariants: list[int]) -> IntMatrix:
-    return IntMatrix.from_columns(len(invariants),
-                                  [{j: d} for j, d in enumerate(invariants)])
+    return factors + [0] * (form.shape[0] - form.rank)
 
 
 def _matrix_of(ind: InducedMap) -> IntMatrix:
@@ -392,45 +386,26 @@ def _matrix_of(ind: InducedMap) -> IntMatrix:
 
 
 def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
-    """Invariant factors (0 = Z) of the kernel and cokernel presentations."""
+    """Invariant factors (0 = Z) of the kernel and cokernel presentations.
+
+    One Smith form of [matrix | target relations] gives both.  Its diagonal
+    presents the cokernel.  Its kernel columns, cut to the first m_x
+    coordinates, span the x with (matrix)x in the image of the target
+    relations; that lattice holds the source relations, since the map is
+    well defined, and the kernel is it modulo them.
+    """
     m_x, m_y = len(ind.src_invariants), len(ind.dst_invariants)
-    mat = _matrix_of(ind)
-    rel_x = _diagonal(ind.src_invariants)
-    rel_y = _diagonal(ind.dst_invariants)
-
-    # cokernel: Z^{m_y} modulo the image of [matrix | target relations]
-    coker = _cokernel(IntMatrix.from_entries(m_y, m_x + m_y, chain(
-        mat.entries(), ((i, m_x + j, v) for i, j, v in rel_y.entries()))))
-
-    # kernel: lattice of x with (matrix)x in im(target relations), modulo
-    # the source relations.  Generators: projections of the block kernel
-    # plus the source relation columns; relations: their syzygies plus the
-    # statement that source relations vanish.
-    block = IntMatrix.from_entries(m_y, m_x + m_x + m_y, chain(
-        mat.entries(),
-        ((i, m_x + j, v) for i, j, v in mat.matmul(rel_x).entries()),
-        ((i, 2 * m_x + j, v) for i, j, v in rel_y.entries())))
-    # generator list: w_j = x-part of block-kernel columns restricted to the
-    # first m_x coordinates, and r_j = rel_x columns
-    kform = smith_normal_form(block)
-    wcols = []
-    for col in kform.kernel_columns():
-        proj = {}
-        for i, v in col.items():
-            if i < m_x:
-                proj[i] = proj.get(i, 0) + v
-            elif i < 2 * m_x:
-                # contribution of rel_x-shaped solution columns
-                d = ind.src_invariants[i - m_x]
-                if d:
-                    proj[i - m_x] = proj.get(i - m_x, 0) + v * d
-        wcols.append({i: v for i, v in proj.items() if v})
-    rcols = [rel_x.column(j) for j in range(m_x)]
-    gens = wcols + rcols
+    form = smith_normal_form(IntMatrix.from_entries(m_y, m_x + m_y, chain(
+        _matrix_of(ind).entries(),
+        ((i, m_x + i, d) for i, d in enumerate(ind.dst_invariants)))))
+    wcols = [{i: v for i, v in col.items() if i < m_x} for col in form.kernel_columns()]
+    # generators: the lattice's spanning columns and the source relations;
+    # relations: their syzygies, and the source relations set to zero
+    gens = wcols + [{j: d} for j, d in enumerate(ind.src_invariants)]
     syz = smith_normal_form(IntMatrix.from_columns(m_x, gens)).kernel_columns()
     pres = IntMatrix.from_columns(
         len(gens), syz + [{len(wcols) + j: 1} for j in range(m_x)])
-    return _cokernel(pres), coker
+    return _cokernel(smith_normal_form(pres)), _cokernel(form)
 
 
 def _invertible_mod_p(ind: InducedMap, p: int) -> bool:

@@ -169,3 +169,57 @@ diagram still over Z2 {
   act(1,1): t -> keep;
 }
 """
+
+
+# A document in the DSL, written out by the tests rather than kept under
+# fixtures/: a map q: E -> interval whose fibre over b is the Moore space
+# M(Z/3, 1) (a loop e, a hub h, spokes k0-k2 and triangles t_i glue the
+# loop three times around the hub) and whose fibre over a is the point p,
+# joined to it by the edge c.  The comparison {p} -> E fails over Z and
+# Z/3 and holds over Z/2, over which M(Z/3, 1) is acyclic.  The diagram
+# `crushed` lets the idempotent e of M2 act on E by collapsing it onto p,
+# which is a homology equivalence over Z/2 alone.
+MOORE_DOCUMENT = """\
+sset E {
+  p : dim 0 faces [];
+  v : dim 0 faces [];
+  h : dim 0 faces [];
+  e : dim 1 faces [v, v];
+  k0 : dim 1 faces [v, h];
+  k1 : dim 1 faces [v, h];
+  k2 : dim 1 faces [v, h];
+  c : dim 1 faces [v, p];
+  t0 : dim 2 faces [e, k1, k0];
+  t1 : dim 2 faces [e, k2, k1];
+  t2 : dim 2 faces [e, k0, k2];
+}
+
+sset interval {
+  a : dim 0 faces [];
+  b : dim 0 faces [];
+  ab : dim 1 faces [b, a];
+}
+
+map q : E -> interval {
+  p -> a;  v -> b;  h -> b;  c -> ab;
+  e -> s0 b;  k0 -> s0 b;  k1 -> s0 b;  k2 -> s0 b;
+  t0 -> s1 s0 b;  t1 -> s1 s0 b;  t2 -> s1 s0 b;
+}
+
+monoid M2 {
+  elements u, e;
+  unit u;
+  mul { e.e = e; }
+}
+
+map crush : E -> E {
+  p -> p;  v -> p;  h -> p;  c -> s0 p;
+  e -> s0 p;  k0 -> s0 p;  k1 -> s0 p;  k2 -> s0 p;
+  t0 -> s1 s0 p;  t1 -> s1 s0 p;  t2 -> s1 s0 p;
+}
+
+diagram crushed over M2 {
+  F(1) = E;
+  act(1,1): e -> crush;
+}
+"""

@@ -1,6 +1,8 @@
 import importlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +12,11 @@ import pytest
 import homfib as hf
 from homfib import cli
 from homfib.cli import CommandError, Report, emit, main, parse_report, run
-from homfib.dsl import Document, DslError, parse
+from homfib.dsl import Document, DslError, parse, tokenize
 from homfib.fibration import weak_fibration_check
+
+from corpus import CONE_DOCUMENT, MOORE_DOCUMENT
+from test_fuzz import TEXTS, char_mutant
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -233,6 +238,69 @@ def test_garbage_rejected_with_position():
         parse("sset x { v : dim 0 faces []; } !")
 
 
+MARKS = {"->", "{", "}", "[", "]", "(", ")", ":", ";", ",", ".", "="}
+IDENT_CHAR = re.compile(r"[A-Za-z0-9_]")
+
+
+def starts_a_token(text: str, at: int) -> bool:
+    ch = text[at]
+    return (ch in " \t\r\n#{}[]():;,.=" or text.startswith("->", at)
+            or re.match(r"[A-Za-z_]", ch) is not None or ch.isdecimal())
+
+
+def assert_tokenized_to_specification(text: str):
+    """tokenize against the token rules of the dsl docstring alone."""
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    try:
+        tokens = tokenize(text)
+    except DslError as exc:
+        # the first character that starts no token: not in a comment, and
+        # everything before it made of tokens
+        at = line_starts[exc.line - 1] + exc.col - 1
+        assert not starts_a_token(text, at), (exc, text)
+        assert "#" not in text[line_starts[exc.line - 1]:at], (exc, text)
+        assert str(exc) == f"{exc.line}:{exc.col}: unexpected character {text[at]!r}"
+        assert_tokenized_to_specification(text[:at])
+        return
+    gap = 0
+    for tok in tokens + [None]:
+        at = len(text) if tok is None else line_starts[tok.line - 1] + tok.col - 1
+        assert at >= gap, (tok, text)                 # in order, no overlap
+        while gap < at:                               # blanks, newlines, comments
+            if text[gap] == "#":
+                newline = text.find("\n", gap)
+                gap = len(text) if newline < 0 else newline
+                assert gap <= at, (tok, text)         # no token inside a comment
+            else:
+                assert text[gap] in " \t\r\n", (gap, text)
+                gap += 1
+        if tok is None:
+            break
+        gap = at + len(tok.text)
+        assert text[at:gap] == tok.text, (tok, text)
+        if tok.kind == "punct":
+            assert tok.text in MARKS
+        elif tok.kind == "ident":
+            assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text)
+            assert gap == len(text) or not IDENT_CHAR.match(text[gap]), (tok, text)
+        else:
+            assert tok.kind == "int" and tok.text.isdecimal()
+            assert gap == len(text) or not text[gap].isdecimal(), (tok, text)
+        assert "-" not in tok.text or tok.text == "->"
+
+
+def test_tokenize_meets_its_specification():
+    texts = TEXTS + [CONE_DOCUMENT, MOORE_DOCUMENT]
+    rng = random.Random(6104)
+    mutants = [char_mutant(rng, rng.choice(texts)) for _ in range(1200)]
+    # characters the mutants never insert: a form feed, a letter and a digit
+    # outside ASCII, and '!'
+    odd = [text[:at] + rng.choice("\f\u00e9\u0663!") + text[at:]
+           for text in rng.sample(mutants, 400) for at in [rng.randrange(len(text))]]
+    for text in texts + mutants + odd:
+        assert_tokenized_to_specification(text)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -447,15 +515,46 @@ def test_main_deep_ops_flag(capsys):
 def test_deep_ops_flag_reaches_the_weak_check(argv, monkeypatch, capsys):
     seen = []
 
-    def spy(p, up_to, deep_ops=False):
-        seen.append(deep_ops)
-        return weak_fibration_check(p, up_to, deep_ops=deep_ops)
+    def spy(p, up_to, deep_ops=False, coefficients=0):
+        seen.append((deep_ops, coefficients))
+        return weak_fibration_check(p, up_to, deep_ops=deep_ops, coefficients=coefficients)
 
     monkeypatch.setattr(cli, "weak_fibration_check", spy)
     monkeypatch.setattr(hf.borel, "weak_fibration_check", spy)
     assert main(argv + ["--deep-ops", "--format", "json", "--stable"]) == 0
-    assert seen == [True]
+    assert seen == [(True, 0)]
     assert json.loads(capsys.readouterr().out)["params"]["deep_ops"] is True
+    assert main(argv + ["--coefficients", "Z3"]) == 0
+    assert seen[1:] == [(False, 3)]
+
+
+# {p} -> E, the comparison over the face a of the interval, is a homology
+# isomorphism over Z/2 alone, where E, the Moore space M(Z/3, 1) with a
+# whisker, is acyclic; over Z/3 it fails in degree 2 as well.
+@pytest.mark.parametrize("ring,code,witnesses", [
+    ("Z", 1, ["(<ab>, ('d', 1)) at degree [1]"]),
+    ("Z2", 0, []),
+    ("Z3", 1, ["(<ab>, ('d', 1)) at degree [1, 2]"]),
+])
+def test_weak_checks_run_over_the_coefficients(ring, code, witnesses, tmp_path, capsys):
+    path = tmp_path / "moore.hfd"
+    path.write_text(MOORE_DOCUMENT)
+    flags = ["-f", str(path), "--coefficients", ring, "--format", "json", "--stable"]
+    assert main(["check-weakfib", "q"] + flags) == code
+    [check] = json.loads(capsys.readouterr().out)["checks"]
+    assert check["witnesses"] == witnesses
+    assert main(["barycenter", "q"] + flags) == code
+    assert all(c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]) == (not code)
+
+
+# Collapsing E onto a point is a homology equivalence over Z/2 alone, so
+# the group completion holds for the diagram `crushed` over Z/2 and fails
+# its first gate over Z and Z/3.
+@pytest.mark.parametrize("ring,passed", [("Z", False), ("Z2", True), ("Z3", False)])
+def test_group_completion_runs_over_the_coefficients(ring, passed):
+    report = run("group-completion", parse(MOORE_DOCUMENT),
+                 {"target": "M2", "diagram": "crushed", "max_dim": 2, "coefficients": ring})
+    assert [c["verdict"] for c in report.checks] == [passed, True, passed, passed]
 
 
 def test_group_completion_with_declared_diagram():

@@ -34,7 +34,8 @@ from homfib.sset import (
     tuple_into,
 )
 
-from corpus import collapse_circle_to_interval, corpus_maps, projection_over_simplex, two_points
+from corpus import (MOORE_DOCUMENT, collapse_circle_to_interval, corpus_maps,
+                    projection_over_simplex, two_points)
 from oracles import cyclic_table, weak_check_oracle
 from strategies import maps_of_ssets, maps_to_simplex
 
@@ -478,7 +479,9 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     # the homology summaries off the Smith forms, with no cycle basis, so a
     # target's V1 and U2^-1 are built only if it is also a source: 86.  The
     # fibre tables read summaries too, and the homology rows build no cycle
-    # basis either: 82.
+    # basis either: 82.  The kernel and the cokernel of an induced map come
+    # from one Smith form of [matrix | target relations], so 115 forms are
+    # made, where a second one for the kernel made 124.
     replays, snf_forms, diagonal_reads = [], [], []
     real_replay = snf_module._replay
     real_snf = homology_module.smith_normal_form
@@ -492,9 +495,9 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
         snf_forms.append(real_snf(m))
         return snf_forms[-1]
 
-    def cokernel(rel):
+    def cokernel(form):
         before = len(replays)
-        out = real_cokernel(rel)
+        out = real_cokernel(form)
         diagonal_reads.append(len(replays) - before)
         return out
 
@@ -504,7 +507,7 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
-    assert len(snf_forms) == 124
+    assert len(snf_forms) == 115
     assert len(replays) == 82
     assert all(len(form._built) <= 2 for form in snf_forms)
     assert sum(len(form._built) for form in snf_forms) == 82
@@ -516,6 +519,16 @@ def test_strong_check_detects_wrong_fiber():
     spec = KnownFiberSpec(("v", 0), hf.point(), "wrong fiber")
     report = strong_check_via_known_fiber(p, spec, 1)
     assert not report.verdict and not report.fiber_table_ok
+
+
+def test_strong_check_runs_over_the_coefficients():
+    # the point is q's fibre over a; over b it is M(Z/3, 1), acyclic over Z/2
+    q = dsl.parse(MOORE_DOCUMENT).maps["q"]
+    spec = KnownFiberSpec("a", hf.point(), "point")
+    assert not strong_check_via_known_fiber(q, spec, 2).verdict
+    report = strong_check_via_known_fiber(q, spec, 2, coefficients=2)
+    assert report.verdict and report.declared_table == [(1, ()), (0, ()), (0, ())]
+    assert [ok for _, ok in report.vertex_comparisons] == [True, True, True]
 
 
 def test_vertex_components():

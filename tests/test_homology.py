@@ -1,10 +1,14 @@
 import importlib
+import itertools
+import random
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import homfib as hf
-from homfib.homology import chain_map_images, normalized_chains
+from homfib.homology import (InducedMap, chain_map_images, induced_map_kernel_cokernel,
+                             normalized_chains)
 from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet
 
 from oracles import bar_resolution_homology, cyclic_table, homology_from_boundaries
@@ -217,6 +221,43 @@ def test_iso_detects_torsion_mismatch():
     if hf.validate_map(f).ok:
         ok, _ = hf.is_homology_iso(f, 1)
         assert not ok
+
+
+def _killed(orders, d):
+    """How many elements d kills in a group with the given element orders."""
+    return sum(1 for o in orders if d % o == 0)
+
+
+def test_kernel_and_cokernel_against_brute_force_on_finite_groups():
+    # a finite abelian group is known up to isomorphism by how many
+    # elements each d kills: sum_i Z/n_i has prod_i gcd(d, n_i) of them
+    rng = random.Random(3109)
+    for _ in range(150):
+        src = [rng.choice([2, 3, 4, 6, 9, 12]) for _ in range(rng.randint(0, 3))]
+        dst = [rng.choice([2, 3, 4, 6, 9, 12]) for _ in range(rng.randint(0, 3))]
+        # every homomorphism Z/a -> Z/b sends 1 to a multiple of b / gcd(a, b)
+        matrix = [[rng.randrange(gcd(a, b)) * (b // gcd(a, b)) for b in dst] for a in src]
+        kernel, cokernel = induced_map_kernel_cokernel(InducedMap(1, matrix, src, dst))
+        assert 0 not in kernel and 0 not in cokernel
+        xs = list(itertools.product(*map(range, src)))
+        ys = list(itertools.product(*map(range, dst)))
+
+        def f(x):
+            return tuple(sum(col[j] * v for col, v in zip(matrix, x)) % b
+                         for j, b in enumerate(dst))
+
+        def times(d, y, mods):
+            return tuple(d * v % n for v, n in zip(y, mods))
+
+        image = {f(x) for x in xs}
+        zero = (0,) * len(src)
+        kernel_orders = [next(d for d in range(1, 37) if times(d, x, src) == zero)
+                         for x in xs if not any(f(x))]
+        coset_orders = [next(d for d in range(1, 37) if times(d, y, dst) in image)
+                        for y in ys]
+        for d in range(1, 37):
+            assert _killed(kernel_orders, d) == prod(gcd(d, n) for n in kernel)
+            assert _killed(coset_orders, d) == len(image) * prod(gcd(d, n) for n in cokernel)
 
 
 def test_iso_closed_under_composition_on_corpus():
