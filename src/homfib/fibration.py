@@ -39,7 +39,15 @@ its certificate fails.
 
 Homotopy fibres are never computed: known fibres are registered explicitly
 and compared against vertex preimages, which is what the weak => strong
-theorem licenses.
+theorem licenses.  The strong check's comparison dp(sigma(0)) -> dp(sigma)
+of a simplex of dimension >= 1 composes from face comparisons of
+generators and degeneracy sections, so once a weak check has passed, each
+of those is certified: computed, or covered by the lemma.  A calculator
+records the coefficient ring of every weak check through its bound - 1
+that passed, with or without deep_ops, and the strong check over a
+recorded ring takes those comparisons as isomorphisms without building
+them.  The record holds per ring and per bound: a pass over Z/2, or at
+another bound, certifies nothing over Z or at this one.
 
 Each map keeps one PreimageCalculator per truncation bound, so all checks
 on one map share the preimages they build.  A preimage pairs the
@@ -86,7 +94,6 @@ class PreimageRecord:
     def __init__(self, sigma: SimplexRef, pb: PullbackResult):
         self.sigma = sigma
         self.space = pb.space
-        self.comparisons: dict = {}
         self._pullback = pb
 
     @property
@@ -113,6 +120,7 @@ class PreimageCalculator:
     def __init__(self, p: SimplicialMap, max_dim: int | None = None):
         self.p = p
         self.max_dim = max_dim
+        self.certified: set[int] = set()   # rings of passing weak checks through max_dim - 1
         self._records: dict[SimplexRef, PreimageRecord] = {}
         self._simplices: dict[int, SimplicialSet] = {}
         self.pool: dict = {}
@@ -183,20 +191,9 @@ def classify_image(B: SimplicialSet, rho: SimplexRef, phi: tuple[int, ...]) -> S
     return apply_degeneracies(faces_spanned(B, rho)[top.gen], top.word)
 
 
-def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None,
-       with_comparisons: bool = False) -> PreimageRecord:
-    """The preimage of a (possibly degenerate) simplex of the base.
-
-    With with_comparisons the record carries the canonical neighbor maps:
-    ('d', i) runs dp(d_i sigma) -> dp(sigma), ('s', i) is the section
-    dp(sigma) -> dp(s_i sigma).
-    """
-    calc = preimage_calculator(p, max_dim)
-    rec = calc.record(sigma)
-    if with_comparisons:
-        for op, rho, phi in _generating_comparisons(sigma):
-            rec.comparisons[op] = calc.comparison(rho, phi)
-    return rec
+def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None) -> PreimageRecord:
+    """The preimage of a (possibly degenerate) simplex of the base."""
+    return preimage_calculator(p, max_dim).record(sigma)
 
 
 def dp_along(p: SimplicialMap, f: SimplicialMap, max_dim: int | None = None):
@@ -248,16 +245,6 @@ def _degeneracy_comparison(sigma: SimplexRef, i: int):
     """(op, rho, phi) for the degeneracy s_i: rho = s_i sigma and the section
     phi = delta^i."""
     return ("s", i), degenerate(sigma, i), _coface(sigma.dim, i)
-
-
-def _generating_comparisons(sigma: SimplexRef):
-    """Yield (op, rho, phi) for faces and degeneracies of a base simplex.
-
-    The comparison map produced from (rho, phi) runs dp(rho.phi) -> dp(rho).
-    """
-    yield from _face_comparisons(sigma)
-    for i in range(sigma.dim + 1):
-        yield _degeneracy_comparison(sigma, i)
 
 
 def _operator_word_comparisons(sigma: SimplexRef):
@@ -314,7 +301,8 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
     it fails the ('s', i) comparisons are computed like the faces.  With
     deep_ops every monotone operator word into [n] is checked instead,
     degeneracies included.  Every comparison is tested over the
-    coefficients, Z or Z/p.  Checks come in canonical simplex order.
+    coefficients, Z or Z/p.  Checks come in canonical simplex order.  A
+    pass certifies the coefficients on p's calculator at bound up_to + 1.
     """
     calc = preimage_calculator(p, up_to + 1)
     B = p.target
@@ -328,6 +316,8 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
             ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
             checks.append(ComparisonCheck(sigma, op, ok, certs))
     verdict = all(c.ok for c in checks)
+    if verdict:
+        calc.certified.add(coefficients)
     return WeakFibrationReport(verdict, up_to, checks, lemma)
 
 
@@ -433,6 +423,12 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: 
     this realizes the conclusion of the weak => strong theorem on instances
     whose homotopy fibre is independently known.  Tables and comparisons
     are taken over the coefficients, Z or Z/p.
+
+    After a weak check of p through up_to has passed over these
+    coefficients, each comparison of a simplex of dimension >= 1 is taken as
+    an isomorphism without being built (module docstring); a pass over
+    another ring or through another degree certifies none, and they are
+    computed.
     """
     B = p.target
     components = vertex_components(B)
@@ -440,6 +436,7 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: 
         raise ValueError(f"unknown base vertex {spec.vertex!r}")
     comp = components[spec.vertex]
     calc = preimage_calculator(p, up_to + 1)
+    certified = coefficients in calc.certified
     declared = [homology_summary(spec.fiber, k, coefficients) for k in range(up_to + 1)]
     base_rec = calc.record(B.ref(spec.vertex))
     vertex_table = [homology_summary(base_rec.space, k, coefficients)
@@ -456,7 +453,8 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: 
             ok = [homology_summary(rec.space, d, coefficients)
                   for d in range(up_to + 1)] == declared
         else:
-            ok, _ = is_homology_iso(calc.comparison(sigma, (0,)), up_to, coefficients)
+            ok = certified or is_homology_iso(calc.comparison(sigma, (0,)), up_to,
+                                              coefficients)[0]
         comparisons.append((sigma, ok))
         verdict = verdict and ok
     return StrongFiberReport(verdict, table_ok, comparisons, declared, vertex_table)

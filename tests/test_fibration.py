@@ -43,8 +43,17 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the package exports a function named homology, so reach the modules by path
 homology_module = importlib.import_module("homfib.homology")
 fibration_module = importlib.import_module("homfib.fibration")
+borel_module = importlib.import_module("homfib.borel")
 sset_module = importlib.import_module("homfib.sset")
 snf_module = importlib.import_module("homfib.snf")
+
+
+def generating_comparisons(sigma):
+    """(op, rho, phi) for the faces, then the degeneracies, of a base simplex;
+    the comparison made from (rho, phi) runs dp(rho . phi) -> dp(rho)."""
+    yield from fibration_module._face_comparisons(sigma)
+    for i in range(sigma.dim + 1):
+        yield fibration_module._degeneracy_comparison(sigma, i)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +360,32 @@ def test_group_completion_work_counts(monkeypatch):
     # worked out once, on 19 distinct simplices.  Only the pullbacks build
     # representing maps, 20 of them; comparisons read the faces of rho
     # from faces_spanned, where they made 82 representing maps before.
+    # Gate 4's strong check reads what the weak check certified: its 14
+    # vertex comparisons dp(sigma(0)) -> dp(sigma) compose from certified
+    # ones, so fibration makes 48 iso tests, where it made 62, and no
+    # comparison is built once the weak check has returned, where 14 were.
     snf_calls, pullbacks, representing, built = [], [], [], []
+    isos, late_comparisons, weak_done = [0], [0], [False]
     real_snf = homology_module.smith_normal_form
     real_pullback = fibration_module.pullback
     real_representing = fibration_module.representing_map
     real_build = sset_module._representing_assignment
+    real_iso = fibration_module.is_homology_iso
+    real_comparison = PreimageCalculator.comparison
+    real_weak = borel_module.weak_fibration_check
+
+    def counting_iso(*args, **kwargs):
+        isos[0] += 1
+        return real_iso(*args, **kwargs)
+
+    def counting_comparison(self, rho, phi):
+        late_comparisons[0] += weak_done[0]
+        return real_comparison(self, rho, phi)
+
+    def watched_weak(*args, **kwargs):
+        report = real_weak(*args, **kwargs)
+        weak_done[0] = True
+        return report
 
     def counting_representing(B, ref, domain=None):
         representing.append((B, ref))
@@ -378,9 +408,14 @@ def test_group_completion_work_counts(monkeypatch):
     monkeypatch.setattr(fibration_module, "pullback", counting_pullback)
     monkeypatch.setattr(fibration_module, "representing_map", counting_representing)
     monkeypatch.setattr(sset_module, "_representing_assignment", counting_build)
+    monkeypatch.setattr(fibration_module, "is_homology_iso", counting_iso)
+    monkeypatch.setattr(PreimageCalculator, "comparison", counting_comparison)
+    monkeypatch.setattr(borel_module, "weak_fibration_check", watched_weak)
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
-    assert report.all_pass
+    assert report.all_pass and weak_done[0]
+    assert isos[0] == 48
+    assert late_comparisons[0] == 0
     assert len(snf_calls) <= 250
     assert len(pullbacks) == 20
     assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 20
@@ -584,14 +619,18 @@ def test_dp_collapse_edge_is_whole_circle():
 
 
 def test_dp_record_carries_neighbor_comparisons():
+    # the neighbours of dp(sigma): ('d', i) runs dp(d_i sigma) -> dp(sigma),
+    # ('s', i) is the section dp(sigma) -> dp(s_i sigma)
     p = hf.cyclic_cover_map(6, 3)
-    B = p.target
-    rec = dp(p, B.ref(("e", 0)), max_dim=2, with_comparisons=True)
-    assert set(rec.comparisons) == {("d", 0), ("d", 1), ("s", 0), ("s", 1)}
+    sigma = p.target.ref(("e", 0))
+    rec = dp(p, sigma, max_dim=2)
+    calc = preimage_calculator(p, 2)
+    maps = {op: calc.comparison(rho, phi) for op, rho, phi in generating_comparisons(sigma)}
+    assert set(maps) == {("d", 0), ("d", 1), ("s", 0), ("s", 1)}
     # face comparisons land in dp(sigma), sections leave from it
-    assert rec.comparisons[("d", 0)].target is rec.space
-    assert rec.comparisons[("s", 0)].source is rec.space
-    for m in rec.comparisons.values():
+    assert all(maps["d", i].target is rec.space for i in (0, 1))
+    assert all(maps["s", i].source is rec.space for i in (0, 1))
+    for m in maps.values():
         assert hf.validate_map(m).ok
 
 
@@ -663,6 +702,87 @@ def test_the_oracle_sees_a_failure_in_each_degree():
 
 
 # ---------------------------------------------------------------------------
+# the strong check reads what a passing weak check certified
+# ---------------------------------------------------------------------------
+
+def certification_maps():
+    """name -> (a function that builds the map afresh, the degrees to check
+    through, whether the deep_ops audit runs too).  A Borel projection is
+    checked through N - 1, as gate 4 does, and at N = 3 without the audit,
+    which takes seconds there."""
+    out = {name: (lambda name=name: corpus_maps()[name],
+                  range(min(p.source.max_dim, 1) + 1), True)
+           for name, p in corpus_maps().items()}
+    out.update({f"borel_{m}_{N}": (lambda m=m, N=N: borel_projection(m, N), [N - 1], N < 3)
+                for m in MONOIDS for N in (1, 2, 3)})
+    out["moore_q"] = (lambda: dsl.parse(MOORE_DOCUMENT).maps["q"], range(3), True)
+    return out
+
+
+def component_vertices(B):
+    """One vertex of each component of B."""
+    firsts = {}
+    for v, comp in vertex_components(B).items():
+        firsts.setdefault(comp, v)
+    return list(firsts.values())
+
+
+@pytest.mark.parametrize("name", sorted(certification_maps()))
+def test_certified_vertex_comparisons_are_isomorphisms(name):
+    # the comparisons dp(sigma(0)) -> dp(sigma) that the strong check takes
+    # as isomorphisms after a passing weak check, computed directly; and
+    # the strong report on the certified map equals the one on the map
+    # built again, which no weak check has certified.  Certificates hold
+    # per bound and ring, so one map takes every pair in turn.
+    build, degrees, audit = certification_maps()[name]
+    fresh = build()
+    B = fresh.target
+    specs = {up_to: [KnownFiberSpec(v, dp(fresh, B.ref(v), up_to + 1).space)
+                     for v in component_vertices(B)] for up_to in degrees}
+    for deep_ops in (False, True)[:1 + audit]:
+        p = build()
+        for up_to in degrees:
+            calc = preimage_calculator(p, up_to + 1)
+            for ring in (0, 2, 3):
+                weak = weak_fibration_check(p, up_to, deep_ops=deep_ops, coefficients=ring)
+                assert (ring in calc.certified) == weak.verdict
+                if not weak.verdict:
+                    continue
+                for g in B.all_gens():
+                    sigma = B.ref(g)
+                    if sigma.dim:
+                        f = calc.comparison(sigma, (0,))
+                        assert hf.is_homology_iso(f, up_to, ring)[0], (up_to, ring, sigma)
+                for spec in specs[up_to]:
+                    assert strong_check_via_known_fiber(p, spec, up_to, ring) == \
+                        strong_check_via_known_fiber(fresh, spec, up_to, ring)
+
+
+def test_certification_never_crosses_a_bound_or_a_ring():
+    # a pass through degree 0 certifies nothing at bound 2, and a failing
+    # pass over Z/2 nothing at all: the strong check through degree 1
+    # computes the edge's comparison, which fails, as the weak check
+    # through degree 1 does
+    spec = KnownFiberSpec((0,), hf.point())
+    for fail_over_z2 in (False, True):
+        p = collapse_circle_to_interval()
+        assert weak_fibration_check(p, 0).verdict
+        if fail_over_z2:
+            assert not weak_fibration_check(p, 1, coefficients=2).verdict
+        report = strong_check_via_known_fiber(p, spec, 1)
+        assert report.fiber_table_ok and not report.verdict
+        assert [sigma.gen for sigma, ok in report.vertex_comparisons if not ok] == [(0, 1)]
+        assert not preimage_calculator(p, 2).certified
+    # q passes over Z/2 through degree 2, and its edge's comparison still
+    # fails over Z, where dp(ab) has H_1 = Z/3
+    q = dsl.parse(MOORE_DOCUMENT).maps["q"]
+    assert weak_fibration_check(q, 2, coefficients=2).verdict
+    report = strong_check_via_known_fiber(q, KnownFiberSpec("a", hf.point()), 2)
+    assert [(sigma.gen, ok) for sigma, ok in report.vertex_comparisons] == \
+        [("a", True), ("b", False), ("ab", False)]
+
+
+# ---------------------------------------------------------------------------
 # face comparisons as generator positions
 # ---------------------------------------------------------------------------
 
@@ -683,7 +803,7 @@ def assert_positions_match_maps(p, up_to):
     made = 0
     for g in B.all_gens():
         sigma = B.ref(g)
-        cases = list(fibration_module._generating_comparisons(sigma))
+        cases = list(generating_comparisons(sigma))
         if sigma.dim:
             cases.append((None, sigma, (0,)))
         for _, rho, phi in cases:
