@@ -852,7 +852,6 @@ class GroupCompletionReport:
 
 
 def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
-                           fibers: list[KnownFiberSpec] | None = None,
                            deep_ops: bool = False,
                            coefficients: int = Z) -> GroupCompletionReport:
     """The four-gate desk rendering of the generalized group completion.
@@ -861,7 +860,7 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
     2. each Borel level projects with constant fiber F(i_0), componentwise;
     3. the d_0-induced fiber maps are homology equivalences;
     4. the realized projection is a weak homology fibration whose vertex
-       preimages match the registered fibers.
+       preimages match the registered fibers F(i).
 
     deep_ops hands gate 4's weak check every operator word, as in
     weak_fibration_check.  Gates 1 and 4 compare homology over the
@@ -912,11 +911,10 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
                                 coefficients=coefficients)
     realization_ok = weak.verdict
     witnesses = [(c.sigma, c.op) for c in weak.failures()]
-    if fibers is None:
-        fibers = [KnownFiberSpec(_vertex_gen(construction, i), diag.value(i),
-                                 f"F({i!r})") for i in cat.objects]
     if weak.verdict:
-        for spec in fibers:
+        for i in cat.objects:
+            spec = KnownFiberSpec(construction.base_vertex_ref(i).gen, diag.value(i),
+                                  f"F({i!r})")
             strong = strong_check_via_known_fiber(construction.pi, spec, up_to, coefficients)
             if not strong.verdict:
                 realization_ok = False
@@ -927,10 +925,6 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
             witnesses.append(("vertex-fiber-iso", i))
     gates.append(Gate("realized-fibration", realization_ok, witnesses))
     return GroupCompletionReport(gates, construction, up_to)
-
-
-def _vertex_gen(construction: BorelConstruction, i):
-    return construction.base_vertex_ref(i).gen
 
 
 def _level_fiber_isomorphic(cat, diag, construction, n, comp) -> bool:

@@ -10,11 +10,13 @@ comparing invariants.  A caller that reads only ranks and torsion reads
 homology_summary, which builds no cycle.
 
 Z/p results are read off the same two integer Smith forms per degree that
-the integral ones use (see _DegreeData), so there is one elimination
-engine for every coefficient ring.  A Smith form builds a change of basis
-only when it is read: _DegreeData reads V1, V1^-1, U2 and U2^-1, a kernel
-presentation reads V, and cokernels and mod-p invertibility read the
-diagonal alone.
+the integral ones use: each query of _DegreeData takes the ring, so there
+is one elimination engine and one code path for every coefficient ring.
+An induced map over Z/p is presented with relations p, so every ring's
+isomorphism certificate is the kernel and cokernel of that presentation.
+A Smith form builds a change of basis only when it is read: _DegreeData
+reads V1, V1^-1, U2 and U2^-1, a kernel presentation reads V, and
+cokernels read the diagonal alone.
 
 A space may share a content pool (share_pool).  Its per-degree Smith
 form data is then looked up by exact content, the degree and every
@@ -27,11 +29,11 @@ owner (one per PreimageCalculator), and there is no process-wide cache.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
-from math import isqrt
+from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Any, Callable
 
@@ -94,7 +96,7 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# Homology groups over Z
+# Homology groups over Z and Z/p
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -119,7 +121,7 @@ class HomologyGroup:
     @property
     def invariants(self) -> list[int]:
         """Per basis element: its order (0 for infinite)."""
-        return self.torsion + [0] * self.free_rank
+        return self.torsion + [self.ring] * self.free_rank
 
     def summary(self) -> tuple[int, tuple[int, ...]]:
         return (self.free_rank, tuple(self.torsion))
@@ -128,89 +130,91 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
     def __repr__(self):
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
+        # a free summand is a copy of the ring, and Z/0 is Z
+        parts = [f"Z/{d}" if d else "Z" for d in [self.ring] * self.free_rank + self.torsion]
         return f"H_{self.degree} = " + (" + ".join(parts) if parts else "0")
 
 
 class _DegreeData:
-    """SNF bookkeeping for one degree of one complex.
+    """SNF bookkeeping for one degree of one complex, queried per ring.
 
     With U1 d_k V1 = D1 and U2 Y V2 = D2, where Y holds the boundaries of
     degree k+1 in the cycle coordinates (rows >= rank of V1^-1 d_{k+1}),
     the columns of V1 from the rank on span the integer cycles and U2^-1
-    e_j is a homology generator of order D2_jj.  Over Z/p the same forms
-    give a basis: V1 e_j for j < rank with p | D1_jj (cycles mod p only),
-    then the kept generators whose order p divides (0 counts).
+    e_j is a homology generator of order D2_jj (0 beyond the rank).  Over
+    the ring Z/r (r = 0 for Z, otherwise a prime) the basis is V1 e_j for
+    each pivot j whose D1_jj vanishes in the ring (a cycle mod r only, of
+    order r), then U2^-1 e_j for each j with Z/D2_jj (x) Z/r =
+    Z/gcd(D2_jj, r) nonzero, of that order.  Over Z that is no pivot and
+    every j with D2_jj != 1.
 
     Only V1, V1^-1, U2 and U2^-1 are read, so the other four transforms
-    are never built.  Cycles are kept once computed and handed out
+    are never built.  Bases are kept once computed and handed out
     read-only, because a content pool shares this object between spaces.
     """
 
     def __init__(self, cc: ChainComplex, k: int):
-        self.k = k
-        self.n = cc.dim(k)
-        d_k = cc.boundary(k) if k >= 1 else IntMatrix(0, self.n)
+        n = cc.dim(k)
+        d_k = cc.boundary(k) if k >= 1 else IntMatrix(0, n)
         d_k1 = cc.boundary(k + 1)
         self.snf1 = smith_normal_form(d_k)
         self.rank1 = self.snf1.rank
-        self.z = self.n - self.rank1
+        z = n - self.rank1
         columns = []
         for j in range(d_k1.ncols):
             t = self.snf1.v_inv.apply(d_k1.column(j)) if j in d_k1.cols else {}
             if any(i < self.rank1 for i in t):
                 raise ValueError("boundary image is not a cycle")
             columns.append({i - self.rank1: v for i, v in t.items()})
-        self.snf2 = smith_normal_form(IntMatrix.from_columns(self.z, columns))
-        self.rank2 = self.snf2.rank
-        # generator j of ker/im has order diag[j] (0 beyond the rank);
-        # order-1 generators are dropped.
-        orders = list(self.snf2.diagonal) + [0] * (self.z - len(self.snf2.diagonal))
-        self.kept = [j for j in range(self.z) if orders[j] != 1]
-        self.orders = [orders[j] for j in self.kept]
-        self._cycles: dict[int, Mapping[int, int]] = {}
+        self.snf2 = smith_normal_form(IntMatrix.from_columns(z, columns))
+        self.orders = list(self.snf2.diagonal) + [0] * (z - len(self.snf2.diagonal))
+        self._rings: dict[int, tuple[list[int], list[int], tuple[int, ...]]] = {}
+        self._bases: dict[int, list[Mapping[int, int]]] = {}
 
-    def cycle_of(self, j: int) -> Mapping[int, int]:
-        """The j-th kept generator as a cycle in chain coordinates (read-only)."""
-        cycle = self._cycles.get(j)
-        if cycle is None:
-            col = self.snf2.u_inv.column(self.kept[j])
-            shifted = {self.rank1 + i: v for i, v in col.items()}
-            cycle = self._cycles[j] = MappingProxyType(self.snf1.v.apply(shifted))
-        return cycle
+    def _summands(self, ring: int) -> tuple[list[int], list[int], tuple[int, ...]]:
+        """The pivots j of D1 and the generators j of D2 that make the basis
+        over the ring, and the order of each basis element."""
+        found = self._rings.get(ring)
+        if found is None:
+            if ring != Z and not is_prime(ring):
+                raise ValueError(
+                    f"coefficients must be the integers or Z/p for a prime p, not {ring}")
+            diag = self.snf1.diagonal
+            lows = [j for j in range(self.rank1) if not _reduce(diag[j], ring)]
+            highs = [j for j, d in enumerate(self.orders) if gcd(d, ring) != 1]
+            found = self._rings[ring] = (lows, highs, tuple(
+                [ring] * len(lows) + [gcd(self.orders[j], ring) for j in highs]))
+        return found
 
-    def coords(self, w: dict[int, int]) -> list[int]:
-        """Coordinates of a cycle in the kept homology generators."""
+    def invariants(self, ring: int) -> tuple[int, ...]:
+        """Per basis element over the ring: its order (0 for infinite)."""
+        return self._summands(ring)[2]
+
+    def basis(self, ring: int) -> list[Mapping[int, int]]:
+        """The homology basis over the ring as cycles in chain coordinates,
+        entries reduced in the ring (read-only)."""
+        if ring not in self._bases:
+            lows, highs, _ = self._summands(ring)
+            # each transform is read only when some cycle needs it
+            cycles = ([self.snf1.v.column(j) for j in lows]
+                      + [self.snf1.v.apply({self.rank1 + i: v for i, v
+                                            in self.snf2.u_inv.column(j).items()})
+                         for j in highs])
+            self._bases[ring] = [MappingProxyType({i: r for i, v in c.items()
+                                                   if (r := _reduce(v, ring))})
+                                 for c in cycles]
+        return self._bases[ring]
+
+    def coords(self, w: Mapping[int, int], ring: int) -> list[int]:
+        """Coordinates of a cycle over the ring in the basis of basis(ring)."""
+        lows, highs, invariants = self._summands(ring)
+        diag = self.snf1.diagonal
         t = self.snf1.v_inv.apply(w)
-        if any(i < self.rank1 for i in t):
+        if any(i < self.rank1 and _reduce(diag[i] * v, ring) for i, v in t.items()):
             raise ValueError("vector is not a cycle")
-        c = self.snf2.u.apply({i - self.rank1: v for i, v in t.items()})
-        return _reduce_coords([c.get(j, 0) for j in self.kept], self.orders)
-
-    def mod_p_positions(self, p: int) -> tuple[list[int], list[int]]:
-        """Pivots j with p | D1_jj, and kept positions with p | order."""
-        diag = self.snf1.diagonal
-        return ([j for j in range(self.rank1) if diag[j] % p == 0],
-                [pos for pos, d in enumerate(self.orders) if d % p == 0])
-
-    def mod_p_cycles(self, p: int) -> list[dict[int, int]]:
-        """The Z/p homology basis as cycles mod p in chain coordinates."""
-        lows, highs = self.mod_p_positions(p)
-        cycles = ([self.snf1.v.column(j) for j in lows]
-                  + [self.cycle_of(pos) for pos in highs])
-        return [{i: v % p for i, v in c.items() if v % p} for c in cycles]
-
-    def mod_p_coords(self, w: dict[int, int], p: int) -> list[int]:
-        """Coordinates of a cycle mod p in the basis of mod_p_cycles."""
-        lows, highs = self.mod_p_positions(p)
-        diag = self.snf1.diagonal
-        t = self.snf1.v_inv.apply(w)
-        if any(i < self.rank1 and v % p and diag[i] % p for i, v in t.items()):
-            raise ValueError("vector is not a cycle mod p")
-        c = self.snf2.u.apply({i - self.rank1: v for i, v in t.items()
-                               if i >= self.rank1})
-        return ([t.get(j, 0) % p for j in lows]
-                + [c.get(self.kept[pos], 0) % p for pos in highs])
+        c = self.snf2.u.apply({i - self.rank1: v for i, v in t.items() if i >= self.rank1})
+        return _reduce_coords([t.get(j, 0) for j in lows] + [c.get(j, 0) for j in highs],
+                              invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +262,6 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-def _field(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"coefficients must be the integers or Z/p for a prime p, not {p}")
-    return p
-
-
 def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
     """H_k of X; valid is False above the truncation-guaranteed range."""
     valid = k <= X.max_dim - 1
@@ -282,9 +280,7 @@ def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
 
 def _named_cycles(data: _DegreeData, names: tuple, coefficients: int) -> list[dict[Any, int]]:
     """The homology basis of data as cycles on the generators' names."""
-    found = (data.mod_p_cycles(coefficients) if coefficients
-             else [data.cycle_of(j) for j in range(len(data.kept))])
-    return [{names[i]: v for i, v in c.items()} for c in found]
+    return [{names[i]: v for i, v in c.items()} for c in data.basis(coefficients)]
 
 
 def homology_summary(X: SimplicialSet, k: int,
@@ -293,10 +289,8 @@ def homology_summary(X: SimplicialSet, k: int,
     without building the cycle basis."""
     if k < 0 or k > X.max_dim:
         return (0, ())
-    data = _degree_data(X, k)
-    if coefficients:
-        return (sum(map(len, data.mod_p_positions(_field(coefficients)))), ())
-    return (data.orders.count(0), tuple(d for d in data.orders if d > 1))
+    inv = _degree_data(X, k).invariants(coefficients)
+    return (inv.count(coefficients), tuple(d for d in inv if d != coefficients))
 
 
 def is_acyclic(X: SimplicialSet, up_to: int, coefficients: int = Z) -> bool:
@@ -357,7 +351,12 @@ class InducedMap:
                           self.dst_invariants, self.ring)
 
 
-def _reduce_coords(col: list[int], invariants: list[int]) -> list[int]:
+def _reduce(v: int, d: int) -> int:
+    """v in Z/d, the integers when d is 0."""
+    return v % d if d else v
+
+
+def _reduce_coords(col: list[int], invariants: Sequence[int]) -> list[int]:
     return [v % d if d else v for v, d in zip(col, invariants)]
 
 
@@ -365,24 +364,15 @@ def induced(f: SimplicialMap, k: int, coefficients: int = Z) -> InducedMap:
     """The map induced by f on degree-k homology."""
     src, dst = _degree_data(f.source, k), _degree_data(f.target, k)
     images = chain_map_images(f, k)
-    if coefficients:
-        p = _field(coefficients)
-        cols = [dst.mod_p_coords(_push(images, c), p) for c in src.mod_p_cycles(p)]
-        m = sum(map(len, dst.mod_p_positions(p)))
-        return InducedMap(k, cols, [p] * len(cols), [p] * m, p)
-    cols = [dst.coords(_push(images, src.cycle_of(j))) for j in range(len(src.kept))]
-    return InducedMap(k, cols, list(src.orders), list(dst.orders))
+    cols = [dst.coords(_push(images, c), coefficients) for c in src.basis(coefficients)]
+    return InducedMap(k, cols, list(src.invariants(coefficients)),
+                      list(dst.invariants(coefficients)), coefficients)
 
 
 def _cokernel(form: SmithForm) -> list[int]:
     """Invariant factors (0 = Z) of the cokernel of the matrix form reduces."""
     factors = [d for d in form.invariant_factors() if d != 1]
     return factors + [0] * (form.shape[0] - form.rank)
-
-
-def _matrix_of(ind: InducedMap) -> IntMatrix:
-    return IntMatrix.from_columns(len(ind.dst_invariants),
-                                  [dict(enumerate(col)) for col in ind.matrix])
 
 
 def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
@@ -396,7 +386,7 @@ def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
     """
     m_x, m_y = len(ind.src_invariants), len(ind.dst_invariants)
     form = smith_normal_form(IntMatrix.from_entries(m_y, m_x + m_y, chain(
-        _matrix_of(ind).entries(),
+        ((i, j, v) for j, col in enumerate(ind.matrix) for i, v in enumerate(col)),
         ((i, m_x + i, d) for i, d in enumerate(ind.dst_invariants)))))
     wcols = [{i: v for i, v in col.items() if i < m_x} for col in form.kernel_columns()]
     # generators: the lattice's spanning columns and the source relations;
@@ -406,13 +396,6 @@ def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
     pres = IntMatrix.from_columns(
         len(gens), syz + [{len(wcols) + j: 1} for j in range(m_x)])
     return _cokernel(smith_normal_form(pres)), _cokernel(form)
-
-
-def _invertible_mod_p(ind: InducedMap, p: int) -> bool:
-    """A square matrix is invertible mod p when p divides no Smith invariant."""
-    if len(ind.dst_invariants) != len(ind.src_invariants):
-        return False
-    return all(d % p for d in smith_normal_form(_matrix_of(ind)).diagonal)
 
 
 @dataclass
@@ -425,22 +408,20 @@ class IsoCertificate:
 
 def is_homology_iso(f: SimplicialMap, up_to: int,
                     coefficients: int = Z) -> tuple[bool, list[IsoCertificate]]:
-    """Degree-by-degree isomorphism test through explicit induced maps."""
+    """Degree-by-degree isomorphism test through explicit induced maps.
+
+    Over Z/p the induced map is presented with relations p, so it is
+    invertible exactly when its kernel and cokernel vanish, as over Z.
+    """
     certificates = []
     verdict = True
     for k in range(up_to + 1):
         ind = induced(f, k, coefficients)
-        if coefficients:
-            ok = _invertible_mod_p(ind, coefficients)
-            kernel = [] if ok else [coefficients]
-            coker = []
-        else:
-            content = ("kernel/cokernel", tuple(map(tuple, ind.matrix)),
-                       tuple(ind.src_invariants), tuple(ind.dst_invariants))
-            kernel, coker = _pooled(f.source._cache.get(_POOL), content,
-                                    lambda: induced_map_kernel_cokernel(ind))
-            kernel, coker = list(kernel), list(coker)
-            ok = not kernel and not coker
-        certificates.append(IsoCertificate(k, kernel, coker, ok))
+        content = ("kernel/cokernel", tuple(map(tuple, ind.matrix)),
+                   tuple(ind.src_invariants), tuple(ind.dst_invariants))
+        kernel, coker = _pooled(f.source._cache.get(_POOL), content,
+                                lambda: induced_map_kernel_cokernel(ind))
+        ok = not kernel and not coker
+        certificates.append(IsoCertificate(k, list(kernel), list(coker), ok))
         verdict = verdict and ok
     return verdict, certificates

@@ -5,9 +5,10 @@ code: dense textbook Smith reduction with first-nonzero pivoting, gcd-of-
 minors invariant factors, Bareiss determinants, counting arguments, a
 bar-resolution group homology calculator, the entry-by-entry Smith form
 engine with all four transforms tracked eagerly, kept as the differential
-reference for homfib.snf, and a weak-fibration verdict computed from
-scanned preimages and dense matrices.  Only that last one and scan_pullback
-read homfib, for its simplicial sets and operators, and they import it when
+reference for homfib.snf, a weak-fibration verdict computed from scanned
+preimages and dense matrices, and mod-p induced maps by Gaussian
+elimination over Z/p.  Only those last two and scan_pullback read homfib,
+for its simplicial sets, maps and operators, and they import it when
 called.
 """
 
@@ -543,6 +544,81 @@ def weak_check_oracle(p, up_to):
                 F.append([[int(column[j] == r) for j in range(dims_a[k])]
                           for r in range(dims_c[k])])
             out.append(((sigma, ("d", i)), dense_iso_degrees(dA, dC, F, dims_a, dims_c, up_to)))
+    return out
+
+
+def _row_echelon_mod_p(rows, ncols, p):
+    """The reduced row echelon form mod p of an integer matrix (a list of
+    rows) and its pivot columns."""
+    a = [[v % p for v in row] for row in rows]
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        i0 = next((i for i in range(r, len(a)) if a[i][j]), None)
+        if i0 is None:
+            continue
+        a[r], a[i0] = a[i0], a[r]
+        inverse = pow(a[r][j], -1, p)
+        a[r] = [v * inverse % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][j]:
+                q = a[i][j]
+                a[i] = [(v - q * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(j)
+    return a, pivots
+
+
+def _rank_mod_p(vectors, n, p):
+    """The dimension of the span mod p of vectors of length n."""
+    return len(_row_echelon_mod_p(vectors, n, p)[1])
+
+
+def _kernel_mod_p(rows, ncols, p):
+    """A basis of {x : rows x = 0 mod p}: one vector per free column."""
+    a, pivots = _row_echelon_mod_p(rows, ncols, p)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        x = [0] * ncols
+        x[free] = 1
+        for r, j in enumerate(pivots):
+            x[j] = -a[r][free] % p
+        basis.append(x)
+    return basis
+
+
+def dense_mod_p_iso_dims(f, up_to, p):
+    """Per degree k <= up_to, the dimensions of the kernel and the cokernel
+    of H_k(f; Z/p), for a simplicial map f, by Gaussian elimination mod p on
+    dense_boundaries of its source A and target C.
+
+    With Z_k the cycles mod p and B_k the boundaries, H_k(f) restricted to
+    Z_k A has image (f Z_k A + B_k C) / B_k C, so with s the dimension of
+    f Z_k A + B_k C the kernel has dimension dim Z_k A - (s - dim B_k C)
+    - dim B_k A and the cokernel dim Z_k C - s.
+    """
+    A, C = f.source, f.target
+    dA, dC = dense_boundaries(A, up_to + 1), dense_boundaries(C, up_to + 1)
+    out = []
+    for k in range(up_to + 1):
+        na, nc = len(A.gens(k)), len(C.gens(k))
+        place = {g: i for i, g in enumerate(C.gens(k))}
+        images = [None if r.word else place[r.gen]
+                  for r in map(f.assignment.__getitem__, A.gens(k))]
+        cycles_a = _kernel_mod_p(dA[k], na, p) if k else \
+            [[int(i == j) for i in range(na)] for j in range(na)]
+        pushed = []
+        for z in cycles_a:
+            w = [0] * nc
+            for t, v in enumerate(z):
+                if images[t] is not None:
+                    w[images[t]] += v
+            pushed.append(w)
+        boundaries_c = [list(col) for col in zip(*dC[k + 1])] if dC[k + 1] else []
+        span = _rank_mod_p(pushed + boundaries_c, nc, p)
+        b_c = _rank_mod_p(boundaries_c, nc, p)
+        b_a = _rank_mod_p(dA[k + 1], len(A.gens(k + 1)), p)
+        z_c = nc - (_rank_mod_p(dC[k], nc, p) if k else 0)
+        out.append((len(cycles_a) - (span - b_c) - b_a, z_c - span))
     return out
 
 

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 from math import gcd, prod
@@ -7,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homfib as hf
+from homfib import dsl
 from homfib.homology import (InducedMap, chain_map_images, induced_map_kernel_cokernel,
                              normalized_chains)
 from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet
 
-from oracles import bar_resolution_homology, cyclic_table, homology_from_boundaries
-from strategies import presentation_complexes
+from corpus import MOORE_DOCUMENT, corpus_maps
+from oracles import (bar_resolution_homology, cyclic_table, dense_mod_p_iso_dims,
+                     homology_from_boundaries)
+from strategies import maps_of_ssets, presentation_complexes
 
 
 def summaries(X, upto):
@@ -352,32 +354,6 @@ def test_mod_p_detects_failure():
     assert not ok
 
 
-def test_mod_p_invertibility_reads_the_diagonal_only(monkeypatch):
-    homology_module = importlib.import_module("homfib.homology")
-    inside, forms = [], []
-    real_snf = homology_module.smith_normal_form
-    real_invertible = homology_module._invertible_mod_p
-
-    def invertible(ind, p):
-        inside.append(p)
-        try:
-            return real_invertible(ind, p)
-        finally:
-            inside.pop()
-
-    def snf(m):
-        form = real_snf(m)
-        if inside:
-            forms.append(form)
-        return form
-
-    monkeypatch.setattr(homology_module, "_invertible_mod_p", invertible)
-    monkeypatch.setattr(homology_module, "smith_normal_form", snf)
-    for p, expected in ((2, False), (3, True)):
-        assert hf.is_homology_iso(hf.cyclic_cover_map(6, 3), 1, coefficients=p)[0] == expected
-    assert forms and not any(form._built for form in forms)
-
-
 def test_icosahedral_abelianization_unimodular():
     # independent route to H_1 = 0: the abelianized relator matrix of the
     # binary icosahedral presentation has determinant -1
@@ -409,6 +385,15 @@ def test_composite_modulus_rejected():
         hf.homology(hf.boundary(2), 1, coefficients=4)
 
 
+def test_group_names_its_ring():
+    rp2 = hf.presentation_complex(["a"], [["a", "a"]])
+    mod2 = hf.homology(rp2, 1, coefficients=2)
+    assert repr(mod2) == "H_1 = Z/2" and mod2.invariants == [2]
+    assert repr(hf.homology(rp2, 2, coefficients=3)) == "H_2 = 0"
+    assert repr(hf.homology(hf.boundary(2), 1)) == "H_1 = Z"
+    assert hf.homology(hf.boundary(2), 1).invariants == [0]
+
+
 # ---------------------------------------------------------------------------
 # mod-p coefficients against known answers
 # ---------------------------------------------------------------------------
@@ -417,12 +402,64 @@ def iso_over(f, up_to, p):
     return hf.is_homology_iso(f, up_to, coefficients=p)[0]
 
 
+def certificates(f, up_to, p):
+    return [(c.kernel, c.cokernel) for c in hf.is_homology_iso(f, up_to, coefficients=p)[1]]
+
+
 def test_double_cover_iso_exactly_away_from_two():
     f = hf.cyclic_cover_map(6, 3)
     assert not iso_over(f, 1, 0)
     assert not iso_over(f, 1, 2)
     assert iso_over(f, 1, 3)
     assert iso_over(f, 1, 5)
+    # H_1 is Z/2 on both sides over Z/2, and the cover multiplies by 2
+    assert certificates(f, 1, 2) == [([], []), ([2], [2])]
+
+
+def test_mod_p_certificate_holds_the_missing_class():
+    f = hf.sset.constant_map(hf.point(), hf.cyclic_graph(3), ("v", 0))
+    assert certificates(f, 1, 2) == [([], []), ([], [2])]
+
+
+def assert_certificates_match_dense_oracle(f):
+    up_to = min(f.source.max_dim, f.target.max_dim)
+    for p in (2, 3):
+        expected = [([p] * a, [p] * b) for a, b in dense_mod_p_iso_dims(f, up_to, p)]
+        assert certificates(f, up_to, p) == expected, p
+
+
+def assert_universal_coefficients(f):
+    # wherever f is a homology isomorphism over Z through a degree, it is
+    # one over every Z/p through that degree
+    up_to = min(f.source.max_dim, f.target.max_dim)
+    over_z = hf.is_homology_iso(f, up_to)[1]
+    through = next((c.degree for c in over_z if not c.ok), up_to + 1)
+    for p in (2, 3):
+        assert all(c.ok for c in hf.is_homology_iso(f, up_to, coefficients=p)[1][:through]), p
+
+
+@pytest.mark.parametrize("name", sorted(corpus_maps()))
+def test_mod_p_certificates_on_the_corpus(name):
+    f = corpus_maps()[name]
+    assert_certificates_match_dense_oracle(f)
+    assert_universal_coefficients(f)
+
+
+def test_mod_p_certificates_on_the_moore_map():
+    # the fibre over b is M(Z/3, 1): over Z/3 both H_1 and H_2 of E map
+    # to zero, over Z/2 q is an isomorphism
+    q = dsl.parse(MOORE_DOCUMENT).maps["q"]
+    assert certificates(q, 2, 3) == [([], []), ([3], []), ([3], [])]
+    assert certificates(q, 2, 2) == [([], []), ([], []), ([], [])]
+    assert_certificates_match_dense_oracle(q)
+    assert_universal_coefficients(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps_of_ssets())
+def test_mod_p_certificates_on_random_maps(f):
+    assert_certificates_match_dense_oracle(f)
+    assert_universal_coefficients(f)
 
 
 def test_triple_cover_iso_exactly_away_from_three():

@@ -59,6 +59,11 @@ PINNED = [
      "6ee66f846c25495d87ffd5a88803a6d974c03e476a1b15b599ca2d04cf60eb34"),
     ("homology circle -f circle.hfd --coefficients Z2", 0,
      "ee6f88da79434c1fda9272fd873e4ad25e6fc4a2a4d326497bcd428d7fdf3504"),
+    # verdicts that fail over Z/2
+    ("check-weakfib collapse_circle_to_interval -f collapse.hfd --coefficients Z2", 1,
+     "c1b4aa25f54b78bce26ddd42eb20a00a9314e8edbac39d133419eecec9cbb79e"),
+    ("group-completion M2 -f idem.hfd --max-dim 3 --coefficients Z2", 1,
+     "10df9e474d83b947014c8af37efae6d4cd2f7ea963a48641c795fac509ebfb7d"),
     # the largest preimages a command builds in about a second
     ("group-completion Z2 -f z2.hfd --max-dim 5", 0,
      "76b5bfbc3ae3f09c76d401485138ee09f2e90a485456699a38156b94c98e3e45"),
