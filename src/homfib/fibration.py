@@ -20,7 +20,14 @@ canonical_key order of vertex tuples, and b's ranks are shared: the
 comparison keeps generator order, and the images in degree k are those
 generators' places in dp(rho), in order.  induced and is_homology_iso read
 nothing else; the comparison's assignment is built from the positions
-only when a caller reads it as a map.
+only when a caller reads it as a map.  Being the inclusion of a
+subcomplex, the comparison is first decided on the relative complex
+dp(rho) / dp(rho . phi), built through the same bound: where unit
+eliminations leave no cell through up_to + 1, H(dp(rho), dp(rho . phi))
+vanishes there and, by the long exact sequence of the pair, the
+comparison is an isomorphism through up_to, with no homology of either
+preimage computed.  Where a cell is left, every failing comparison
+included, the induced maps decide (homology module docstring).
 
 The degeneracy comparisons cannot fail, by a homotopy lemma.  dp(s_i sigma)
 is the pullback of dp(sigma) along the codegeneracy sigma^i: Delta[n+1] ->
@@ -58,7 +65,8 @@ they are built once per calculator and shared by the preimages of all
 simplices with that face at that place.  Each calculator owns one content
 pool that every preimage it builds shares: identical chain complexes are
 put through Smith normal form once, and identical induced maps get their
-kernel/cokernel presentation once.  The pool lives and dies with the
+kernel/cokernel presentation once.  A comparison decided on its relative
+complex puts nothing in it.  The pool lives and dies with the
 calculator, and so with its map.
 """
 

@@ -118,7 +118,7 @@ class IntMatrix:
                 yield i, j, v
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
+        return sum(map(len, self.rows.values()))
 
     def is_zero(self) -> bool:
         return not self.rows

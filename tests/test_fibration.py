@@ -343,7 +343,10 @@ def test_pools_belong_to_one_map():
     p, q = hf.cyclic_cover_map(6, 3), hf.cyclic_cover_map(6, 3)
     assert p == q
     cp, cq = preimage_calculator(p, 2), preimage_calculator(q, 2)
-    assert weak_fibration_check(p, 1).verdict
+    # a passing weak check decides its comparisons on relative complexes,
+    # so the pool fills when a vertex preimage's homology is read
+    assert weak_fibration_check(p, 1).verdict and not cp.pool
+    hf.homology(cp.record(p.target.ref(("v", 0))).space, 1)
     assert cp.pool and not cq.pool
     size = len(cp.pool)
     hf.homology(cq.record(q.target.ref(("e", 0))).space, 1)
@@ -517,7 +520,10 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     # fibre tables read summaries too, and the homology rows build no cycle
     # basis either: 82.  The kernel and the cokernel of an induced map come
     # from one Smith form of [matrix | target relations], so 115 forms are
-    # made, where a second one for the kernel made 124.
+    # made, where a second one for the kernel made 124.  The face and vertex
+    # comparisons are decided on their relative complexes, with no Smith
+    # form: 36 forms, 18 transforms and 12 cokernel reads are left, where
+    # they were 115, 82 and 18.
     replays, snf_forms, diagonal_reads = [], [], []
     real_replay = snf_module._replay
     real_snf = homology_module.smith_normal_form
@@ -543,11 +549,19 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
-    assert len(snf_forms) == 115
-    assert len(replays) == 82
+    assert len(snf_forms) == 36
+    assert len(replays) == 18
     assert all(len(form._built) <= 2 for form in snf_forms)
-    assert sum(len(form._built) for form in snf_forms) == 82
-    assert len(diagonal_reads) == 18 and not any(diagonal_reads)
+    assert sum(len(form._built) for form in snf_forms) == 18
+    assert len(diagonal_reads) == 12 and not any(diagonal_reads)
+
+
+def test_comparison_rejects_a_composite_ring():
+    p = hf.cyclic_cover_map(6, 3)
+    f = preimage_calculator(p, 2).comparison(p.target.ref(("e", 0)), (0,))
+    with pytest.raises(ValueError, match="coefficients must be the integers or Z/p "
+                                         "for a prime p, not 4"):
+        hf.is_homology_iso(f, 1, coefficients=4)
 
 
 def test_strong_check_detects_wrong_fiber():

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import homfib as hf
 from homfib import dsl
-from homfib.homology import (InducedMap, chain_map_images, induced_map_kernel_cokernel,
-                             normalized_chains)
-from homfib.sset import SimplexRef, SimplicialMap, SimplicialSet
+from homfib.homology import (InducedMap, chain_map_images, homology_summary,
+                             induced_map_kernel_cokernel, normalized_chains,
+                             relative_complex_collapses)
+from homfib.sset import PositionMap, SimplexRef, SimplicialMap, SimplicialSet, constant_map
 
-from corpus import MOORE_DOCUMENT, corpus_maps
+from corpus import MOORE_DOCUMENT, corpus_maps, one_vertex_circle
 from oracles import (bar_resolution_homology, cyclic_table, dense_mod_p_iso_dims,
-                     homology_from_boundaries)
+                     homology_from_boundaries, relative_homology_vanishes)
 from strategies import maps_of_ssets, presentation_complexes
 
 
@@ -385,6 +386,15 @@ def test_composite_modulus_rejected():
         hf.homology(hf.boundary(2), 1, coefficients=4)
 
 
+def test_ring_is_checked_outside_the_degree_range():
+    message = "coefficients must be the integers or Z/p for a prime p, not 4"
+    for k in (-1, 1, 5):
+        with pytest.raises(ValueError, match=message):
+            hf.homology(hf.boundary(2), k, coefficients=4)
+        with pytest.raises(ValueError, match=message):
+            homology_summary(hf.boundary(2), k, coefficients=4)
+
+
 def test_group_names_its_ring():
     rp2 = hf.presentation_complex(["a"], [["a", "a"]])
     mod2 = hf.homology(rp2, 1, coefficients=2)
@@ -480,3 +490,111 @@ def test_moore_space_of_z6_mod_p_ranks():
     for p, ranks in ((2, [1, 1, 1]), (3, [1, 1, 1]), (5, [1, 0, 0])):
         got = [hf.homology(moore, k, coefficients=p).free_rank for k in range(3)]
         assert got == ranks, p
+
+
+# ---------------------------------------------------------------------------
+# relative complexes
+# ---------------------------------------------------------------------------
+
+def by_induced_maps(f, up_to, ring):
+    """is_homology_iso on f rebuilt as a plain SimplicialMap, which the
+    induced maps alone decide."""
+    return hf.is_homology_iso(SimplicialMap(f.source, f.target, f.assignment), up_to,
+                              coefficients=ring)
+
+
+def assert_relative_rule(f):
+    # over Z/p the eliminations empty C(X)/C(A) exactly when its homology
+    # vanishes through up_to + 1, over Z only where it does; where they
+    # do, the induced maps agree in every degree, and by universal
+    # coefficients a collapse over Z is one over every Z/p
+    for up_to in range(f.target.max_dim):
+        collapses = {}
+        for ring in (0, 2, 3):
+            collapses[ring] = relative_complex_collapses(f, up_to, ring)
+            vanishes = relative_homology_vanishes(f, up_to + 1, ring)
+            if ring:
+                assert collapses[ring] == bool(vanishes), (up_to, ring)
+            else:
+                assert vanishes or not collapses[ring], up_to
+            if collapses[ring]:
+                ok, certs = by_induced_maps(f, up_to, ring)
+                assert ok and all(c.ok for c in certs), (up_to, ring)
+        assert not collapses[0] or all(collapses.values()), up_to
+
+
+def vertex_inclusion(X):
+    """The first vertex of X as a map from the point."""
+    return constant_map(hf.point(), X, X.gens(0)[0])
+
+
+@pytest.mark.parametrize("name", sorted(corpus_maps()))
+def test_relative_rule_on_the_corpus(name):
+    f = corpus_maps()[name]
+    assert_relative_rule(f)
+    assert_relative_rule(vertex_inclusion(f.target))
+
+
+def test_relative_rule_on_the_moore_map():
+    q = dsl.parse(MOORE_DOCUMENT).maps["q"]
+    assert_relative_rule(q)
+    assert_relative_rule(vertex_inclusion(q.source))
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps_of_ssets())
+def test_relative_rule_on_random_maps(f):
+    assert_relative_rule(f)
+    if f.target.gens(0):
+        assert_relative_rule(vertex_inclusion(f.target))
+
+
+@pytest.mark.parametrize("monoid", ["Z2", "Z3", "idempotent"])
+def test_relative_rule_on_borel_comparisons(monoid):
+    from homfib.borel import borel_total, from_monoid, restriction_diagram
+    from homfib.fibration import preimage_calculator
+
+    table = {"Z2": cyclic_table(2), "Z3": cyclic_table(3),
+             "idempotent": {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}}
+    cat = from_monoid(table[monoid], "1" if monoid == "idempotent" else 0)
+    decided = 0
+    for N in (1, 2, 3):
+        p = borel_total(cat, restriction_diagram(cat, "1"), N).pi
+        calc = preimage_calculator(p, N)
+        for g in p.target.all_gens():
+            sigma = p.target.ref(g)
+            n = sigma.dim
+            if n == 0:
+                continue
+            # the faces d_i, then the strong check's comparison at vertex 0
+            for phi in [tuple(v for v in range(n + 1) if v != i) for i in range(n + 1)] + [(0,)]:
+                f = calc.comparison(sigma, phi)
+                assert_relative_rule(f)
+                decided += relative_complex_collapses(f, N - 1)
+    assert decided
+
+
+def test_relative_rule_decides_only_an_injective_subcomplex_inclusion():
+    # two circles folded onto one: every boundary column is carried onto
+    # its image's and no relative cell is left, but two components go to one
+    circle = hf.boundary(2)
+    two, _ = hf.disjoint_union([circle, circle])
+    fold = PositionMap(two, circle, lambda k: [circle.gens(k).index(g) for _, g in two.gens(k)])
+    # an interval beside a point, sent in order onto two points and a
+    # loop: one-to-one and onto, but the interval's boundary is not carried
+    # onto the loop's, which is zero
+    pair, _ = hf.disjoint_union([hf.standard_simplex(1), hf.point()])
+    loop, _ = hf.disjoint_union([hf.point(), hf.point(), one_vertex_circle()])
+    onto_loop = PositionMap(pair, loop, lambda k: list(range(len(pair.gens(k)))))
+    for f in (fold, onto_loop):
+        for ring in (0, 2, 3):
+            assert not relative_complex_collapses(f, 0, ring)
+            assert hf.is_homology_iso(f, 0, ring) == by_induced_maps(f, 0, ring)
+            assert not hf.is_homology_iso(f, 0, ring)[0]
+
+
+def test_relative_rule_needs_the_target_built_through_up_to_plus_one():
+    f = hf.identity_map(hf.boundary(2))
+    assert relative_complex_collapses(f, 0)
+    assert not relative_complex_collapses(f, 1)
+    assert hf.is_homology_iso(f, 1)[0]
