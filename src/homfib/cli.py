@@ -35,7 +35,7 @@ from . import borel as bor
 from . import subdivision as sub
 from .dsl import Document, DslError, parse
 from .fibration import weak_fibration_check
-from .homology import homology, homology_summary, is_acyclic, is_homology_iso, is_prime
+from .homology import homology, is_acyclic, is_homology_iso, is_prime
 from .sset import (
     SimplicialMap,
     SimplicialSet,
@@ -154,10 +154,10 @@ _KEYWORDS = {"ssets": "sset", "maps": "map", "categories": "monoid", "diagrams":
 
 
 def _need(doc: Document, table: str, name: str):
-    pool = getattr(doc, table)
-    if name not in pool:
+    entries = getattr(doc, table)
+    if name not in entries:
         raise CommandError(f"no {_KEYWORDS[table]} named {name!r} in the document")
-    return pool[name]
+    return entries[name]
 
 
 def _simplicial_set(doc: Document, name: str) -> SimplicialSet:
@@ -328,8 +328,8 @@ def run(command: str, doc: Document, flags: dict) -> Report:
                              [f"{c.sigma!r},{c.op}" for c in weak.failures()[:5]]))
         sf = sub.sd_over_simplex(f)
         bp = sub.barycenter_preimage(sf)
-        same = all(homology_summary(bp, k, coefficients) == homology_summary(E, k, coefficients)
-                   for k in range(up_to + 1))
+        same = all(homology(bp, k, coefficients).summary()
+                   == homology(E, k, coefficients).summary() for k in range(up_to + 1))
         checks.append(_check("barycenter preimage matches total space homology",
                              same))
         rows = _homology_rows("barycenter preimage", bp, up_to, coefficients)

@@ -132,10 +132,10 @@ class _Parser:
     def error(self, tok: Token, message: str):
         raise DslError(message, tok.line, tok.col)
 
-    def known(self, tok: Token, kind: str, pool) -> Token:
-        """tok, refused with the closest names in pool unless pool holds it."""
-        if tok.text not in pool:
-            hint = difflib.get_close_matches(tok.text, list(pool), n=3)
+    def known(self, tok: Token, kind: str, names) -> Token:
+        """tok, refused with the closest of names unless names holds it."""
+        if tok.text not in names:
+            hint = difflib.get_close_matches(tok.text, list(names), n=3)
             suffix = f" (did you mean {', '.join(hint)}?)" if hint else ""
             self.error(tok, f"unknown {kind} {tok.text!r}{suffix}")
         return tok

@@ -62,12 +62,7 @@ generators of Delta[n] with those of E over the same cores of B, from the
 core index and path tables that pullback keeps on p.  The pairs over a
 generator x of Delta[n] depend only on the face of sigma that x spans, so
 they are built once per calculator and shared by the preimages of all
-simplices with that face at that place.  Each calculator owns one content
-pool that every preimage it builds shares: identical chain complexes are
-put through Smith normal form once, and identical induced maps get their
-kernel/cokernel presentation once.  A comparison decided on its relative
-complex puts nothing in it.  The pool lives and dies with the
-calculator, and so with its map.
+simplices with that face at that place.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from .homology import Z, IsoCertificate, homology_summary, is_acyclic, is_homology_iso, share_pool
+from .homology import Z, IsoCertificate, homology, is_acyclic, is_homology_iso
 from .sset import (
     PositionMap,
     PullbackResult,
@@ -131,7 +126,6 @@ class PreimageCalculator:
         self.certified: set[int] = set()   # rings of passing weak checks through max_dim - 1
         self._records: dict[SimplexRef, PreimageRecord] = {}
         self._simplices: dict[int, SimplicialSet] = {}
-        self.pool: dict = {}
 
     def simplex(self, n: int) -> SimplicialSet:
         if n not in self._simplices:
@@ -149,7 +143,6 @@ class PreimageCalculator:
         if bound is None:
             bound = n + self.p.source.max_dim
         pb = pullback(classifying, self.p, bound)
-        share_pool(pb.space, self.pool)
         rec = PreimageRecord(sigma, pb)
         self._records[sigma] = rec
         return rec
@@ -369,7 +362,7 @@ def fiber_homology_over_contractible(p: SimplicialMap, up_to: int) -> Contractib
     """
     B, E = p.target, p.source
     warnings = []
-    if homology_summary(B, 0) != (1, ()):
+    if homology(B, 0).summary() != (1, ()):
         warnings.append("base is not connected")
     if not is_acyclic(B, B.max_dim):
         warnings.append("base is not acyclic through its computable range")
@@ -382,7 +375,7 @@ def fiber_homology_over_contractible(p: SimplicialMap, up_to: int) -> Contractib
         ok, _ = is_homology_iso(rec.total_map, up_to)
         inclusion_checks.append((rec.sigma, ok))
         verdict = verdict and ok
-    table = [homology_summary(E, k) for k in range(up_to + 1)]
+    table = [homology(E, k).summary() for k in range(up_to + 1)]
     return ContractibleBaseReport(verdict, table, weak.checks,
                                   inclusion_checks, warnings)
 
@@ -445,9 +438,9 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: 
     comp = components[spec.vertex]
     calc = preimage_calculator(p, up_to + 1)
     certified = coefficients in calc.certified
-    declared = [homology_summary(spec.fiber, k, coefficients) for k in range(up_to + 1)]
+    declared = [homology(spec.fiber, k, coefficients).summary() for k in range(up_to + 1)]
     base_rec = calc.record(B.ref(spec.vertex))
-    vertex_table = [homology_summary(base_rec.space, k, coefficients)
+    vertex_table = [homology(base_rec.space, k, coefficients).summary()
                     for k in range(up_to + 1)]
     table_ok = declared == vertex_table
     comparisons = []
@@ -458,7 +451,7 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: 
             continue
         if sigma.dim == 0:
             rec = calc.record(sigma)
-            ok = [homology_summary(rec.space, d, coefficients)
+            ok = [homology(rec.space, d, coefficients).summary()
                   for d in range(up_to + 1)] == declared
         else:
             ok = certified or is_homology_iso(calc.comparison(sigma, (0,)), up_to,

@@ -7,7 +7,7 @@ built when first read, which makes induced maps computable; the
 isomorphism test presents the kernel and cokernel of an induced map and
 reduces those presentations, so torsion is handled exactly rather than by
 comparing invariants.  A caller that reads only ranks and torsion reads
-homology_summary, which builds no cycle.
+homology(X, k).summary(), which builds no cycle.
 
 Z/p results are read off the same two integer Smith forms per degree that
 the integral ones use: each query of _DegreeData takes the ring, so there
@@ -26,14 +26,6 @@ up_to + 1, then H_k(X, A) = 0 there and the long exact sequence of the
 pair makes f an isomorphism through up_to: every certificate is ok, and
 no Smith form is built.  Otherwise, every failing comparison included,
 the induced maps decide as for any map.
-
-A space may share a content pool (share_pool).  Its per-degree Smith
-form data is then looked up by exact content, the degree and every
-nonzero entry of the two boundary matrices it reads, and so are the
-kernel/cokernel invariants of its induced maps, by matrix and invariants.
-Both results are index-based, so they serve every space with the same
-content; generator names are applied afterwards.  The pool belongs to its
-owner (one per PreimageCalculator), and there is no process-wide cache.
 """
 
 from __future__ import annotations
@@ -158,8 +150,8 @@ class _DegreeData:
     every j with D2_jj != 1.
 
     Only V1, V1^-1, U2 and U2^-1 are read, so the other four transforms
-    are never built.  Bases are kept once computed and handed out
-    read-only, because a content pool shares this object between spaces.
+    are never built.  Bases are cached once computed and handed out
+    read-only, so no caller can change what a later read returns.
     """
 
     def __init__(self, cc: ChainComplex, k: int):
@@ -224,44 +216,10 @@ class _DegreeData:
                               invariants)
 
 
-# ---------------------------------------------------------------------------
-# Content pools
-# ---------------------------------------------------------------------------
-
-_POOL = "content pool"
-
-
-def share_pool(X: SimplicialSet, pool: dict) -> None:
-    """Let X's Smith form work be looked up in, and added to, pool.
-
-    A pool maps the exact content a computation reads (degree, shapes and
-    every nonzero entry of its matrices) to the index-based result, so
-    spaces with identical chain complexes reduce them once.  Whoever owns
-    the pool decides how long it lives; nothing here outlives it.
-    """
-    X._cache[_POOL] = pool
-
-
-def _pooled(pool: dict | None, key: tuple, build):
-    if pool is None:
-        return build()
-    if key not in pool:
-        pool[key] = build()
-    return pool[key]
-
-
-def _content(m: IntMatrix) -> tuple:
-    return (m.nrows, m.ncols, tuple(sorted(m.entries())))
-
-
 def _degree_data(X: SimplicialSet, k: int) -> _DegreeData:
     key = ("hdata", k)
     if key not in X._cache:
-        cc = normalized_chains(X)
-        pool = X._cache.get(_POOL)
-        content = None if pool is None else \
-            ("hdata", k, _content(cc.boundary(k)), _content(cc.boundary(k + 1)))
-        X._cache[key] = _pooled(pool, content, lambda: _DegreeData(cc, k))
+        X._cache[key] = _DegreeData(normalized_chains(X), k)
     return X._cache[key]
 
 
@@ -283,10 +241,11 @@ def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
     key = ("hom", k, coefficients)
     if key in X._cache:
         return X._cache[key]
-    free_rank, torsion = homology_summary(X, k, coefficients)
-    cycles = partial(_named_cycles, _degree_data(X, k), normalized_chains(X).gens[k],
-                     coefficients)
-    group = HomologyGroup(k, free_rank, list(torsion), cycles, valid, coefficients)
+    data = _degree_data(X, k)
+    inv = data.invariants(coefficients)
+    cycles = partial(_named_cycles, data, normalized_chains(X).gens[k], coefficients)
+    group = HomologyGroup(k, inv.count(coefficients), [d for d in inv if d != coefficients],
+                          cycles, valid, coefficients)
     X._cache[key] = group
     return group
 
@@ -294,17 +253,6 @@ def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
 def _named_cycles(data: _DegreeData, names: tuple, coefficients: int) -> list[dict[Any, int]]:
     """The homology basis of data as cycles on the generators' names."""
     return [{names[i]: v for i, v in c.items()} for c in data.basis(coefficients)]
-
-
-def homology_summary(X: SimplicialSet, k: int,
-                     coefficients: int = Z) -> tuple[int, tuple[int, ...]]:
-    """homology(X, k, coefficients).summary(), read off the Smith form data
-    without building the cycle basis."""
-    _check_ring(coefficients)
-    if k < 0 or k > X.max_dim:
-        return (0, ())
-    inv = _degree_data(X, k).invariants(coefficients)
-    return (inv.count(coefficients), tuple(d for d in inv if d != coefficients))
 
 
 def is_acyclic(X: SimplicialSet, up_to: int, coefficients: int = Z) -> bool:
@@ -569,12 +517,8 @@ def is_homology_iso(f: SimplicialMap, up_to: int,
     certificates = []
     verdict = True
     for k in range(up_to + 1):
-        ind = induced(f, k, coefficients)
-        content = ("kernel/cokernel", tuple(map(tuple, ind.matrix)),
-                   tuple(ind.src_invariants), tuple(ind.dst_invariants))
-        kernel, coker = _pooled(f.source._cache.get(_POOL), content,
-                                lambda: induced_map_kernel_cokernel(ind))
+        kernel, coker = induced_map_kernel_cokernel(induced(f, k, coefficients))
         ok = not kernel and not coker
-        certificates.append(IsoCertificate(k, list(kernel), list(coker), ok))
+        certificates.append(IsoCertificate(k, kernel, coker, ok))
         verdict = verdict and ok
     return verdict, certificates

@@ -27,7 +27,6 @@ from homfib.sset import (
     PositionMap,
     SimplexRef,
     SimplicialMap,
-    SimplicialSet,
     constant_map,
     monotone_of_ref,
     ref_from_monotone,
@@ -288,44 +287,13 @@ def test_checks_on_one_map_share_preimages():
     assert preimage_calculator(p, 1) is not calc
 
 
-# ---------------------------------------------------------------------------
-# the content pool of a preimage calculator
-# ---------------------------------------------------------------------------
-
-def unpooled(X):
-    """X rebuilt from its generators and faces: no pool, nothing cached."""
-    return SimplicialSet(X.max_dim, X.generators, X.faces)
-
-
-def test_twin_preimages_share_one_reduction():
-    # over the two ends of Delta[1] the projection Delta[1] x S^1 -> Delta[1]
-    # has identical chain complexes; the second end reads the first one's
-    # Smith forms from the pool, and every answer equals one made without it
-    p = projection_over_simplex(1, hf.boundary(2))
-    calc = preimage_calculator(p, 2)
-    B = p.target
-    ends = [calc.record(B.ref((0,))), calc.record(B.ref((1,)))]
-    data = homology_module._degree_data
-    for k in range(3):
-        assert data(ends[0].space, k) is data(ends[1].space, k)
-        for rec in ends:
-            pooled, fresh = hf.homology(rec.space, k), hf.homology(unpooled(rec.space), k)
-            assert (pooled.summary(), pooled.basis) == (fresh.summary(), fresh.basis)
-    edge = B.ref((0, 1))
-    for i in (0, 1):
-        f = calc.comparison(edge, (1 - i,))
-        fresh = SimplicialMap(unpooled(f.source), unpooled(f.target), f.assignment)
-        for ring in (0, 2):
-            assert hf.is_homology_iso(f, 1, ring) == hf.is_homology_iso(fresh, 1, ring)
-
-
 def test_comparison_refuses_a_vertex_table_that_is_not_monotone():
     p = hf.cyclic_cover_map(6, 3)
     with pytest.raises(ValueError, match="not monotone"):
         PreimageCalculator(p, 2).comparison(p.target.ref(("e", 0)), (1, 0))
 
 
-def test_pooled_certificates_are_fresh_lists():
+def test_certificates_are_fresh_lists():
     p = collapse_circle_to_interval()
     first = weak_fibration_check(p, 1)
     second = weak_fibration_check(p, 1)
@@ -339,26 +307,9 @@ def test_pooled_certificates_are_fresh_lists():
                for check in second.checks for cert in check.certificates)
 
 
-def test_pools_belong_to_one_map():
-    p, q = hf.cyclic_cover_map(6, 3), hf.cyclic_cover_map(6, 3)
-    assert p == q
-    cp, cq = preimage_calculator(p, 2), preimage_calculator(q, 2)
-    # a passing weak check decides its comparisons on relative complexes,
-    # so the pool fills when a vertex preimage's homology is read
-    assert weak_fibration_check(p, 1).verdict and not cp.pool
-    hf.homology(cp.record(p.target.ref(("v", 0))).space, 1)
-    assert cp.pool and not cq.pool
-    size = len(cp.pool)
-    hf.homology(cq.record(q.target.ref(("e", 0))).space, 1)
-    assert cq.pool and len(cp.pool) == size
-    assert not any(pool is cp.pool for pool in (cq.pool, preimage_calculator(p, 1).pool))
-
-
 def test_group_completion_work_counts(monkeypatch):
     # each distinct dp(sigma) is pulled back once per map and bound, and
-    # identical chain complexes are reduced once: 1,752 Smith forms on this
-    # job before the content pool, 200 with it, 124 once the degeneracy
-    # comparisons rest on their lemma.  Only face comparisons build
+    # the job makes at most 250 Smith forms.  Only face comparisons build
     # preimages, so no dp(s_i sigma) is pulled back: 20 pullbacks, where
     # 69 were built with the degeneracies.  The faces of a base simplex are
     # worked out once, on 19 distinct simplices.  Only the pullbacks build

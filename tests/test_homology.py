@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import homfib as hf
 from homfib import dsl
-from homfib.homology import (InducedMap, chain_map_images, homology_summary,
-                             induced_map_kernel_cokernel, normalized_chains,
-                             relative_complex_collapses)
+from homfib.homology import (InducedMap, chain_map_images, induced_map_kernel_cokernel,
+                             normalized_chains, relative_complex_collapses)
 from homfib.sset import PositionMap, SimplexRef, SimplicialMap, SimplicialSet, constant_map
 
 from corpus import MOORE_DOCUMENT, corpus_maps, one_vertex_circle
@@ -391,8 +390,6 @@ def test_ring_is_checked_outside_the_degree_range():
     for k in (-1, 1, 5):
         with pytest.raises(ValueError, match=message):
             hf.homology(hf.boundary(2), k, coefficients=4)
-        with pytest.raises(ValueError, match=message):
-            homology_summary(hf.boundary(2), k, coefficients=4)
 
 
 def test_group_names_its_ring():

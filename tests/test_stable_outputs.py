@@ -49,6 +49,10 @@ PINNED = [
      "ef887145d40e100c8b7d63645635bfa0ccc1fb6ccfd4d9c4663557a0ffb48520"),
     ("group-completion M2 -f idem.hfd --max-dim 3", 1,
      "972b0e12bb4d58c0a1bc8be411dd36bf5fa07095aa36ff664c5c7674c74ad99b"),
+    # the restriction diagram one degree up: the job whose preimages repeat
+    # their chain complexes most
+    ("group-completion M2 -f idem.hfd --max-dim 4", 1,
+     "db2f86c18440a1ca02f0556247154c1291752478f45ec287e7c5cb8a076485fa"),
     ("group-completion M2 -f idem.hfd --max-dim 3 --diagram flat", 0,
      "f60f238e8a11c28b521c76d2913916b2191bf0417528bcad2d99fcf9bef1b137"),
     ("group-completion Z2 -f z2.hfd --max-dim 3 --coefficients Z3", 0,
