@@ -11,6 +11,21 @@ sits behind the deep_ops flag.  A comparison's operator phi: [k] -> [m] is
 its vertex table, a tuple of k + 1 values; it is a coface exactly when no
 value repeats, and no map between standard simplices is built for it.
 
+Comparisons compose: dp(rho . phi . psi) -> dp(rho . phi) -> dp(rho) is
+the comparison of phi . psi, as (a, b) -> (psi(a), b) -> (phi(psi(a)), b).
+By two-out-of-three, if two of the three induce isomorphisms on H_k, so
+does the third, in each degree k and over any ring; the preimages are
+truncated at one bound, so this holds through every degree the check
+reads.  Write V(tau, v) for the vertex inclusion dp(tau(v)) -> dp(tau).
+An edge's two face comparisons are its two vertex inclusions.  For sigma
+of dimension >= 2, d_i sigma leads with vertex v of sigma (1 when i = 0,
+0 otherwise), and dp(sigma(v)) -> dp(d_i sigma) -> dp(sigma) is
+V(sigma, v), so the face follows from V(sigma, v) and V(d_i sigma, 0).
+V(sigma, 1) follows from V(sigma, 0), V(e, 0) and V(e, 1) for the edge
+e = sigma|{0, 1}, through dp(sigma(0)) -> dp(e) -> dp(sigma).  So the weak
+check computes one vertex inclusion V(sigma, 0) per simplex where these
+premises are known to hold, and every face of sigma where they are not.
+
 A coface comparison dp(rho . phi) -> dp(rho) is a list of generator
 positions per degree.  dp(rho . phi) is the pullback of dp(rho) along phi,
 so the comparison (a, b) -> (phi(a), b) is the inclusion of the part over
@@ -49,10 +64,12 @@ and compared against vertex preimages, which is what the weak => strong
 theorem licenses.  The strong check's comparison dp(sigma(0)) -> dp(sigma)
 of a simplex of dimension >= 1 composes from face comparisons of
 generators and degeneracy sections, so once a weak check has passed, each
-of those is certified: computed, or covered by the lemma.  A calculator
-records the coefficient ring of every weak check through its bound - 1
-that passed, with or without deep_ops, and the strong check over a
-recorded ring takes those comparisons as isomorphisms without building
+of those is certified: computed, deduced by two-out-of-three, or covered
+by the lemma.  It is V(sigma, 0) above, which a passing weak check has
+computed for each simplex of dimension >= 2 whose faces it deduced.  A
+calculator records the coefficient ring of every weak check through its
+bound - 1 that passed, with or without deep_ops, and the strong check over
+a recorded ring takes those comparisons as isomorphisms without building
 them.  The record holds per ring and per bound: a pass over Z/2, or at
 another bound, certifies nothing over Z or at this one.
 
@@ -290,6 +307,17 @@ def _weak_comparisons(sigma: SimplexRef, lemma: dict):
             yield _degeneracy_comparison(sigma, i)
 
 
+def _face_premises(B: SimplicialSet, sigma: SimplexRef) -> list[tuple[SimplexRef, int]]:
+    """The vertex inclusions V(tau, v) = dp(tau(v)) -> dp(tau) from which,
+    with V(sigma, 0), every face comparison of sigma (dimension >= 2)
+    follows: V(e, 0) and V(e, 1) for the edge e = sigma|{0, 1}, and
+    V(d_i sigma, 0) for each i."""
+    faces = faces_spanned(B, sigma)
+    edge = faces[0, 1]
+    return [(edge, 0), (edge, 1)] + [(faces[_coface(sigma.dim - 1, i)], 0)
+                                     for i in range(sigma.dim + 1)]
+
+
 def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
                          coefficients: int = Z) -> WeakFibrationReport:
     """Test the weak homology fibration property on face comparisons.
@@ -304,17 +332,41 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
     degeneracies included.  Every comparison is tested over the
     coefficients, Z or Z/p.  Checks come in canonical simplex order.  A
     pass certifies the coefficients on p's calculator at bound up_to + 1.
+
+    Without deep_ops, faces are decided on vertex inclusions V(tau, v) by
+    two-out-of-three (module docstring).  An edge's faces are computed and
+    recorded as its two vertex inclusions.  For sigma of dimension >= 2,
+    V(sigma, 0) is computed only when every premise of _face_premises is
+    recorded as holding; when it holds too, each face of sigma is reported
+    as passing, with fresh certificates, and is not built.  Premises are
+    recorded for nondegenerate simplices only, so a degenerate simplex on
+    the way, a failing or unknown premise, or a failing V(sigma, 0) leaves
+    every face of sigma built and tested as any other comparison: every
+    verdict, certificate and witness is the one building each face gives.
     """
     calc = preimage_calculator(p, up_to + 1)
     B = p.target
     checks = []
     lemma: dict[tuple[int, int], bool] = {}
+    # V(tau, v) -> whether it is an isomorphism through up_to, tau nondegenerate
+    inclusions: dict[tuple[SimplexRef, int], bool] = {}
     for g in B.all_gens():
         sigma = B.ref(g)
-        gens = _operator_word_comparisons(sigma) if deep_ops \
-            else _weak_comparisons(sigma, lemma)
+        deduced = False
+        if deep_ops:
+            gens = _operator_word_comparisons(sigma)
+        else:
+            gens = _weak_comparisons(sigma, lemma)
+            if sigma.dim >= 2 and all(inclusions.get(v) for v in _face_premises(B, sigma)):
+                deduced = inclusions[sigma, 0] = is_homology_iso(
+                    calc.comparison(sigma, (0,)), up_to, coefficients)[0]
         for op, rho, phi in gens:
-            ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
+            if deduced and op[0] == "d":
+                ok, certs = True, [IsoCertificate(k, [], [], True) for k in range(up_to + 1)]
+            else:
+                ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
+                if sigma.dim == 1 and op[0] == "d":
+                    inclusions[sigma, phi[0]] = ok
             checks.append(ComparisonCheck(sigma, op, ok, certs))
     verdict = all(c.ok for c in checks)
     if verdict:
@@ -427,9 +479,12 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: 
 
     After a weak check of p through up_to has passed over these
     coefficients, each comparison of a simplex of dimension >= 1 is taken as
-    an isomorphism without being built (module docstring); a pass over
-    another ring or through another degree certifies none, and they are
-    computed.
+    an isomorphism without being built: it composes from face comparisons,
+    each computed, deduced by two-out-of-three or covered by the degeneracy
+    lemma, and two-out-of-three holds in each degree over any ring, on
+    preimages truncated at the one bound both checks read (module
+    docstring).  A pass over another ring or through another degree
+    certifies none, and they are computed.
     """
     B = p.target
     components = vertex_components(B)

@@ -33,14 +33,22 @@ def maps_to_simplex(draw, m):
         pick = kind if kind != "mixed" else ("tuple", "str", "int")[t % 3]
         label[S] = {"tuple": S, "str": f"x{t}", "int": t}[pick]
     phi = sorted(draw(st.lists(st.integers(0, m), min_size=V, max_size=V)))
+    return complex_over_simplex(simplices, phi, m, label)
+
+
+def complex_over_simplex(simplices, image, m, label=None):
+    """The map K -> Delta[m] from the ordered simplicial complex K on the
+    given vertex tuples (closed under faces, of at most three vertices),
+    vertex v going to image[v]; the simplex S is named label[S], or S."""
+    name = label.__getitem__ if label else (lambda S: S)
     K = SimplicialSet(
         max(len(S) for S in simplices) - 1,
-        {k: [label[S] for S in simplices if len(S) == k + 1] for k in range(3)},
-        {label[S]: tuple(SimplexRef(label[S[:i] + S[i + 1:]], (), len(S) - 2)
-                         for i in range(len(S)))
+        {k: [name(S) for S in simplices if len(S) == k + 1] for k in range(3)},
+        {name(S): tuple(SimplexRef(name(S[:i] + S[i + 1:]), (), len(S) - 2)
+                        for i in range(len(S)))
          for S in simplices if len(S) > 1})
     return SimplicialMap(K, hf.standard_simplex(m), {
-        label[S]: ref_from_monotone(phi[v] for v in S) for S in simplices})
+        name(S): ref_from_monotone(image[v] for v in S) for S in simplices})
 
 
 @st.composite

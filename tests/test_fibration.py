@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import homfib as hf
 from homfib import cli, dsl
 from homfib.fibration import (
+    ComparisonCheck,
     KnownFiberSpec,
     PreimageCalculator,
     classify_image,
@@ -20,6 +21,7 @@ from homfib.fibration import (
     strong_check_via_known_fiber,
     vertex_components,
     weak_fibration_check,
+    WeakFibrationReport,
 )
 from homfib.borel import borel_total, from_monoid, restriction_diagram
 from homfib.homology import chain_map_images
@@ -36,7 +38,7 @@ from homfib.sset import (
 from corpus import (MOORE_DOCUMENT, collapse_circle_to_interval, corpus_maps,
                     projection_over_simplex, two_points)
 from oracles import cyclic_table, weak_check_oracle
-from strategies import maps_of_ssets, maps_to_simplex
+from strategies import complex_over_simplex, maps_of_ssets, maps_to_simplex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # the package exports a function named homology, so reach the modules by path
@@ -294,17 +296,23 @@ def test_comparison_refuses_a_vertex_table_that_is_not_monotone():
 
 
 def test_certificates_are_fresh_lists():
-    p = collapse_circle_to_interval()
-    first = weak_fibration_check(p, 1)
-    second = weak_fibration_check(p, 1)
-    assert first == second and not first.verdict
-    for check in first.checks:
-        for cert in check.certificates:
+    # no certificate or list is shared between checks or between calls:
+    # the collapse fails, and the Z/2 Borel projection passes with the
+    # faces of its 2-simplices deduced, not built
+    for p, up_to, verdict in ((collapse_circle_to_interval(), 1, False),
+                              (borel_projection("Z/2", 3), 2, True)):
+        first = weak_fibration_check(p, up_to)
+        second = weak_fibration_check(p, up_to)
+        assert first == second and first.verdict == verdict
+        certs = [cert for check in first.checks for cert in check.certificates]
+        assert len({id(x) for cert in certs for x in (cert, cert.kernel, cert.cokernel)}) \
+            == 3 * len(certs)
+        for cert in certs:
             cert.kernel.append(-1)
             cert.cokernel.append(-1)
-    assert weak_fibration_check(p, 1) == second
-    assert all(-1 not in cert.kernel + cert.cokernel
-               for check in second.checks for cert in check.certificates)
+        assert weak_fibration_check(p, up_to) == second
+        assert all(-1 not in cert.kernel + cert.cokernel
+                   for check in second.checks for cert in check.certificates)
 
 
 def test_group_completion_work_counts(monkeypatch):
@@ -317,9 +325,14 @@ def test_group_completion_work_counts(monkeypatch):
     # from faces_spanned, where they made 82 representing maps before.
     # Gate 4's strong check reads what the weak check certified: its 14
     # vertex comparisons dp(sigma(0)) -> dp(sigma) compose from certified
-    # ones, so fibration makes 48 iso tests, where it made 62, and no
-    # comparison is built once the weak check has returned, where 14 were.
-    snf_calls, pullbacks, representing, built = [], [], [], []
+    # ones, so no comparison is built once the weak check has returned,
+    # where 14 were.  The weak check decides the faces of a simplex of
+    # dimension >= 2 on its vertex inclusion dp(sigma(0)) -> dp(sigma) and
+    # facts already known, so fibration makes 16 iso tests: the faces of 2
+    # edges, and the vertex inclusions of 4 2-simplices and 8 3-simplices.
+    # It made 48 building every face, and 62 before the strong check read
+    # what the weak check certified.
+    snf_calls, pullbacks, representing, built, made = [], [], [], [], []
     isos, late_comparisons, weak_done = [0], [0], [False]
     real_snf = homology_module.smith_normal_form
     real_pullback = fibration_module.pullback
@@ -335,6 +348,7 @@ def test_group_completion_work_counts(monkeypatch):
 
     def counting_comparison(self, rho, phi):
         late_comparisons[0] += weak_done[0]
+        made.append((rho, phi))
         return real_comparison(self, rho, phi)
 
     def watched_weak(*args, **kwargs):
@@ -369,8 +383,11 @@ def test_group_completion_work_counts(monkeypatch):
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass and weak_done[0]
-    assert isos[0] == 48
+    assert isos[0] == 16
     assert late_comparisons[0] == 0
+    # a passing check builds no face comparison of a simplex of dimension >= 2
+    assert all(phi == (0,) for rho, phi in made if rho.dim >= 2)
+    assert sum(rho.dim >= 2 for rho, _ in made) == 12
     assert len(snf_calls) <= 250
     assert len(pullbacks) == 20
     assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 20
@@ -665,6 +682,125 @@ def test_the_oracle_sees_a_failure_in_each_degree():
     d1 = hf.standard_simplex(1)
     p = SimplicialMap(two_points(), d1, {g: d1.ref((0,)) for g in two_points().all_gens()})
     assert [degrees for _, degrees in weak_check_oracle(p, 0)] == [[0], []]
+
+
+# ---------------------------------------------------------------------------
+# faces decided on vertex inclusions: the report of building every face
+# ---------------------------------------------------------------------------
+
+ZERO_Z2 = {("u", x): x for x in "utz"} | {(x, "u"): x for x in "utz"} | {
+    ("t", "t"): "u", ("t", "z"): "z", ("z", "t"): "z", ("z", "z"): "z"}
+LEFT_ZEROS = {("u", x): x for x in "uab"} | {(x, "u"): x for x in "uab"} | {
+    (x, y): x for x in "ab" for y in "ab"}
+DEDUCTION_MONOIDS = {**MONOIDS, "zero_z2": (ZERO_Z2, "u"), "left_zeros": (LEFT_ZEROS, "u")}
+RINGS = (0, 2, 3)
+
+
+def report_fields(report):
+    """Everything a weak check reports: verdict, lemma, and per check its
+    simplex, operator, verdict and certificates."""
+    return (report.verdict, report.up_to, report.lemma,
+            [(c.sigma, c.op, c.ok, [(t.degree, t.kernel, t.cokernel, t.ok)
+                                    for t in c.certificates]) for c in report.checks])
+
+
+def every_face_built(p, up_to, coefficients):
+    """report_fields of the weak check made by building every face
+    comparison dp(d_i sigma) -> dp(sigma), and each degeneracy comparison
+    whose certificate fails, on a fresh calculator."""
+    calc = PreimageCalculator(p, up_to + 1)
+    checks, lemma = [], {}
+    for g in p.target.all_gens():
+        sigma = p.target.ref(g)
+        for op, rho, phi in fibration_module._weak_comparisons(sigma, lemma):
+            ok, certs = hf.is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
+            checks.append(ComparisonCheck(sigma, op, ok, certs))
+    return report_fields(WeakFibrationReport(all(c.ok for c in checks), up_to, checks, lemma))
+
+
+def assert_deductions_match(p, up_tos):
+    for up_to in up_tos:
+        for ring in RINGS:
+            report = weak_fibration_check(p, up_to, coefficients=ring)
+            assert report_fields(report) == every_face_built(p, up_to, ring), (up_to, ring)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_maps()) + ["moore_q"])
+def test_deduced_faces_match_every_face_built_on_the_corpus(name):
+    p = dsl.parse(MOORE_DOCUMENT).maps["q"] if name == "moore_q" else corpus_maps()[name]
+    assert_deductions_match(p, range(p.source.max_dim + 1))
+
+
+@pytest.mark.parametrize("monoid,N", [(m, N) for m in DEDUCTION_MONOIDS for N in (1, 2, 3)])
+def test_deduced_faces_match_every_face_built_on_borel_projections(monoid, N):
+    cat = from_monoid(*DEDUCTION_MONOIDS[monoid])
+    assert_deductions_match(borel_total(cat, restriction_diagram(cat, "1"), N).pi, [N - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps_of_ssets(), st.integers(0, 1))
+def test_deduced_faces_match_every_face_built_on_other_bases(p, up_to):
+    assert_deductions_match(p, [up_to])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 3))
+def test_deduced_faces_match_every_face_built_on_maps_to_simplices(data, m):
+    p = data.draw(maps_to_simplex(m))
+    assert_deductions_match(p, [data.draw(st.integers(0, p.source.max_dim))])
+
+
+CONE_ON_A_CIRCLE = [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                    (0, 1, 2), (0, 1, 3), (1, 2, 3)]
+
+
+@pytest.mark.parametrize("simplices,image,failing", [
+    # a point over the vertex 0: every premise but V(e, 1) holds for the
+    # edge e = sigma|{0, 1}, and d_0 sigma, the empty preimage of the edge
+    # 12 in a point, fails in degree 0
+    ([(0,)], (0,), [((0, 1), ("d", 0), [0]), ((0, 2), ("d", 0), [0]),
+                    ((0, 1, 2), ("d", 0), [0])]),
+    # the cone with apex 1 on the hollow triangle 0-2-3, by 0 -> 0, 1 -> 1
+    # and 2, 3 -> 2: every premise but V(d_1 sigma, 0), a point into the
+    # circle 0-2-3, holds, and d_1 sigma fails in degree 1
+    (CONE_ON_A_CIRCLE, (0, 1, 2, 2), [((0, 2), ("d", 0), [1]), ((0, 2), ("d", 1), [1]),
+                                      ((0, 1, 2), ("d", 1), [1])]),
+], ids=["point_over_0", "cone_on_a_circle"])
+def test_a_failing_face_premise_keeps_the_faces_built(simplices, image, failing):
+    # V(sigma, 0) holds in both, so a deduction that skipped the failing
+    # premise would report the failing face of sigma as passing
+    p = complex_over_simplex(simplices, image, 2)
+    report = weak_fibration_check(p, 1)
+    assert [(c.sigma.gen, c.op, [t.degree for t in c.certificates if not t.ok])
+            for c in report.checks if not c.ok] == failing
+    assert_deductions_match(p, [0, 1])
+
+
+def test_a_degenerate_face_keeps_every_face_built(monkeypatch):
+    # the cone's triangle t has the degenerate face d_2 t = s0 v, so no
+    # premise about it is recorded: its vertex inclusion is never built and
+    # its three faces are, over the identity (all pass) and over a point
+    # sent to w (d_2 t and the edge's d_1 fail)
+    cone = dsl.parse((FIXTURES / "degenerate_face.hfd").read_text()).ssets["cone"]
+    point = hf.point()
+    over_w = SimplicialMap(point, cone, {g: cone.ref("w") for g in point.all_gens()})
+    t = cone.ref("t")
+    made = []
+    real_comparison = PreimageCalculator.comparison
+
+    def watched(self, rho, phi):
+        made.append((rho, phi))
+        return real_comparison(self, rho, phi)
+
+    monkeypatch.setattr(PreimageCalculator, "comparison", watched)
+    for p, failing in ((hf.identity_map(cone), []),
+                       (over_w, [("e", ("d", 1)), ("t", ("d", 2))])):
+        for ring in RINGS:
+            made.clear()
+            report = weak_fibration_check(p, 1, coefficients=ring)
+            assert [(c.sigma.gen, c.op) for c in report.checks if not c.ok] == failing
+            assert [phi for rho, phi in made if rho == t] == [(1, 2), (0, 2), (0, 1)]
+            assert report_fields(report) == every_face_built(p, 1, ring)
 
 
 # ---------------------------------------------------------------------------

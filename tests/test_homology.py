@@ -45,6 +45,12 @@ def test_boundary_squared_zero_is_enforced():
     cc = normalized_chains(X)
     for k in range(2, 4):
         assert cc.boundary(k - 1).matmul(cc.boundary(k)).is_zero()
+    # a triangle whose three faces are one edge e: v -> w is no simplicial
+    # set, and its boundary e - e + e = e has boundary w - v
+    v, w, e = SimplexRef("v", (), 0), SimplexRef("w", (), 0), SimplexRef("e", (), 1)
+    bad = SimplicialSet(2, {0: ["v", "w"], 1: ["e"], 2: ["t"]}, {"e": (w, v), "t": (e, e, e)})
+    with pytest.raises(ValueError, match="boundary squared is nonzero in degree 2"):
+        normalized_chains(bad)
 
 
 def test_degenerate_faces_contribute_zero():
