@@ -25,7 +25,9 @@ from typing import Any, Callable
 
 from .fibration import (
     KnownFiberSpec,
+    last_vertex_homotopy,
     preimage_calculator,
+    retraction_lemma_holds,
     strong_check_via_known_fiber,
     weak_fibration_check,
 )
@@ -707,8 +709,42 @@ def borel_total(cat: SimplicialCategory, diag: Diagram, N: int) -> BorelConstruc
             assignment[gen] = tuple_into(dst, refs[:n] + (point,), component=comp)
         pi_levels.append(SimplicialMap(src, dst, assignment))
     pi = realize_map(total, base, pi_levels)
-    return BorelConstruction(cat, diag, total_space, base_space,
-                             total, base, pi_levels, pi)
+    construction = BorelConstruction(cat, diag, total_space, base_space,
+                                     total, base, pi_levels, pi)
+    preimage_calculator(pi, N).retracts = last_vertex_lemma_holds(construction)
+    return construction
+
+
+def last_vertex_lemma_holds(construction: BorelConstruction) -> bool:
+    """Whether the last-vertex lemma (fibration module docstring) holds
+    for the projection: (a) last_vertex_homotopy(n) passes
+    retraction_lemma_holds for each n through the top level; (b) every
+    base level is discrete; (c) each level projection keeps a generator's
+    component and morphism slots; (d) each face d_i of the total space
+    with i >= 1 keeps the fibre slot, the last, of every generator, read
+    off its face table.  No preimage is built."""
+    total = construction.total_space
+    if not all(retraction_lemma_holds(n, last_vertex_homotopy(n))
+               for n in range(total.top + 1)):
+        return False
+    if any(any(Y.dim_of.values()) for Y in construction.base_space.levels):
+        return False
+    for n, pi_n in enumerate(construction.pi_levels):
+        for (comp, refs), image in pi_n.assignment.items():
+            kept = image.gen
+            if kept[0] != comp or any(a.gen != b.gen for a, b in zip(kept[1][:n], refs)):
+                return False
+    for n in range(1, total.top + 1):
+        below = total._gens[n - 1]
+        for table in total.face_tables[n][1:]:
+            for (_, refs), entry in zip(total._gens[n], table):
+                if entry.__class__ is int:
+                    fibre = below[entry][1][-1]
+                else:
+                    fibre = apply_degeneracies(entry.gen[1][-1], entry.word)
+                if fibre != refs[-1]:
+                    return False
+    return True
 
 
 def classifying_space(cat: SimplicialCategory, N: int) -> ThickRealization:

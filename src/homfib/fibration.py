@@ -26,6 +26,53 @@ e = sigma|{0, 1}, through dp(sigma(0)) -> dp(e) -> dp(sigma).  So the weak
 check computes one vertex inclusion V(sigma, 0) per simplex where these
 premises are known to hold, and every face of sigma where they are not.
 
+The last-vertex lemma.  On a Borel projection pi: E -> B (borel_total),
+every vertex inclusion V(sigma, n) onto the last vertex of an n-simplex
+is an isomorphism on H_k for k <= bound - 1, over any ring, when four
+hypotheses hold:
+  (a) h: [n] x [1] -> [n], h(v, 0) = v and h(v, 1) = n, is monotone and
+      never lowers a vertex;
+  (b) the levels Y_m of the base are discrete;
+  (c) each level projection pi_m: X_m -> Y_m keeps a simplex's component
+      and morphisms and forgets only its fibre slot;
+  (d) each face d_i of the total space with i >= 1 keeps the fibre slot.
+Proof.  By (b) a nondegenerate n-simplex of B is a cell (iota_n, b), b a
+vertex of Y_n over objects (i_0..i_n), and b_S is its face on S in [n].
+A d-simplex of the thick realization E is a cell (c, x), c: [d] -> [m]
+onto and x in (X_m)_d, and pi sends it to (c, pi_m x).  So a d-simplex
+of dp(sigma) is a pair (a, x), a: [d] -> [n], x in (X_m)_d over b_S, S
+the image of a.  By (c) x is its fibre slot y, any d-simplex of F(i_k),
+k = min S = a(0): the levels are products with F(i_0) last (borel_level).
+An operator theta takes (a, y) to (a theta, y'), y' the fibre slot of
+x theta after the faces of X that drop the vertices of S that a theta
+misses.  By (d) those at place >= 1 keep y; d_0 drops the least vertex.
+So, through the simplicial identities of X (d_0 d_j = d_{j-1} d_0 and
+d_0 d_1 = d_0 d_0), y' = G(a(0) <= a theta(0))(y theta) for a functor G
+on the poset [n] with G(k) = F(i_k) and G(k <= k') read off d_0 on the
+edge of sigma from k to k': dp(sigma) is the Grothendieck construction
+of G.  dp(sigma(n)) is G(n), and V(sigma, n) is i: y -> (n, y).  Since
+h is monotone and h(v, t) >= v, H((a, y), t) = (h(a, t),
+G(a(0) <= h(a(0), t(0)))(y)) is a simplicial map dp(sigma) x Delta[1] ->
+dp(sigma), by functoriality of G; H(-, 0) is the identity and H(-, 1)
+is i r for r(a, y) = G(a(0) <= n)(y), with r i the identity.  The
+truncated preimage keeps every simplex of dimension <= bound, and H
+keeps dimension, so the chain homotopy it gives (Eilenberg-Zilber, over
+Z and Z/p) joins the identity and i r in degrees <= bound - 1: H_k(i)
+is an isomorphism with inverse H_k(r) for k <= bound - 1.  The same
+holds for a degenerate simplex sigma alpha, with G alpha on [m].
+Faces follow by two-out-of-three.  An edge's d_0 is V(e, 1).  For n >= 2
+and i < n, dp(sigma(n)) -> dp(d_i sigma) -> dp(sigma) is V(sigma, n)
+and the first map is V(d_i sigma, n - 1), so d_i sigma passes.  For d_n,
+V(sigma, n - 1) factors through dp(d_n sigma), whose first map is
+V(d_n sigma, n - 1), and through dp(e), e = sigma|{n - 1, n}, whose
+first map is V(e, 0) and whose second composes with V(e, 1) to
+V(sigma, n): d_n sigma passes exactly when V(e, 0) does, in each degree.
+last_vertex_lemma_holds (borel) checks (a)-(d) once per construction,
+without building any dp(sigma), and borel_total records the result as
+retracts on pi's calculator at the construction's bound N, the bound its
+levels are truncated at.  With retracts set, the weak check builds only
+each edge's V(e, 0) and decides every other face as above.
+
 A coface comparison dp(rho . phi) -> dp(rho) is a list of generator
 positions per degree.  dp(rho . phi) is the pullback of dp(rho) along phi,
 so the comparison (a, b) -> (phi(a), b) is the inclusion of the part over
@@ -65,13 +112,14 @@ theorem licenses.  The strong check's comparison dp(sigma(0)) -> dp(sigma)
 of a simplex of dimension >= 1 composes from face comparisons of
 generators and degeneracy sections, so once a weak check has passed, each
 of those is certified: computed, deduced by two-out-of-three, or covered
-by the lemma.  It is V(sigma, 0) above, which a passing weak check has
-computed for each simplex of dimension >= 2 whose faces it deduced.  A
-calculator records the coefficient ring of every weak check through its
-bound - 1 that passed, with or without deep_ops, and the strong check over
-a recorded ring takes those comparisons as isomorphisms without building
-them.  The record holds per ring and per bound: a pass over Z/2, or at
-another bound, certifies nothing over Z or at this one.
+by a lemma.  It is V(sigma, 0) above, which a passing weak check has
+computed for each simplex of dimension >= 2 whose faces it deduced from
+it, or, on a Borel projection with retracts set, built for the edges
+alone.  A calculator records the coefficient ring of every weak check
+through its bound - 1 that passed, with or without deep_ops, and the
+strong check over a recorded ring takes those comparisons as isomorphisms
+without building them.  The record holds per ring and per bound: a pass
+over Z/2, or at another bound, certifies nothing over Z or at this one.
 
 Each map keeps one PreimageCalculator per truncation bound, so all checks
 on one map share the preimages they build.  A preimage pairs the
@@ -135,12 +183,19 @@ class KnownFiberSpec:
 
 
 class PreimageCalculator:
-    """Computes and caches dp(sigma) for one map at one truncation bound."""
+    """Computes and caches dp(sigma) for one map at one truncation bound.
+
+    certified holds the rings of the weak checks through max_dim - 1 that
+    passed; retracts is True once the last-vertex lemma (module docstring)
+    is known to hold for p at this bound, so every V(sigma, dim sigma) is an
+    isomorphism through max_dim - 1.
+    """
 
     def __init__(self, p: SimplicialMap, max_dim: int | None = None):
         self.p = p
         self.max_dim = max_dim
-        self.certified: set[int] = set()   # rings of passing weak checks through max_dim - 1
+        self.certified: set[int] = set()
+        self.retracts = False
         self._records: dict[SimplexRef, PreimageRecord] = {}
         self._simplices: dict[int, SimplicialSet] = {}
 
@@ -296,6 +351,22 @@ def degeneracy_lemma_holds(n: int, i: int, h: dict[tuple[int, int], int]) -> boo
             and all(codeg[h[v, t]] == codeg[v] for v in points for t in (0, 1)))
 
 
+def last_vertex_homotopy(n: int) -> dict[tuple[int, int], int]:
+    """h: [n] x [1] -> [n], the identity at t = 0 and the last vertex n at t = 1."""
+    return {(v, t): n if t else v for v in range(n + 1) for t in (0, 1)}
+
+
+def retraction_lemma_holds(n: int, h: dict[tuple[int, int], int]) -> bool:
+    """Whether h retracts [n] onto its last vertex as the last-vertex lemma
+    needs (module docstring): on the poset [n] x [1], h(-, 0) = id,
+    h(-, 1) = n, h is monotone and h(v, t) >= v."""
+    points = range(n + 1)
+    return (all(h[v, 0] == v and h[v, 1] == n for v in points)
+            and all(h[v, 0] <= h[v, 1] for v in points)
+            and all(h[v, t] <= h[v + 1, t] for v in range(n) for t in (0, 1))
+            and all(h[v, t] >= v for v in points for t in (0, 1)))
+
+
 def _weak_comparisons(sigma: SimplexRef, lemma: dict):
     """The faces of sigma, then each degeneracy whose certificate fails."""
     yield from _face_comparisons(sigma)
@@ -316,6 +387,17 @@ def _face_premises(B: SimplicialSet, sigma: SimplexRef) -> list[tuple[SimplexRef
     edge = faces[0, 1]
     return [(edge, 0), (edge, 1)] + [(faces[_coface(sigma.dim - 1, i)], 0)
                                      for i in range(sigma.dim + 1)]
+
+
+def _last_vertex_faces(B: SimplicialSet, sigma: SimplexRef, inclusions: dict) -> range:
+    """The faces d_i of sigma that pass by the last-vertex lemma: d_0 of an
+    edge, and d_i for i < n of an n-simplex, n >= 2, with d_n too when
+    V(e, 0) is recorded as holding for the edge e = sigma|{n - 1, n}.  Only
+    nondegenerate edges are recorded, so a degenerate e leaves d_n built."""
+    n = sigma.dim
+    if n < 2:
+        return range(n)
+    return range(n + 1 if inclusions.get((B.restrict(sigma, (n - 1, n)), 0)) else n)
 
 
 def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
@@ -343,25 +425,37 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
     the way, a failing or unknown premise, or a failing V(sigma, 0) leaves
     every face of sigma built and tested as any other comparison: every
     verdict, certificate and witness is the one building each face gives.
+
+    When p's calculator at bound up_to + 1 has retracts set (a Borel
+    projection whose last-vertex lemma holds, module docstring), no
+    V(sigma, 0) is built: an edge's d_0 is reported as passing and its d_1,
+    V(e, 0), is built; for sigma of dimension n >= 2 each d_i with i < n is
+    reported as passing, and d_n too when V(e, 0) holds for e =
+    sigma|{n - 1, n}.  A failing or degenerate e leaves d_n built, so a
+    failing face has the certificate building it gives.
     """
     calc = preimage_calculator(p, up_to + 1)
     B = p.target
+    retracts = calc.retracts and not deep_ops
     checks = []
     lemma: dict[tuple[int, int], bool] = {}
     # V(tau, v) -> whether it is an isomorphism through up_to, tau nondegenerate
     inclusions: dict[tuple[SimplexRef, int], bool] = {}
     for g in B.all_gens():
         sigma = B.ref(g)
-        deduced = False
+        deduced = ()
         if deep_ops:
             gens = _operator_word_comparisons(sigma)
         else:
             gens = _weak_comparisons(sigma, lemma)
-            if sigma.dim >= 2 and all(inclusions.get(v) for v in _face_premises(B, sigma)):
-                deduced = inclusions[sigma, 0] = is_homology_iso(
+            if retracts:
+                deduced = _last_vertex_faces(B, sigma, inclusions)
+            elif sigma.dim >= 2 and all(inclusions.get(v) for v in _face_premises(B, sigma)):
+                inclusions[sigma, 0] = is_homology_iso(
                     calc.comparison(sigma, (0,)), up_to, coefficients)[0]
+                deduced = range(sigma.dim + 1 if inclusions[sigma, 0] else 0)
         for op, rho, phi in gens:
-            if deduced and op[0] == "d":
+            if op[0] == "d" and op[1] in deduced:
                 ok, certs = True, [IsoCertificate(k, [], [], True) for k in range(up_to + 1)]
             else:
                 ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
@@ -481,9 +575,9 @@ def strong_check_via_known_fiber(p: SimplicialMap, spec: KnownFiberSpec, up_to: 
     coefficients, each comparison of a simplex of dimension >= 1 is taken as
     an isomorphism without being built: it composes from face comparisons,
     each computed, deduced by two-out-of-three or covered by the degeneracy
-    lemma, and two-out-of-three holds in each degree over any ring, on
-    preimages truncated at the one bound both checks read (module
-    docstring).  A pass over another ring or through another degree
+    or the last-vertex lemma, and two-out-of-three holds in each degree
+    over any ring, on preimages truncated at the one bound both checks
+    read (module docstring).  A pass over another ring or through another degree
     certifies none, and they are computed.
     """
     B = p.target

@@ -26,6 +26,7 @@ from homfib.borel import (
     discrete_space,
     from_monoid,
     group_completion_check,
+    last_vertex_lemma_holds,
     realize_map,
     restriction_diagram,
     telescope_diagram,
@@ -36,6 +37,7 @@ from homfib.borel import (
     validate_simplicial_space,
     vertex_fiber_isomorphic,
 )
+from homfib.fibration import preimage_calculator
 from homfib.sset import (
     SimplexRef,
     SimplicialMap,
@@ -572,6 +574,18 @@ def reference_cases():
                                     if not (name.startswith("interval") and N == 4)])
 def test_levels_and_realization_match_references(case, N):
     assert_matches_references(*reference_cases()[case], N)
+
+
+@pytest.mark.parametrize("case", list(reference_cases()))
+def test_last_vertex_lemma_holds_over_discrete_bases(case):
+    # every reference category but the interval has discrete hom-sets, so
+    # discrete base levels, and the lemma holds for every diagram on them;
+    # the interval's base levels have edges, and borel_total records that
+    # the lemma is not known to hold
+    construction = borel_total(*reference_cases()[case], 2)
+    discrete = not case.startswith("interval")
+    assert last_vertex_lemma_holds(construction) == discrete
+    assert preimage_calculator(construction.pi, 2).retracts == discrete
 
 
 def small_monoid(unit, others, products):

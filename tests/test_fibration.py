@@ -23,7 +23,7 @@ from homfib.fibration import (
     weak_fibration_check,
     WeakFibrationReport,
 )
-from homfib.borel import borel_total, from_monoid, restriction_diagram
+from homfib.borel import borel_total, from_monoid, restriction_diagram, telescope_diagram
 from homfib.homology import chain_map_images
 from homfib.sset import (
     PositionMap,
@@ -35,8 +35,8 @@ from homfib.sset import (
     tuple_into,
 )
 
-from corpus import (MOORE_DOCUMENT, collapse_circle_to_interval, corpus_maps,
-                    projection_over_simplex, two_points)
+from corpus import (CONE_DOCUMENT, MOORE_DOCUMENT, ROUND_DOCUMENT, collapse_circle_to_interval,
+                    corpus_maps, projection_over_simplex, two_points)
 from oracles import cyclic_table, weak_check_oracle
 from strategies import complex_over_simplex, maps_of_ssets, maps_to_simplex
 
@@ -326,14 +326,19 @@ def test_group_completion_work_counts(monkeypatch):
     # Gate 4's strong check reads what the weak check certified: its 14
     # vertex comparisons dp(sigma(0)) -> dp(sigma) compose from certified
     # ones, so no comparison is built once the weak check has returned,
-    # where 14 were.  The weak check decides the faces of a simplex of
-    # dimension >= 2 on its vertex inclusion dp(sigma(0)) -> dp(sigma) and
-    # facts already known, so fibration makes 16 iso tests: the faces of 2
-    # edges, and the vertex inclusions of 4 2-simplices and 8 3-simplices.
-    # It made 48 building every face, and 62 before the strong check read
-    # what the weak check certified.
+    # where 14 were.  The projection satisfies the last-vertex lemma, so
+    # the weak check builds only each edge's vertex inclusion
+    # dp(e(0)) -> dp(e), the action of u and of t, and decides every other
+    # face from those: fibration makes 2 iso tests and pulls back 8
+    # preimages (the vertex at two bounds, 2 edges, and 4 for the levels),
+    # with the faces worked out on 7 distinct simplices.  It made 16 iso
+    # tests and 20 pullbacks on 19 simplices deciding faces on the vertex
+    # inclusions dp(sigma(0)) -> dp(sigma) of 4 2-simplices and 8
+    # 3-simplices, 48 building every face, and 62 before the strong check
+    # read what the weak check certified.  No preimage of dimension >= 2 is
+    # left on any calculator of the projection.
     snf_calls, pullbacks, representing, built, made = [], [], [], [], []
-    isos, late_comparisons, weak_done = [0], [0], [False]
+    isos, late_comparisons, weak_done, projection = [0], [0], [False], []
     real_snf = homology_module.smith_normal_form
     real_pullback = fibration_module.pullback
     real_representing = fibration_module.representing_map
@@ -354,6 +359,7 @@ def test_group_completion_work_counts(monkeypatch):
     def watched_weak(*args, **kwargs):
         report = real_weak(*args, **kwargs)
         weak_done[0] = True
+        projection.append(args[0])
         return report
 
     def counting_representing(B, ref, domain=None):
@@ -383,19 +389,23 @@ def test_group_completion_work_counts(monkeypatch):
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass and weak_done[0]
-    assert isos[0] == 16
+    assert isos[0] == 2
     assert late_comparisons[0] == 0
-    # a passing check builds no face comparison of a simplex of dimension >= 2
-    assert all(phi == (0,) for rho, phi in made if rho.dim >= 2)
-    assert sum(rho.dim >= 2 for rho, _ in made) == 12
+    # a passing check builds no comparison into a simplex of dimension >= 2
+    assert [(rho.dim, phi) for rho, phi in made] == [(1, (0,)), (1, (0,))]
     assert len(snf_calls) <= 250
-    assert len(pullbacks) == 20
-    assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 20
+    assert len(pullbacks) == 8
+    assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 8
     assert not any(sigma.is_degenerate() for _, sigma, _ in pullbacks)
     distinct = {(id(B), sigma) for B, sigma in representing}
-    assert len(representing) == 20
-    assert len(built) == len(distinct) == 19
+    assert len(representing) == 8
+    assert len(built) == len(distinct) == 7
     assert len({(id(B), sigma) for B, sigma in built}) == len(built)
+    [pi] = projection
+    assert preimage_calculator(pi, 3).retracts
+    calculators = [calc for key, calc in pi._cache.items() if key[0] == "preimages"]
+    assert len(calculators) == 2
+    assert max(sigma.dim for calc in calculators for sigma in calc._records) == 1
 
 
 def test_comparisons_build_no_standard_maps(monkeypatch):
@@ -404,8 +414,9 @@ def test_comparisons_build_no_standard_maps(monkeypatch):
     # comparison made 318 simplicial maps on this job, 62 of them standard
     # maps.  A face comparison is a PositionMap whose assignment nobody
     # reads, and the legs of a pullback or a product are built when read,
-    # which the weak check never does: 36 maps, where 164 were built with
-    # the comparisons as assignments and every leg built eagerly.
+    # which the weak check never does: 24 maps, where 164 were built with
+    # the comparisons as assignments and every leg built eagerly, and 36
+    # before the weak check decided faces by the last-vertex lemma.
     built, standard, assigned = [0], [0], [0]
     real_init = SimplicialMap.__init__
     real_assignment = PositionMap.assignment.func
@@ -435,17 +446,14 @@ def test_comparisons_build_no_standard_maps(monkeypatch):
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
     assert standard[0] == 0
-    assert built[0] == 36
+    assert built[0] == 24
     assert assigned[0] == 0
 
 
-def test_pullback_work_is_bounded_by_its_output(monkeypatch):
-    # pullback lists the nondegenerate pairs from the generators, so the
-    # simplices it builds (SimplexRefs made) and tests (simplices mapped
-    # to the base) stay below one per generator it keeps: 189 for 320 on
-    # this job, as preimages share the cells over common faces.  Scanning
-    # every simplex of Delta[n] and of E, degenerate ones included, built
-    # 2,274 and tested 835, 9.7 per generator.
+def pullback_work(monkeypatch, fixture, target):
+    """(simplices built and tested inside pullback, generators it kept)
+    over group-completion on the fixture's monoid at N = 3, and whether
+    every gate passed."""
     work, kept, inside = [0], [0], [False]
     real_init = SimplexRef.__init__
     real_call = SimplicialMap.__call__
@@ -471,11 +479,29 @@ def test_pullback_work_is_bounded_by_its_output(monkeypatch):
     monkeypatch.setattr(SimplexRef, "__init__", counting_init)
     monkeypatch.setattr(SimplicialMap, "__call__", counting_call)
     monkeypatch.setattr(fibration_module, "pullback", counting_pullback)
-    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
-    report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
-    assert report.all_pass
-    assert kept[0] == 320
-    assert work[0] <= kept[0]
+    doc = dsl.parse((FIXTURES / fixture).read_text())
+    report = cli.run("group-completion", doc, {"target": target, "max_dim": 3})
+    return work[0], kept[0], report.all_pass
+
+
+def test_pullback_work_is_bounded_by_its_output(monkeypatch):
+    # pullback lists the nondegenerate pairs from the generators, so the
+    # simplices it builds (SimplexRefs made) and tests (simplices mapped
+    # to the base) stay below one per generator it keeps: 149 for 200 on
+    # this job, as preimages share the cells over common faces.  Its
+    # actions of e fail, so the faces over them, and their preimages of
+    # 2- and 3-simplices, are built.  Scanning every simplex of Delta[n]
+    # and of E, degenerate ones included, built 2,274 and tested 835, 9.7
+    # per generator, on the Z2 job when it kept 320 generators too.
+    assert pullback_work(monkeypatch, "idem.hfd", "M2") == (149, 200, False)
+
+
+def test_pullback_work_on_vertex_and_edge_preimages(monkeypatch):
+    # a passing group-completion check pulls back the preimages of
+    # vertices and edges only: 24 generators for 30 simplices, where each
+    # pullback's own few simplices outweigh its output.  It was 189 for
+    # 320 with the preimages of 2- and 3-simplices.
+    assert pullback_work(monkeypatch, "z2.hfd", "Z2") == (30, 24, True)
 
 
 def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
@@ -731,10 +757,39 @@ def test_deduced_faces_match_every_face_built_on_the_corpus(name):
     assert_deductions_match(p, range(p.source.max_dim + 1))
 
 
-@pytest.mark.parametrize("monoid,N", [(m, N) for m in DEDUCTION_MONOIDS for N in (1, 2, 3)])
+def lemma_constructions():
+    """name -> (category, diagram) of the Borel constructions whose
+    projections satisfy the last-vertex lemma: restriction diagrams of
+    groups and of non-group monoids, and diagrams with a discrete, a
+    telescope, a circle and a cone value."""
+    cases = {}
+    for name, table in {**DEDUCTION_MONOIDS, "Z/4": (cyclic_table(4), 0)}.items():
+        cat = from_monoid(*table)
+        cases[name] = (cat, restriction_diagram(cat, "1"))
+    idem = dsl.parse((FIXTURES / "idem.hfd").read_text())
+    m2 = idem.categories["M2"]
+    cases["M2 flat"] = (m2, idem.diagrams["flat"])
+    cases["M2 telescope"] = (m2, telescope_diagram(m2, "e", 2)[0])
+    for name, document in (("round", ROUND_DOCUMENT), ("still", CONE_DOCUMENT)):
+        doc = dsl.parse(document)
+        cases[name] = (doc.categories["Z2"], doc.diagrams[name])
+    return cases
+
+
+@pytest.mark.parametrize("monoid,N", [(m, N) for m in lemma_constructions() for N in (1, 2, 3)])
 def test_deduced_faces_match_every_face_built_on_borel_projections(monoid, N):
-    cat = from_monoid(*DEDUCTION_MONOIDS[monoid])
-    assert_deductions_match(borel_total(cat, restriction_diagram(cat, "1"), N).pi, [N - 1])
+    # the faces deduced by the last-vertex lemma are the faces built, and
+    # every vertex inclusion V(sigma, n) onto the last vertex, which the
+    # weak check never builds, is an isomorphism, over Z, Z/2 and Z/3
+    p = borel_total(*lemma_constructions()[monoid], N).pi
+    assert preimage_calculator(p, N).retracts
+    assert_deductions_match(p, [N - 1])
+    calc = PreimageCalculator(p, N)
+    for g in p.target.all_gens():
+        sigma = p.target.ref(g)
+        if sigma.dim:
+            for ring in RINGS:
+                assert hf.is_homology_iso(calc.comparison(sigma, (sigma.dim,)), N - 1, ring)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -801,6 +856,106 @@ def test_a_degenerate_face_keeps_every_face_built(monkeypatch):
             assert [(c.sigma.gen, c.op) for c in report.checks if not c.ok] == failing
             assert [phi for rho, phi in made if rho == t] == [(1, 2), (0, 2), (0, 1)]
             assert report_fields(report) == every_face_built(p, 1, ring)
+
+
+# ---------------------------------------------------------------------------
+# the last-vertex lemma: when its hypotheses fail, faces are built
+# ---------------------------------------------------------------------------
+
+def first_vertex_homotopy(n):
+    """h(v, 0) = v and h(v, 1) = 0: monotone, but it lowers every vertex but 0."""
+    return {(v, t): 0 if t else v for v in range(n + 1) for t in (0, 1)}
+
+
+def test_retraction_certificate_accepts_only_the_last_vertex_homotopy():
+    for n in range(6):
+        h = fibration_module.last_vertex_homotopy(n)
+        assert fibration_module.retraction_lemma_holds(n, h)
+        if n:
+            assert not fibration_module.retraction_lemma_holds(n, first_vertex_homotopy(n))
+            # the identity at both ends never reaches the last vertex
+            assert not fibration_module.retraction_lemma_holds(
+                n, {(v, t): v for v in range(n + 1) for t in (0, 1)})
+
+
+def watched_comparisons(monkeypatch):
+    """The list of (rho, phi) that PreimageCalculator.comparison is called
+    with from now on."""
+    made = []
+    real_comparison = PreimageCalculator.comparison
+    monkeypatch.setattr(PreimageCalculator, "comparison",
+                        lambda self, rho, phi: made.append((rho, phi)) or
+                        real_comparison(self, rho, phi))
+    return made
+
+
+def assert_faces_built(p, N, made):
+    """The weak check through N - 1 on p builds V(sigma, 0) for a simplex of
+    dimension >= 2, as without the lemma, and reports every face built."""
+    assert not preimage_calculator(p, N).retracts
+    made.clear()
+    assert_deductions_match(p, [N - 1])
+    assert any(rho.dim >= 2 and phi == (0,) for rho, phi in made)
+
+
+def twisted(space):
+    """A Borel space isomorphic to space by y -> t^n y on the fibre slot of
+    level n, t the swap of the two elements of Z/2: every face d_i of a
+    level with i >= 1 then moves the fibre slot, and the space is still a
+    simplicial space, with the same projection to the base."""
+    swap = {SimplexRef(0): SimplexRef(1), SimplexRef(1): SimplexRef(0)}
+    moved = []
+    for n, X in enumerate(space.levels):
+        ids = {g: k for k, g in enumerate(X.all_gens())}
+        moved.append([ids[comp, refs[:-1] + (swap[refs[-1]],)] if n % 2 else k
+                      for k, (comp, refs) in enumerate(X.all_gens())])
+    tables = [[]] + [[[moved[n - 1][table[moved[n][k]]] for k in range(len(table))]
+                      for table in space.face_tables[n]] for n in range(1, space.top + 1)]
+    return borel_module.SimplicialSpace(space.levels, tables)
+
+
+def test_a_face_that_moves_the_fibre_slot_keeps_the_faces_built(monkeypatch):
+    made = watched_comparisons(monkeypatch)
+    cat = from_monoid(*MONOIDS["Z/2"])
+    diag = restriction_diagram(cat, "1")
+    real_space = borel_module.borel_space
+    monkeypatch.setattr(borel_module, "borel_space", lambda c, d, N: twisted(
+        real_space(c, d, N)) if d is diag else real_space(c, d, N))
+    construction = borel_total(cat, diag, 3)
+    assert borel_module.validate_simplicial_space(construction.total_space) == []
+    assert not borel_module.last_vertex_lemma_holds(construction)
+    assert_faces_built(construction.pi, 3, made)
+    assert weak_fibration_check(construction.pi, 2).verdict
+
+
+def test_a_failing_retraction_certificate_keeps_the_faces_built(monkeypatch):
+    # with the homotopy to the first vertex in place of the last, the
+    # certificate fails on the poset and the lemma is not used
+    made = watched_comparisons(monkeypatch)
+    monkeypatch.setattr(borel_module, "last_vertex_homotopy", first_vertex_homotopy)
+    for name in ("Z/2", "left_zeros"):
+        cat, diag = lemma_constructions()[name]
+        assert_faces_built(borel_total(cat, diag, 3).pi, 3, made)
+
+
+def test_a_degenerate_edge_leaves_the_last_face_built():
+    # no Borel projection whose lemma holds has a degenerate face, so the
+    # flag is set by hand on the inclusion of an edge e into a triangle t
+    # whose d_0 is s0 w: dp(t) is the hollow triangle, and d_2 t, through
+    # the degenerate edge t|{1, 2}, is built and fails in degree 1
+    v, w, e = SimplexRef("v"), SimplexRef("w"), SimplexRef("e", (), 1)
+    E = hf.SimplicialSet(1, {0: ["v", "w"], 1: ["e"]}, {"e": (w, v)})
+    B = hf.SimplicialSet(2, {0: ["v", "w"], 1: ["e"], 2: ["t"]},
+                         {"e": (w, v), "t": (SimplexRef("w", (0,), 1), e, e)})
+    assert hf.validate(B).ok
+    p = SimplicialMap(E, B, {g: B.ref(g) for g in E.all_gens()})
+    preimage_calculator(p, 2).retracts = True
+    report = weak_fibration_check(p, 1)
+    [last] = [c for c in report.checks if c.sigma.gen == "t" and c.op == ("d", 2)]
+    assert not last.ok and [t.degree for t in last.certificates if not t.ok] == [1]
+    fields = (last.sigma, last.op, last.ok,
+              [(t.degree, t.kernel, t.cokernel, t.ok) for t in last.certificates])
+    assert fields in every_face_built(p, 1, 0)[3]
 
 
 # ---------------------------------------------------------------------------

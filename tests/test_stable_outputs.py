@@ -71,6 +71,11 @@ PINNED = [
     # the largest preimages a command builds in about a second
     ("group-completion Z2 -f z2.hfd --max-dim 5", 0,
      "76b5bfbc3ae3f09c76d401485138ee09f2e90a485456699a38156b94c98e3e45"),
+    # taken before the weak check decided faces by the last-vertex lemma,
+    # when this command took about 4 s and 417 MB; it takes a fraction of
+    # a second with it
+    ("group-completion Z2 -f z2.hfd --max-dim 8", 0,
+     "5bab5689b9d38f74a518361558a902e8d8d4fdd4b8ba7f51dafa00c617cff878"),
     # realizations of a non-group monoid, with a diagram
     ("classify M2 -f idem.hfd --max-dim 5", 0,
      "0276b4ea19bba9ff1b79002cbf8b8d6c3ddadbb66f6cc74360ed71ec0736fd62"),
