@@ -18,13 +18,17 @@ does the third, in each degree k and over any ring; the preimages are
 truncated at one bound, so this holds through every degree the check
 reads.  Write V(tau, v) for the vertex inclusion dp(tau(v)) -> dp(tau).
 An edge's two face comparisons are its two vertex inclusions.  For sigma
-of dimension >= 2, d_i sigma leads with vertex v of sigma (1 when i = 0,
-0 otherwise), and dp(sigma(v)) -> dp(d_i sigma) -> dp(sigma) is
-V(sigma, v), so the face follows from V(sigma, v) and V(d_i sigma, 0).
-V(sigma, 1) follows from V(sigma, 0), V(e, 0) and V(e, 1) for the edge
-e = sigma|{0, 1}, through dp(sigma(0)) -> dp(e) -> dp(sigma).  So the weak
-check computes one vertex inclusion V(sigma, 0) per simplex where these
-premises are known to hold, and every face of sigma where they are not.
+of dimension n >= 2, every face pivots on the last vertex.  For i < n,
+d_i sigma keeps sigma(n) as its last vertex, and dp(sigma(n)) ->
+dp(d_i sigma) -> dp(sigma) is V(sigma, n): d_i sigma passes when
+V(sigma, n) and V(d_i sigma, n - 1) hold.  For d_n, V(sigma, n - 1)
+factors through dp(d_n sigma), whose first map is V(d_n sigma, n - 1),
+and through dp(e) for the edge e = sigma|{n - 1, n}, whose first map is
+V(e, 0) and whose second composes with V(e, 1) to V(sigma, n): d_n sigma
+passes when V(sigma, n), V(d_n sigma, n - 1), V(e, 0) and V(e, 1) hold.
+So the weak check computes one vertex inclusion V(sigma, n) per simplex
+where some face's other premises are known to hold, and every face of
+sigma whose premises are not.
 
 The last-vertex lemma.  On a Borel projection pi: E -> B (borel_total),
 every vertex inclusion V(sigma, n) onto the last vertex of an n-simplex
@@ -60,18 +64,12 @@ keeps dimension, so the chain homotopy it gives (Eilenberg-Zilber, over
 Z and Z/p) joins the identity and i r in degrees <= bound - 1: H_k(i)
 is an isomorphism with inverse H_k(r) for k <= bound - 1.  The same
 holds for a degenerate simplex sigma alpha, with G alpha on [m].
-Faces follow by two-out-of-three.  An edge's d_0 is V(e, 1).  For n >= 2
-and i < n, dp(sigma(n)) -> dp(d_i sigma) -> dp(sigma) is V(sigma, n)
-and the first map is V(d_i sigma, n - 1), so d_i sigma passes.  For d_n,
-V(sigma, n - 1) factors through dp(d_n sigma), whose first map is
-V(d_n sigma, n - 1), and through dp(e), e = sigma|{n - 1, n}, whose
-first map is V(e, 0) and whose second composes with V(e, 1) to
-V(sigma, n): d_n sigma passes exactly when V(e, 0) does, in each degree.
 last_vertex_lemma_holds (borel) checks (a)-(d) once per construction,
 without building any dp(sigma), and borel_total records the result as
 retracts on pi's calculator at the construction's bound N, the bound its
-levels are truncated at.  With retracts set, the weak check builds only
-each edge's V(e, 0) and decides every other face as above.
+levels are truncated at.  With retracts set, every V(tau, dim tau) is
+known to hold, so the weak check builds no V(sigma, n): of the premises
+above it builds only each edge's V(e, 0), and it deduces the edge's d_0.
 
 A coface comparison dp(rho . phi) -> dp(rho) is a list of generator
 positions per degree.  dp(rho . phi) is the pullback of dp(rho) along phi,
@@ -109,17 +107,15 @@ its certificate fails.
 Homotopy fibres are never computed: known fibres are registered explicitly
 and compared against vertex preimages, which is what the weak => strong
 theorem licenses.  The strong check's comparison dp(sigma(0)) -> dp(sigma)
-of a simplex of dimension >= 1 composes from face comparisons of
-generators and degeneracy sections, so once a weak check has passed, each
-of those is certified: computed, deduced by two-out-of-three, or covered
-by a lemma.  It is V(sigma, 0) above, which a passing weak check has
-computed for each simplex of dimension >= 2 whose faces it deduced from
-it, or, on a Borel projection with retracts set, built for the edges
-alone.  A calculator records the coefficient ring of every weak check
-through its bound - 1 that passed, with or without deep_ops, and the
-strong check over a recorded ring takes those comparisons as isomorphisms
-without building them.  The record holds per ring and per bound: a pass
-over Z/2, or at another bound, certifies nothing over Z or at this one.
+of a simplex of dimension >= 1 is V(sigma, 0), and it composes from face
+comparisons of generators and degeneracy sections.  After a weak check has
+passed, every one of those holds: computed, deduced by two-out-of-three,
+or covered by a lemma.  So V(sigma, 0) holds too.  A calculator records
+the coefficient ring of every weak check through its bound - 1 that
+passed, with or without deep_ops, and the strong check over a recorded
+ring takes each V(sigma, 0) as an isomorphism without building it.  The
+record holds per ring and per bound: a pass over Z/2, or at another
+bound, certifies nothing over Z or at this one.
 
 Each map keeps one PreimageCalculator per truncation bound, so all checks
 on one map share the preimages they build.  A preimage pairs the
@@ -155,24 +151,6 @@ from .sset import (
 )
 
 
-class PreimageRecord:
-    """dp(sigma): the preimage space with its two structure maps, to
-    Delta[n] and to E, which are built when first read."""
-
-    def __init__(self, sigma: SimplexRef, pb: PullbackResult):
-        self.sigma = sigma
-        self.space = pb.space
-        self._pullback = pb
-
-    @property
-    def base_map(self) -> SimplicialMap:
-        return self._pullback.to_left
-
-    @property
-    def total_map(self) -> SimplicialMap:
-        return self._pullback.to_right
-
-
 @dataclass
 class KnownFiberSpec:
     """A declared fibre for the component of a base vertex."""
@@ -183,7 +161,9 @@ class KnownFiberSpec:
 
 
 class PreimageCalculator:
-    """Computes and caches dp(sigma) for one map at one truncation bound.
+    """Computes and caches dp(sigma) for one map at one truncation bound, as
+    the pullback of Delta[n] -> B along p: its legs to Delta[n] and to E are
+    built when first read.
 
     certified holds the rings of the weak checks through max_dim - 1 that
     passed; retracts is True once the last-vertex lemma (module docstring)
@@ -196,7 +176,7 @@ class PreimageCalculator:
         self.max_dim = max_dim
         self.certified: set[int] = set()
         self.retracts = False
-        self._records: dict[SimplexRef, PreimageRecord] = {}
+        self._records: dict[SimplexRef, PullbackResult] = {}
         self._simplices: dict[int, SimplicialSet] = {}
 
     def simplex(self, n: int) -> SimplicialSet:
@@ -204,7 +184,7 @@ class PreimageCalculator:
             self._simplices[n] = standard_simplex(n)
         return self._simplices[n]
 
-    def record(self, sigma: SimplexRef) -> PreimageRecord:
+    def record(self, sigma: SimplexRef) -> PullbackResult:
         if sigma in self._records:
             return self._records[sigma]
         if not self.p.target.has_ref(sigma):
@@ -214,10 +194,8 @@ class PreimageCalculator:
         bound = self.max_dim
         if bound is None:
             bound = n + self.p.source.max_dim
-        pb = pullback(classifying, self.p, bound)
-        rec = PreimageRecord(sigma, pb)
-        self._records[sigma] = rec
-        return rec
+        pb = self._records[sigma] = pullback(classifying, self.p, bound)
+        return pb
 
     def comparison(self, rho: SimplexRef, phi: tuple[int, ...]) -> SimplicialMap:
         """The map dp(rho . phi) -> dp(rho) over phi: [k] -> [m], a monotone
@@ -264,7 +242,7 @@ def classify_image(B: SimplicialSet, rho: SimplexRef, phi: tuple[int, ...]) -> S
     return apply_degeneracies(faces_spanned(B, rho)[top.gen], top.word)
 
 
-def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None) -> PreimageRecord:
+def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None) -> PullbackResult:
     """The preimage of a (possibly degenerate) simplex of the base."""
     return preimage_calculator(p, max_dim).record(sigma)
 
@@ -378,26 +356,19 @@ def _weak_comparisons(sigma: SimplexRef, lemma: dict):
             yield _degeneracy_comparison(sigma, i)
 
 
-def _face_premises(B: SimplicialSet, sigma: SimplexRef) -> list[tuple[SimplexRef, int]]:
-    """The vertex inclusions V(tau, v) = dp(tau(v)) -> dp(tau) from which,
-    with V(sigma, 0), every face comparison of sigma (dimension >= 2)
-    follows: V(e, 0) and V(e, 1) for the edge e = sigma|{0, 1}, and
-    V(d_i sigma, 0) for each i."""
-    faces = faces_spanned(B, sigma)
-    edge = faces[0, 1]
-    return [(edge, 0), (edge, 1)] + [(faces[_coface(sigma.dim - 1, i)], 0)
-                                     for i in range(sigma.dim + 1)]
-
-
-def _last_vertex_faces(B: SimplicialSet, sigma: SimplexRef, inclusions: dict) -> range:
-    """The faces d_i of sigma that pass by the last-vertex lemma: d_0 of an
-    edge, and d_i for i < n of an n-simplex, n >= 2, with d_n too when
-    V(e, 0) is recorded as holding for the edge e = sigma|{n - 1, n}.  Only
-    nondegenerate edges are recorded, so a degenerate e leaves d_n built."""
+def _face_premises(B: SimplicialSet, sigma: SimplexRef) -> list[list[tuple[SimplexRef, int]]]:
+    """Per face d_i of a nondegenerate n-simplex sigma, the vertex inclusions
+    V(tau, v) = dp(tau(v)) -> dp(tau) from which, with V(sigma, n), its
+    comparison follows (module docstring): V(d_i sigma, n - 1), and for d_n
+    also V(e, 0) and V(e, 1) for the edge e = sigma|{n - 1, n}.  An edge's
+    d_0 is V(e, 1) itself, and needs nothing else."""
     n = sigma.dim
     if n < 2:
-        return range(n)
-    return range(n + 1 if inclusions.get((B.restrict(sigma, (n - 1, n)), 0)) else n)
+        return [[]] * n
+    premises = [[(face, n - 1)] for face in B.faces[sigma.gen]]
+    edge = B.restrict(sigma, (n - 1, n))
+    premises[n] += [(edge, 0), (edge, 1)]
+    return premises
 
 
 def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
@@ -416,23 +387,19 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
     pass certifies the coefficients on p's calculator at bound up_to + 1.
 
     Without deep_ops, faces are decided on vertex inclusions V(tau, v) by
-    two-out-of-three (module docstring).  An edge's faces are computed and
-    recorded as its two vertex inclusions.  For sigma of dimension >= 2,
-    V(sigma, 0) is computed only when every premise of _face_premises is
-    recorded as holding; when it holds too, each face of sigma is reported
-    as passing, with fresh certificates, and is not built.  Premises are
-    recorded for nondegenerate simplices only, so a degenerate simplex on
-    the way, a failing or unknown premise, or a failing V(sigma, 0) leaves
-    every face of sigma built and tested as any other comparison: every
-    verdict, certificate and witness is the one building each face gives.
-
-    When p's calculator at bound up_to + 1 has retracts set (a Borel
-    projection whose last-vertex lemma holds, module docstring), no
-    V(sigma, 0) is built: an edge's d_0 is reported as passing and its d_1,
-    V(e, 0), is built; for sigma of dimension n >= 2 each d_i with i < n is
-    reported as passing, and d_n too when V(e, 0) holds for e =
-    sigma|{n - 1, n}.  A failing or degenerate e leaves d_n built, so a
-    failing face has the certificate building it gives.
+    two-out-of-three, pivoting on the last vertex (module docstring).  An
+    edge's faces are computed and recorded as its two vertex inclusions.
+    For sigma of dimension n >= 2, V(sigma, n) is computed once when the
+    other premises of some face (_face_premises) are recorded as holding;
+    when it holds too, each such face is reported as passing, with fresh
+    certificates, and is not built.  When p's calculator at bound up_to + 1
+    has retracts set (a Borel projection whose last-vertex lemma holds),
+    every V(tau, dim tau) is known to hold: no V(sigma, n) is built, and an
+    edge's d_0 is reported as passing.  Premises are recorded for
+    nondegenerate simplices only, so any other premise on a degenerate face
+    or edge, a failing or unknown premise, or a failing V(sigma, n) leaves
+    the face built and tested as any other comparison: every verdict,
+    certificate and witness is the one building each face gives.
     """
     calc = preimage_calculator(p, up_to + 1)
     B = p.target
@@ -441,25 +408,32 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
     lemma: dict[tuple[int, int], bool] = {}
     # V(tau, v) -> whether it is an isomorphism through up_to, tau nondegenerate
     inclusions: dict[tuple[SimplexRef, int], bool] = {}
+
+    def holds(tau: SimplexRef, v: int) -> bool:
+        return inclusions.get((tau, v), retracts and v == tau.dim)
+
     for g in B.all_gens():
         sigma = B.ref(g)
+        n = sigma.dim
         deduced = ()
         if deep_ops:
             gens = _operator_word_comparisons(sigma)
         else:
             gens = _weak_comparisons(sigma, lemma)
-            if retracts:
-                deduced = _last_vertex_faces(B, sigma, inclusions)
-            elif sigma.dim >= 2 and all(inclusions.get(v) for v in _face_premises(B, sigma)):
-                inclusions[sigma, 0] = is_homology_iso(
-                    calc.comparison(sigma, (0,)), up_to, coefficients)[0]
-                deduced = range(sigma.dim + 1 if inclusions[sigma, 0] else 0)
+            ready = [i for i, premises in enumerate(_face_premises(B, sigma))
+                     if all(holds(*v) for v in premises)]
+            # an edge's V(e, 1) is its d_0, built as that face
+            if ready and n >= 2 and not retracts:
+                inclusions[sigma, n] = is_homology_iso(
+                    calc.comparison(sigma, (n,)), up_to, coefficients)[0]
+            if holds(sigma, n):
+                deduced = ready
         for op, rho, phi in gens:
             if op[0] == "d" and op[1] in deduced:
                 ok, certs = True, [IsoCertificate(k, [], [], True) for k in range(up_to + 1)]
             else:
                 ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
-                if sigma.dim == 1 and op[0] == "d":
+                if n == 1 and op[0] == "d":
                     inclusions[sigma, phi[0]] = ok
             checks.append(ComparisonCheck(sigma, op, ok, certs))
     verdict = all(c.ok for c in checks)
@@ -517,9 +491,9 @@ def fiber_homology_over_contractible(p: SimplicialMap, up_to: int) -> Contractib
     verdict = weak.verdict
     calc = preimage_calculator(p, up_to + 1)
     for g in B.all_gens():
-        rec = calc.record(B.ref(g))
-        ok, _ = is_homology_iso(rec.total_map, up_to)
-        inclusion_checks.append((rec.sigma, ok))
+        sigma = B.ref(g)
+        ok, _ = is_homology_iso(calc.record(sigma).to_right, up_to)
+        inclusion_checks.append((sigma, ok))
         verdict = verdict and ok
     table = [homology(E, k).summary() for k in range(up_to + 1)]
     return ContractibleBaseReport(verdict, table, weak.checks,

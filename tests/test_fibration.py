@@ -67,7 +67,7 @@ def test_dp_of_identity_is_simplex():
     assert hf.is_acyclic(rec.space, 1)
     assert hf.validate(rec.space).ok
     # base projection is an isomorphism onto Delta[2]
-    assert hf.is_homology_iso(rec.base_map, 1)[0]
+    assert hf.is_homology_iso(rec.to_left, 1)[0]
 
 
 def test_dp_of_projection_is_simplex_times_fiber():
@@ -809,32 +809,65 @@ CONE_ON_A_CIRCLE = [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3), (1, 2), (1, 
                     (0, 1, 2), (0, 1, 3), (1, 2, 3)]
 
 
-@pytest.mark.parametrize("simplices,image,failing", [
-    # a point over the vertex 0: every premise but V(e, 1) holds for the
-    # edge e = sigma|{0, 1}, and d_0 sigma, the empty preimage of the edge
-    # 12 in a point, fails in degree 0
-    ([(0,)], (0,), [((0, 1), ("d", 0), [0]), ((0, 2), ("d", 0), [0]),
-                    ((0, 1, 2), ("d", 0), [0])]),
+def loop_over_an_edge():
+    """E -> Delta[2] with vertices x, a, c over 0, 1, 2, a loop l at a over
+    the degenerate edge 11, edges u, u2: x -> a over 01, w: a -> c over 12
+    and z: x -> c over 02, a triangle (l, u, u2) over 011 and triangles
+    (w, z, u), (w, z, u2) over 012.  E is acyclic, the preimages of the
+    vertex 1, of the edge 01 and of the edge 12 are circles, and the
+    preimage of the vertex 2 is a point."""
+    x, a, c = (SimplexRef(v) for v in "xac")
+    l, u, u2, w, z = (SimplexRef(e, (), 1) for e in ("l", "u", "u2", "w", "z"))
+    E = hf.SimplicialSet(2, {0: ["x", "a", "c"], 1: ["l", "u", "u2", "w", "z"],
+                             2: ["alpha", "b1", "b2"]},
+                         {"l": (a, a), "u": (a, x), "u2": (a, x), "w": (c, a), "z": (c, x),
+                          "alpha": (l, u, u2), "b1": (w, z, u), "b2": (w, z, u2)})
+    over = {"x": (0,), "a": (1,), "c": (2,), "l": (1, 1), "u": (0, 1), "u2": (0, 1),
+            "w": (1, 2), "z": (0, 2), "alpha": (0, 1, 1), "b1": (0, 1, 2), "b2": (0, 1, 2)}
+    return SimplicialMap(E, hf.standard_simplex(2),
+                         {g: ref_from_monotone(v) for g, v in over.items()})
+
+
+@pytest.mark.parametrize("p,failing", [
+    # a point over the vertex 0: V(sigma, 2), the empty preimage of the
+    # vertex 2 into a point, fails in degree 0, so every face of sigma is
+    # built, and d_0 sigma, the empty preimage of the edge 12, fails
+    (complex_over_simplex([(0,)], (0,), 2),
+     [((0, 1), ("d", 0), [0]), ((0, 2), ("d", 0), [0]), ((0, 1, 2), ("d", 0), [0])]),
+    # Delta[2] over the vertex 2: every premise of d_2 sigma but V(e, 0),
+    # the empty preimage of the vertex 1 into Delta[2], holds for the edge
+    # e = sigma|{1, 2}, and d_2 sigma, the empty preimage of the edge 01,
+    # fails in degree 0
+    (complex_over_simplex([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)], (2, 2, 2), 2),
+     [((0, 2), ("d", 1), [0]), ((1, 2), ("d", 1), [0]), ((0, 1, 2), ("d", 2), [0])]),
     # the cone with apex 1 on the hollow triangle 0-2-3, by 0 -> 0, 1 -> 1
-    # and 2, 3 -> 2: every premise but V(d_1 sigma, 0), a point into the
-    # circle 0-2-3, holds, and d_1 sigma fails in degree 1
-    (CONE_ON_A_CIRCLE, (0, 1, 2, 2), [((0, 2), ("d", 0), [1]), ((0, 2), ("d", 1), [1]),
-                                      ((0, 1, 2), ("d", 1), [1])]),
-], ids=["point_over_0", "cone_on_a_circle"])
-def test_a_failing_face_premise_keeps_the_faces_built(simplices, image, failing):
-    # V(sigma, 0) holds in both, so a deduction that skipped the failing
-    # premise would report the failing face of sigma as passing
-    p = complex_over_simplex(simplices, image, 2)
+    # and 2, 3 -> 2: every premise of d_1 sigma but V(d_1 sigma, 1), the
+    # interval 2-3 into the circle 0-2-3, holds, and d_1 sigma fails in
+    # degree 1
+    (complex_over_simplex(CONE_ON_A_CIRCLE, (0, 1, 2, 2), 2),
+     [((0, 2), ("d", 0), [1]), ((0, 2), ("d", 1), [1]), ((0, 1, 2), ("d", 1), [1])]),
+    # every premise of d_2 sigma but V(e, 1), the point c into the circle
+    # over the edge e = sigma|{1, 2}, holds, and d_2 sigma, a circle into
+    # the acyclic E, fails in degree 1
+    (loop_over_an_edge(),
+     [((0, 1), ("d", 1), [1]), ((1, 2), ("d", 0), [1]), ((0, 1, 2), ("d", 0), [1]),
+      ((0, 1, 2), ("d", 2), [1])]),
+], ids=["point_over_0", "point_over_2", "cone_on_a_circle", "loop_over_an_edge"])
+def test_a_failing_face_premise_keeps_the_faces_built(p, failing):
+    # V(sigma, 2) is built in each, and holds in all but point_over_0, so a
+    # deduction that skipped the failing premise would report the failing
+    # face of sigma as passing
     report = weak_fibration_check(p, 1)
     assert [(c.sigma.gen, c.op, [t.degree for t in c.certificates if not t.ok])
             for c in report.checks if not c.ok] == failing
     assert_deductions_match(p, [0, 1])
 
 
-def test_a_degenerate_face_keeps_every_face_built(monkeypatch):
+def test_a_degenerate_face_is_the_only_face_built(monkeypatch):
     # the cone's triangle t has the degenerate face d_2 t = s0 v, so no
-    # premise about it is recorded: its vertex inclusion is never built and
-    # its three faces are, over the identity (all pass) and over a point
+    # premise about it is recorded: d_2 t is built, and d_0 t and d_1 t,
+    # through the edge e whose vertex inclusion V(e, 1) is recorded, are
+    # deduced from V(t, 2), over the identity (all pass) and over a point
     # sent to w (d_2 t and the edge's d_1 fail)
     cone = dsl.parse((FIXTURES / "degenerate_face.hfd").read_text()).ssets["cone"]
     point = hf.point()
@@ -854,7 +887,7 @@ def test_a_degenerate_face_keeps_every_face_built(monkeypatch):
             made.clear()
             report = weak_fibration_check(p, 1, coefficients=ring)
             assert [(c.sigma.gen, c.op) for c in report.checks if not c.ok] == failing
-            assert [phi for rho, phi in made if rho == t] == [(1, 2), (0, 2), (0, 1)]
+            assert [phi for rho, phi in made if rho == t] == [(2,), (0, 1)]
             assert report_fields(report) == every_face_built(p, 1, ring)
 
 
@@ -890,12 +923,12 @@ def watched_comparisons(monkeypatch):
 
 
 def assert_faces_built(p, N, made):
-    """The weak check through N - 1 on p builds V(sigma, 0) for a simplex of
-    dimension >= 2, as without the lemma, and reports every face built."""
+    """The weak check through N - 1 on p builds V(sigma, n) for an
+    n-simplex, n >= 2, as without the lemma, and reports every face built."""
     assert not preimage_calculator(p, N).retracts
     made.clear()
     assert_deductions_match(p, [N - 1])
-    assert any(rho.dim >= 2 and phi == (0,) for rho, phi in made)
+    assert any(rho.dim >= 2 and phi == (rho.dim,) for rho, phi in made)
 
 
 def twisted(space):
