@@ -13,6 +13,12 @@ acts on the diagram value.  Realization is the thick (fat) one: stage n is
 the pushout of stage n-1 under Delta[n] x X_n along boundary-times-level,
 attached through face maps only.  Everything is a strict colimit;
 cofibrancy is guaranteed because attachments are generator-injective.
+
+When every level is discrete (a monoid with a discrete diagram), each
+level is the set of its tuples and the realization is Segal's fat
+realization of that semi-simplicial set: one n-cell per vertex of X_n,
+glued by the level face maps.  Both are then built straight from the
+vertices and the face tables, with no Eilenberg-Zilber enumerator.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .fibration import (
     KnownFiberSpec,
     last_vertex_homotopy,
     preimage_calculator,
+    record_last_vertex_lemma,
     retraction_lemma_holds,
     strong_check_via_known_fiber,
     weak_fibration_check,
@@ -42,6 +49,7 @@ from .sset import (
     factor_common,
     full_subcomplex,
     full_word,
+    is_discrete,
     is_isomorphism,
     members,
     product,
@@ -522,7 +530,7 @@ def borel_space(cat: SimplicialCategory, diag: Diagram, N: int) -> SimplicialSpa
     below = {key: i for i, key in enumerate(_vertex_keys(levels[0]))}
     for n in range(1, N + 1):
         keys = _vertex_keys(levels[n])
-        if len(keys) == len(levels[n].dim_of):
+        if is_discrete(levels[n]):
             tables.append(_vertex_faces(n, keys, below, mul, act))
         else:
             tables.append([_borel_face(cat, diag, n, k, levels[n], levels[n - 1])
@@ -551,11 +559,19 @@ class ThickRealization:
     the words of the shorter path, read from the rows of its stage, which
     are keyed by core id; otherwise it is assembled through the source's
     face.  A generator's stage is its gen[1].
+
+    When every level X_0..X_N is discrete (sset.is_discrete), the only cell
+    over a vertex x of X_n is (iota_n, s_{n-1}...s_0 x), and
+    _vertex_realization builds these cells and their faces from the
+    vertices and the face tables, with no enumerator.
     """
 
     def __init__(self, source: SimplicialSpace, N: int):
         self.source = source
         self.N = N
+        if all(map(is_discrete, source.levels[:N + 1])):
+            self.space = _vertex_realization(source, N)
+            return
         paths: dict = {}
         stages, rows = zip(*(top_cells(source.levels[n], n, N, paths) for n in range(N + 1)))
         # in order of n, then of (a, b) by rank: this is canonical_key order
@@ -620,6 +636,34 @@ class ThickRealization:
     def subspace_at_stage(self, m: int) -> SimplicialSet:
         keep = [g for g in self.space.all_gens() if g[1] <= m]
         return full_subcomplex(self.space, keep)
+
+
+def _vertex_realization(source: SimplicialSpace, N: int) -> SimplicialSet:
+    """The thick realization of a source whose levels X_0..X_N are discrete.
+
+    Stage n has one cell ("c", n, (iota_n, s_{n-1}...s_0 x)) per vertex x
+    of X_n, in the order of x's rank, ranked by (n, that rank).  Its face
+    d_i is the cell of stage n - 1 over d_i x, read off
+    source.face_tables[n], one SimplexRef per cell of stage n - 1.
+    """
+    generators, faces, keys, below = {}, {}, [], []
+    for n in range(N + 1):
+        X, iota, word = source.levels[n], SimplexRef(tuple(range(n + 1)), (), n), full_word(n)
+        ranked = sorted(map(members(X).__getitem__, X.gens(0)))
+        gens = generators[n] = tuple(("c", n, (iota, SimplexRef(x, word, n)))
+                                     for _, _, x in ranked)
+        keys.extend((n, rank) for rank, _, _ in ranked)
+        if n:
+            tables = source.face_tables[n]
+            faces.update((g, tuple(below[table[i]] for table in tables))
+                         for (_, i, _), g in zip(ranked, gens))
+        if n < N:
+            below = [None] * len(gens)
+            for (_, i, _), g in zip(ranked, gens):
+                below[i] = SimplexRef(g, (), n)
+    space = SimplicialSet._in_canonical_order(N, generators, faces)
+    rank_by(space, keys)
+    return space
 
 
 def _row_ref(row: list, n: int, j: int) -> SimplexRef:
@@ -711,7 +755,8 @@ def borel_total(cat: SimplicialCategory, diag: Diagram, N: int) -> BorelConstruc
     pi = realize_map(total, base, pi_levels)
     construction = BorelConstruction(cat, diag, total_space, base_space,
                                      total, base, pi_levels, pi)
-    preimage_calculator(pi, N).retracts = last_vertex_lemma_holds(construction)
+    if last_vertex_lemma_holds(construction):
+        record_last_vertex_lemma(pi, N)
     return construction
 
 
@@ -727,7 +772,7 @@ def last_vertex_lemma_holds(construction: BorelConstruction) -> bool:
     if not all(retraction_lemma_holds(n, last_vertex_homotopy(n))
                for n in range(total.top + 1)):
         return False
-    if any(any(Y.dim_of.values()) for Y in construction.base_space.levels):
+    if not all(map(is_discrete, construction.base_space.levels)):
         return False
     for n, pi_n in enumerate(construction.pi_levels):
         for (comp, refs), image in pi_n.assignment.items():

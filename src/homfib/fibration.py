@@ -63,13 +63,16 @@ truncated preimage keeps every simplex of dimension <= bound, and H
 keeps dimension, so the chain homotopy it gives (Eilenberg-Zilber, over
 Z and Z/p) joins the identity and i r in degrees <= bound - 1: H_k(i)
 is an isomorphism with inverse H_k(r) for k <= bound - 1.  The same
-holds for a degenerate simplex sigma alpha, with G alpha on [m].
+holds for a degenerate simplex sigma alpha, with G alpha on [m].  The
+lemma's homotopy keeps dimension, so it holds at every bound b <= N, not
+only at N, the bound the levels of the construction are truncated at.
 last_vertex_lemma_holds (borel) checks (a)-(d) once per construction,
-without building any dp(sigma), and borel_total records the result as
-retracts on pi's calculator at the construction's bound N, the bound its
-levels are truncated at.  With retracts set, every V(tau, dim tau) is
-known to hold, so the weak check builds no V(sigma, n): of the premises
-above it builds only each edge's V(e, 0), and it deduces the edge's d_0.
+without building any dp(sigma), and borel_total records on pi, by
+record_last_vertex_lemma, that it holds through N; pi's calculator at any
+bound 1..N then has retracts set, and bounds above N stay without the
+lemma.  With retracts set, every V(tau, dim tau) is known to hold, so the
+weak check builds no V(sigma, n): of the premises above it builds only
+each edge's V(e, 0), and it deduces the edge's d_0.
 
 A coface comparison dp(rho . phi) -> dp(rho) is a list of generator
 positions per degree.  dp(rho . phi) is the pullback of dp(rho) along phi,
@@ -166,18 +169,24 @@ class PreimageCalculator:
     built when first read.
 
     certified holds the rings of the weak checks through max_dim - 1 that
-    passed; retracts is True once the last-vertex lemma (module docstring)
-    is known to hold for p at this bound, so every V(sigma, dim sigma) is an
-    isomorphism through max_dim - 1.
+    passed.
     """
 
     def __init__(self, p: SimplicialMap, max_dim: int | None = None):
         self.p = p
         self.max_dim = max_dim
         self.certified: set[int] = set()
-        self.retracts = False
         self._records: dict[SimplexRef, PullbackResult] = {}
         self._simplices: dict[int, SimplicialSet] = {}
+
+    @property
+    def retracts(self) -> bool:
+        """Whether the last-vertex lemma (module docstring) is known to hold
+        for p at this bound, so that every V(sigma, dim sigma) is an
+        isomorphism through max_dim - 1: p records it through a bound
+        at least max_dim (record_last_vertex_lemma)."""
+        bound = self.p._cache.get("last vertex", 0)
+        return self.max_dim is not None and 0 < self.max_dim <= bound
 
     def simplex(self, n: int) -> SimplicialSet:
         if n not in self._simplices:
@@ -223,6 +232,12 @@ class PreimageCalculator:
             image = ref_from_monotone(map(at, monotone_of_ref(a)))
             assignment[g] = tuple_into(dst.space, (image, b))
         return SimplicialMap(src.space, dst.space, assignment)
+
+
+def record_last_vertex_lemma(p: SimplicialMap, N: int) -> None:
+    """Record that the last-vertex lemma holds for p at the bound N, and so
+    at every bound 1..N (module docstring)."""
+    p._cache["last vertex"] = N
 
 
 def preimage_calculator(p: SimplicialMap, max_dim: int | None = None) -> PreimageCalculator:
@@ -391,10 +406,11 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
     edge's faces are computed and recorded as its two vertex inclusions.
     For sigma of dimension n >= 2, V(sigma, n) is computed once when the
     other premises of some face (_face_premises) are recorded as holding;
-    when it holds too, each such face is reported as passing, with fresh
-    certificates, and is not built.  When p's calculator at bound up_to + 1
-    has retracts set (a Borel projection whose last-vertex lemma holds),
-    every V(tau, dim tau) is known to hold: no V(sigma, n) is built, and an
+    when it holds too, each such face is reported as passing and is not
+    built; the deduced faces of one check share one list of passing
+    certificates.  When p's calculator at bound up_to + 1 has retracts set
+    (a Borel projection whose last-vertex lemma holds there), every
+    V(tau, dim tau) is known to hold: no V(sigma, n) is built, and an
     edge's d_0 is reported as passing.  Premises are recorded for
     nondegenerate simplices only, so any other premise on a degenerate face
     or edge, a failing or unknown premise, or a failing V(sigma, n) leaves
@@ -408,6 +424,8 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
     lemma: dict[tuple[int, int], bool] = {}
     # V(tau, v) -> whether it is an isomorphism through up_to, tau nondegenerate
     inclusions: dict[tuple[SimplexRef, int], bool] = {}
+    # the certificates of every deduced face, shared: no reader mutates them
+    passing = [IsoCertificate(k, [], [], True) for k in range(up_to + 1)]
 
     def holds(tau: SimplexRef, v: int) -> bool:
         return inclusions.get((tau, v), retracts and v == tau.dim)
@@ -430,7 +448,7 @@ def weak_fibration_check(p: SimplicialMap, up_to: int, deep_ops: bool = False,
                 deduced = ready
         for op, rho, phi in gens:
             if op[0] == "d" and op[1] in deduced:
-                ok, certs = True, [IsoCertificate(k, [], [], True) for k in range(up_to + 1)]
+                ok, certs = True, passing
             else:
                 ok, certs = is_homology_iso(calc.comparison(rho, phi), up_to, coefficients)
                 if n == 1 and op[0] == "d":

@@ -32,7 +32,8 @@ shallow:
   recursive canonical_key;
 - a space the enumerator builds ranks its own generators by its cells'
   keys, (rank, word) per factor, which are in canonical_key order
-  already, so canonical_key is never called on its generators (rank_by);
+  already, so canonical_key is never called on its generators (rank_by),
+  and so does a product of discrete factors;
 - faces_spanned works out the faces of a base simplex once and keeps
   them on the base.
 
@@ -50,6 +51,12 @@ that exposes a face of a core reads that core's face table.  top_cells is
 the enumerator's public face, for the cells of Delta[n] x X over the top
 simplex that a thick realization attaches.  A product's projections and a
 pullback's two legs are built when first read.
+
+A space is discrete when every generator is a vertex (is_discrete, the
+one test for it).  A product of discrete factors has only vertices, the
+tuples of the factors' vertices, and product_many lists them directly,
+in the enumerator's order and with its keys, (rank, ()) per factor; the
+thick realization of discrete levels needs no enumerator either.
 
 A generator's id is its place in X.all_gens().  members(X) gives each
 generator its canonical rank and id, and face_ids(X) gives X's face table
@@ -749,6 +756,11 @@ def _ez_paths(kappas: tuple[tuple[int, ...], ...], N: int) -> list[tuple]:
             for points in found]
 
 
+def is_discrete(X: SimplicialSet) -> bool:
+    """Whether every generator of X is a vertex."""
+    return len(X.gens(0)) == len(X.dim_of)
+
+
 def rank_by(X: SimplicialSet, keys: list) -> None:
     """Let X's canonical ranks come from keys instead of canonical_key.
 
@@ -949,15 +961,34 @@ def product_many(spaces: list[SimplicialSet], N: int | None = None) -> ProductRe
     Nondegenerate n-simplices are tuples of n-simplices of the factors whose
     degeneracy words have no index in common; they are enumerated from the
     factors' generators by _ez_cells, over the point, in canonical_key
-    order.
+    order.  The product of discrete factors is the tuples of their vertices
+    (_vertex_product).
     """
     if not spaces:
         pt = SimplicialSet(0, {0: ["*"]}, {})
         return ProductResult(pt, ())
     if N is None:
         N = sum(X.max_dim for X in spaces)
+    if all(map(is_discrete, spaces)):
+        return ProductResult(_vertex_product(spaces, N), spaces)
     groups = (zip(*group) for group in itertools.product(*(_by_dimension(X, N) for X in spaces)))
     return ProductResult(_fibre_space(spaces, *_ez_cells(_ez_groups(groups, N, {}), N), N), spaces)
+
+
+def _vertex_product(spaces: list[SimplicialSet], N: int) -> SimplicialSet:
+    """The product of discrete spaces through degree N: the tuples of their
+    vertices, sorted and ranked by the keys the enumerator gives them,
+    (rank, ()) per factor."""
+    keys, refs = [], []
+    for X in spaces:
+        ranked = members(X)
+        keys.append([(ranked[x][0], ()) for x in X.gens(0)])
+        refs.append([SimplexRef(x, (), 0) for x in X.gens(0)])
+    cells = sorted(zip(map(sum, itertools.product(*keys), itertools.repeat(())),
+                       itertools.product(*refs)), key=itemgetter(0))
+    P = SimplicialSet._in_canonical_order(N, {0: tuple(map(itemgetter(1), cells))}, {})
+    rank_by(P, list(map(itemgetter(0), cells)))
+    return P
 
 
 def product(X: SimplicialSet, Y: SimplicialSet, N: int | None = None) -> ProductResult:

@@ -526,11 +526,13 @@ def assert_matches_references(cat, diag, N):
         ref = naive_component_space(level_components(cat, diag, n), N)
         assert level.generators == ref.generators   # same generators, same order
         assert level.faces == ref.faces
+        assert sset_module.members(level) == sset_module.members(ref)   # same ranks
     source = borel_space(cat, diag, N)
     r = thick_realize(source, N)
     space, stage_of = filtering_realization(source, N)
     assert r.space.generators == space.generators
     assert r.space.faces == space.faces
+    assert sset_module.members(r.space) == sset_module.members(space)
     assert {gen: gen[1] for gen in r.space.all_gens()} == stage_of
     assert hf.validate(r.space).ok
 
@@ -788,8 +790,13 @@ def test_classify_work_counts(monkeypatch):
     # them: 1 simplicial map, where 18 were built, 17 of them projections.
     # The spaces the enumerator builds (products, Borel levels, the
     # realization) rank their generators by their cells' keys, so
-    # canonical_key sees none of their generators (62 calls did).
-    built, faces, assembled, refs = [], [0], [0], [0]
+    # canonical_key sees none of their generators (62 calls did).  Every
+    # factor and level is discrete, so the products are tuples of vertices
+    # and the realization's cells are read off the levels' vertices and
+    # face tables: the enumerator's top_cells is not called (5 calls, one
+    # per stage, were made), and the 81 SimplexRefs are as many as the
+    # enumerator made.
+    built, faces, assembled, refs, listed = [], [0], [0], [0], [0]
     maps, projected, enumerated, keyed = [0], [0], set(), [0]
     real = sset_module.product_many
     real_face = borel_module._borel_face
@@ -799,6 +806,7 @@ def test_classify_work_counts(monkeypatch):
     real_ordered = SimplicialSet._in_canonical_order.__func__
     real_key = sset_module.canonical_key
     real_projections = sset_module.ProductResult.projections.func
+    real_top_cells = sset_module.top_cells
 
     def counting(spaces, N=None):
         result = real(spaces, N)
@@ -829,6 +837,10 @@ def test_classify_work_counts(monkeypatch):
         keyed[0] += id(x) in enumerated
         return real_key(x)
 
+    def counting_top_cells(*args):
+        listed[0] += 1
+        return real_top_cells(*args)
+
     def counting_projections(self):
         projected[0] += len(self.factors)
         return real_projections(self)
@@ -846,6 +858,8 @@ def test_classify_work_counts(monkeypatch):
     monkeypatch.setattr(SimplicialSet, "_in_canonical_order", classmethod(recording_ordered))
     monkeypatch.setattr(sset_module, "canonical_key", counting_key)
     monkeypatch.setattr(sset_module.ProductResult, "projections", counted)
+    monkeypatch.setattr(sset_module, "top_cells", counting_top_cells)
+    monkeypatch.setattr(borel_module, "top_cells", counting_top_cells)
     report = cli.run("classify", doc, {"target": "Z2", "max_dim": 4})
     monkeypatch.undo()
     assert [row["torsion"] for row in report.homology] == [[], [2], [2]]
@@ -853,6 +867,7 @@ def test_classify_work_counts(monkeypatch):
     assert faces[0] == 0
     assert assembled[0] == 0
     assert refs[0] == 81
+    assert listed[0] == 0
     assert maps[0] == 1 and projected[0] == 0
     assert len(enumerated) > 37 and keyed[0] == 0
 

@@ -1,5 +1,6 @@
 import importlib
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from homfib.fibration import (
     fiber_homology_over_contractible,
     preimage_calculator,
     pullback_fibration,
+    record_last_vertex_lemma,
     strong_check_via_known_fiber,
     vertex_components,
     weak_fibration_check,
@@ -295,18 +297,27 @@ def test_comparison_refuses_a_vertex_table_that_is_not_monotone():
         PreimageCalculator(p, 2).comparison(p.target.ref(("e", 0)), (1, 0))
 
 
-def test_certificates_are_fresh_lists():
-    # no certificate or list is shared between checks or between calls:
-    # the collapse fails, and the Z/2 Borel projection passes with the
-    # faces of its 2-simplices deduced, not built
-    for p, up_to, verdict in ((collapse_circle_to_interval(), 1, False),
-                              (borel_projection("Z/2", 3), 2, True)):
+def test_certificates_are_fresh_per_call():
+    # no certificate or list is shared between calls, and a built check's
+    # are its own; the faces one call deduces share one list of passing
+    # certificates.  The collapse fails, and the Z/2 Borel projection
+    # passes with the faces of its 2-simplices deduced, not built
+    def objects(checks):
+        return [id(x) for check in checks for cert in check.certificates
+                for x in (cert, cert.kernel, cert.cokernel)]
+
+    for p, up_to, verdict, deduced in ((collapse_circle_to_interval(), 1, False, 0),
+                                       (borel_projection("Z/2", 3), 2, True, 46)):
         first = weak_fibration_check(p, up_to)
         second = weak_fibration_check(p, up_to)
         assert first == second and first.verdict == verdict
+        assert not set(objects(first.checks)) & set(objects(second.checks))
+        lists = Counter(id(check.certificates) for check in first.checks)
+        shared = [check for check in first.checks if lists[id(check.certificates)] > 1]
+        assert len(shared) == deduced
+        built = [check for check in first.checks if lists[id(check.certificates)] == 1]
+        assert len(set(objects(built))) == len(objects(built))
         certs = [cert for check in first.checks for cert in check.certificates]
-        assert len({id(x) for cert in certs for x in (cert, cert.kernel, cert.cokernel)}) \
-            == 3 * len(certs)
         for cert in certs:
             cert.kernel.append(-1)
             cert.cokernel.append(-1)
@@ -780,16 +791,19 @@ def lemma_constructions():
 def test_deduced_faces_match_every_face_built_on_borel_projections(monoid, N):
     # the faces deduced by the last-vertex lemma are the faces built, and
     # every vertex inclusion V(sigma, n) onto the last vertex, which the
-    # weak check never builds, is an isomorphism, over Z, Z/2 and Z/3
+    # weak check never builds, is an isomorphism, over Z, Z/2 and Z/3, at
+    # every bound b <= N through degree b - 1; above N the lemma is not
+    # recorded
     p = borel_total(*lemma_constructions()[monoid], N).pi
-    assert preimage_calculator(p, N).retracts
-    assert_deductions_match(p, [N - 1])
-    calc = PreimageCalculator(p, N)
-    for g in p.target.all_gens():
-        sigma = p.target.ref(g)
-        if sigma.dim:
-            for ring in RINGS:
-                assert hf.is_homology_iso(calc.comparison(sigma, (sigma.dim,)), N - 1, ring)[0]
+    assert [preimage_calculator(p, b).retracts for b in range(1, N + 2)] == [True] * N + [False]
+    assert_deductions_match(p, range(N))
+    for b in range(1, N + 1):
+        calc = PreimageCalculator(p, b)
+        for g in p.target.all_gens():
+            sigma = p.target.ref(g)
+            if sigma.dim:
+                for ring in RINGS:
+                    assert hf.is_homology_iso(calc.comparison(sigma, (sigma.dim,)), b - 1, ring)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -973,7 +987,7 @@ def test_a_failing_retraction_certificate_keeps_the_faces_built(monkeypatch):
 
 def test_a_degenerate_edge_leaves_the_last_face_built():
     # no Borel projection whose lemma holds has a degenerate face, so the
-    # flag is set by hand on the inclusion of an edge e into a triangle t
+    # lemma is recorded by hand on the inclusion of an edge e into a triangle t
     # whose d_0 is s0 w: dp(t) is the hollow triangle, and d_2 t, through
     # the degenerate edge t|{1, 2}, is built and fails in degree 1
     v, w, e = SimplexRef("v"), SimplexRef("w"), SimplexRef("e", (), 1)
@@ -982,7 +996,7 @@ def test_a_degenerate_edge_leaves_the_last_face_built():
                          {"e": (w, v), "t": (SimplexRef("w", (0,), 1), e, e)})
     assert hf.validate(B).ok
     p = SimplicialMap(E, B, {g: B.ref(g) for g in E.all_gens()})
-    preimage_calculator(p, 2).retracts = True
+    record_last_vertex_lemma(p, 2)
     report = weak_fibration_check(p, 1)
     [last] = [c for c in report.checks if c.sigma.gen == "t" and c.op == ("d", 2)]
     assert not last.ok and [t.degree for t in last.certificates if not t.ok] == [1]

@@ -449,6 +449,7 @@ def assert_product_matches_sorting(spaces, N):
     ref = sorting_product(spaces, N)
     assert P.generators == ref.generators   # same generators, same order
     assert P.faces == ref.faces
+    assert members(P) == members(ref)   # same ranks
     assert hf.validate(P).ok
 
 
@@ -486,6 +487,44 @@ def test_product_matches_sorting_reference_on_face_table_spaces(X, Y, N):
     # boundary
     assert_product_matches_sorting([X, Y], N)
     assert_product_matches_sorting([Y, X, X], min(N, 2))
+
+
+def discrete_space(elements, max_dim=0):
+    return SimplicialSet(max_dim, {0: elements}, {})
+
+
+def test_is_discrete():
+    assert hf.sset.is_discrete(discrete_space(["b", 3, ("x", 1)], max_dim=2))
+    assert hf.sset.is_discrete(hf.empty_space(2)) and hf.sset.is_discrete(hf.point())
+    assert not hf.sset.is_discrete(hf.standard_simplex(1))
+    assert not hf.sset.is_discrete(hf.boundary(2))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_product_matches_sorting_reference_on_discrete_factors(N, monkeypatch):
+    # names of several types, so that the canonical order is not the
+    # order they are given in; a factor with max_dim 2 and vertices only is
+    # discrete; an empty factor empties the product
+    a = discrete_space(["b", 3, ("x", 1), "a"])
+    b = discrete_space([0, "z"], max_dim=2)
+    empty = hf.empty_space(1)
+    with monkeypatch.context() as m:
+        # products of discrete factors are their vertex tuples, with no
+        # lattice path enumerated
+        m.setattr(hf.sset, "_ez_groups", None)
+        for spaces in ([a], [a, b], [b, a, b], [a, empty, b], [empty], [b, b, a]):
+            assert_product_matches_sorting(spaces, N)
+    # beside a factor that is not discrete, the enumerator builds them
+    assert_product_matches_sorting([a, hf.standard_simplex(1)], N)
+    assert_product_matches_sorting([hf.standard_simplex(1), empty, a], N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["u", "a", "b", 0, 1, 5, (0,), (1, "x")]),
+                         max_size=4, unique=True), min_size=1, max_size=3),
+       st.integers(0, 2))
+def test_product_matches_sorting_reference_on_random_discrete_factors(factors, N):
+    assert_product_matches_sorting([discrete_space(elements) for elements in factors], N)
 
 
 @settings(max_examples=40, deadline=None)
