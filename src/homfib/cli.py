@@ -376,6 +376,25 @@ def run(command: str, doc: Document, flags: dict) -> Report:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text with universal newlines, as open() in text
+    mode reads it; a byte that is not UTF-8 is a DslError at its line and
+    column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[:exc.start].decode("utf-8"))
+        raise DslError(f"invalid UTF-8 byte {data[exc.start]:#04x}",
+                       before.count("\n") + 1, len(before) - before.rfind("\n")) from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="homfib",
@@ -407,8 +426,7 @@ def main(argv=None) -> int:
         "diagram": args.diagram,
     }
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            doc = parse(fh.read())
+        doc = parse(_read_text(args.file))
         report = run(args.command, doc, flags)
     except OSError:
         print(f"homfib: cannot open {args.file!r}", file=sys.stderr)

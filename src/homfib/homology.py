@@ -9,14 +9,22 @@ reduces those presentations, so torsion is handled exactly rather than by
 comparing invariants.  A caller that reads only ranks and torsion reads
 homology(X, k).summary(), which builds no cycle.
 
-Z/p results are read off the same two integer Smith forms per degree that
-the integral ones use: each query of _DegreeData takes the ring, so there
-is one elimination engine and one code path for every coefficient ring.
-An induced map over Z/p is presented with relations p, so every ring's
-isomorphism certificate is the kernel and cokernel of that presentation.
-A Smith form builds a change of basis only when it is read: _DegreeData
-reads V1, V1^-1, U2 and U2^-1, a kernel presentation reads V, and
-cokernels read the diagonal alone.
+Ranks and torsion come from the invariant factors of the boundary
+matrices alone: H_k = Z^(n_k - r_k - r_{k+1}) plus the non-unit factors
+of d_{k+1} (Dumas, Heckenbach, Saunders and Welker).  So each boundary
+d_k gets one integer Smith form per space, shared by degrees k and k - 1,
+and a summary reads two diagonals and builds no change of basis.  Z/p
+results are read off the same forms: each query of _DegreeData takes the
+ring, so there is one elimination engine and one code path for every
+coefficient ring.  A cycle basis, and the coordinates an induced map
+needs, come from a second form of d_{k+1} in cycle coordinates, made only
+when a basis element or a coordinate first reads it, and checked
+against the invariant factors.  An induced map over Z/p is presented
+with relations p, so every ring's isomorphism certificate is the kernel
+and cokernel of that presentation.  A Smith form builds a change of
+basis only when it is read: _DegreeData reads V1, V1^-1, U2 and U2^-1
+for bases and coordinates, a kernel presentation reads V, and cokernels
+read the diagonal alone.
 
 A PositionMap f: A -> X, such as a face comparison, is first tried on its
 relative complex (relative_complex_collapses).  When its positions carry
@@ -145,45 +153,71 @@ class HomologyGroup:
         return f"H_{self.degree} = " + (" + ".join(parts) if parts else "0")
 
 
+def _boundary_form(X: SimplicialSet, k: int) -> SmithForm:
+    """The Smith form of the boundary out of degree k, made once per space:
+    degree k's homology reads it and so does degree k - 1's."""
+    key = ("dform", k)
+    form = X._cache.get(key)
+    if form is None:
+        form = X._cache[key] = smith_normal_form(normalized_chains(X).boundary(k))
+    return form
+
+
 class _DegreeData:
-    """SNF bookkeeping for one degree of one complex, queried per ring.
+    """Homology of one degree of one space, queried per ring.
 
-    With U1 d_k V1 = D1 and U2 Y V2 = D2, where Y holds the boundaries of
-    degree k+1 in the cycle coordinates (rows >= rank of V1^-1 d_{k+1}),
-    the columns of V1 from the rank on span the integer cycles and U2^-1
-    e_j is a homology generator of order D2_jj (0 beyond the rank).  Over
-    the ring Z/r (r = 0 for Z, otherwise a prime) the basis is V1 e_j for
-    each pivot j whose D1_jj vanishes in the ring (a cycle mod r only, of
-    order r), then U2^-1 e_j for each j with Z/D2_jj (x) Z/r =
-    Z/gcd(D2_jj, r) nonzero, of that order.  Over Z that is no pivot and
-    every j with D2_jj != 1.
+    With U1 d_k V1 = D1 and D the Smith form of d_{k+1}, each made once
+    per boundary by _boundary_form, H_k is Z^(n_k - r_k - r_{k+1}) plus
+    Z/d for each invariant factor d of D: orders holds those factors and
+    then one 0 per free summand, read off the two diagonals.  The columns
+    of V1 from the rank on span the integer cycles.  Over the ring Z/r (r
+    = 0 for Z, otherwise a prime) the basis is V1 e_j for each pivot j
+    whose D1_jj vanishes in the ring (a cycle mod r only, of order r),
+    then one generator per j with Z/orders_j (x) Z/r = Z/gcd(orders_j, r)
+    nonzero, of that order.  Over Z that is no pivot and every j with
+    orders_j != 1.
 
-    Only V1, V1^-1, U2 and U2^-1 are read, so the other four transforms
-    are never built.  Bases are cached once computed and handed out
-    read-only, so no caller can change what a later read returns.
+    Ranks and torsion read the diagonals alone, so a summary builds no
+    transform.  Bases and coordinates need the cycle form, made when a
+    basis element or a coordinate first reads it: U2 Y V2 = D2, where Y
+    holds the boundaries of degree k+1 in the cycle coordinates (rows >=
+    rank of V1^-1 d_{k+1}), and U2^-1 e_j is the generator of order
+    orders_j.  Y is d_{k+1} in other bases, so D2's diagonal is orders,
+    and the cycle form checks that it is.  It reads V1, V1^-1, U2 and
+    U2^-1, so the other four transforms are never built.  Bases are
+    cached once computed and handed out read-only, so no caller can
+    change what a later read returns.
     """
 
-    def __init__(self, cc: ChainComplex, k: int):
-        n = cc.dim(k)
-        d_k = cc.boundary(k) if k >= 1 else IntMatrix(0, n)
-        d_k1 = cc.boundary(k + 1)
-        self.snf1 = smith_normal_form(d_k)
+    def __init__(self, X: SimplicialSet, k: int):
+        self._boundary = normalized_chains(X).boundary(k + 1)
+        self.snf1 = _boundary_form(X, k)
         self.rank1 = self.snf1.rank
-        z = n - self.rank1
+        above = _boundary_form(X, k + 1)
+        z = self.snf1.shape[1] - self.rank1
+        self.orders = above.invariant_factors() + [0] * (z - above.rank)
+        self._rings: dict[int, tuple[list[int], list[int], tuple[int, ...]]] = {}
+        self._bases: dict[int, list[Mapping[int, int]]] = {}
+
+    @cached_property
+    def snf2(self) -> SmithForm:
+        """The Smith form of d_{k+1} in the cycle coordinates of V1."""
+        d_k1, z = self._boundary, len(self.orders)
         columns = []
         for j in range(d_k1.ncols):
             t = self.snf1.v_inv.apply(d_k1.column(j)) if j in d_k1.cols else {}
             if any(i < self.rank1 for i in t):
                 raise ValueError("boundary image is not a cycle")
             columns.append({i - self.rank1: v for i, v in t.items()})
-        self.snf2 = smith_normal_form(IntMatrix.from_columns(z, columns))
-        self.orders = list(self.snf2.diagonal) + [0] * (z - len(self.snf2.diagonal))
-        self._rings: dict[int, tuple[list[int], list[int], tuple[int, ...]]] = {}
-        self._bases: dict[int, list[Mapping[int, int]]] = {}
+        form = smith_normal_form(IntMatrix.from_columns(z, columns))
+        if form.diagonal + [0] * (z - len(form.diagonal)) != self.orders:
+            raise ValueError("the boundary's Smith form in cycle coordinates "
+                             "disagrees with its invariant factors")
+        return form
 
     def _summands(self, ring: int) -> tuple[list[int], list[int], tuple[int, ...]]:
-        """The pivots j of D1 and the generators j of D2 that make the basis
-        over the ring, and the order of each basis element."""
+        """The pivots j of D1 and the generators j of orders that make the
+        basis over the ring, and the order of each basis element."""
         found = self._rings.get(ring)
         if found is None:
             _check_ring(ring)
@@ -203,7 +237,8 @@ class _DegreeData:
         entries reduced in the ring (read-only)."""
         if ring not in self._bases:
             lows, highs, _ = self._summands(ring)
-            # each transform is read only when some cycle needs it
+            # each transform, and the cycle form, is made only when some
+            # cycle needs it
             cycles = ([self.snf1.v.column(j) for j in lows]
                       + [self.snf1.v.apply({self.rank1 + i: v for i, v
                                             in self.snf2.u_inv.column(j).items()})
@@ -228,7 +263,7 @@ class _DegreeData:
 def _degree_data(X: SimplicialSet, k: int) -> _DegreeData:
     key = ("hdata", k)
     if key not in X._cache:
-        X._cache[key] = _DegreeData(normalized_chains(X), k)
+        X._cache[key] = _DegreeData(X, k)
     return X._cache[key]
 
 

@@ -3,7 +3,10 @@
 Entries are arbitrary-precision Python ints.  The reduction uses a greedy
 smallest-magnitude pivot with full row/column elimination and deterministic
 index tie-breaking.  A unit pivot ends the pivot search at the first row,
-in index order, that holds one, and needs no divisibility scan.
+in index order, that holds one, and needs no divisibility scan; of that
+row's units it takes the one whose column has the fewest entries, then
+the least column index, so that a sparse boundary matrix stays sparse as
+it is reduced.
 
 The reduction records its row and column operations in two logs.  The
 unimodular change-of-basis matrices U, V and their inverses are built from
@@ -343,22 +346,31 @@ class SmithForm:
         return [d for d in self.diagonal if d != 0]
 
 
-def _find_pivot(rows: dict[int, dict[int, int]], t: int, nrows: int):
-    """Position of the least (|v|, i, j) among the rows from t on.
+def _find_pivot(rows: dict[int, dict[int, int]], cols: dict[int, set[int]],
+                t: int, nrows: int):
+    """Position of the pivot among the rows from t on.
 
     Rows are read in index order, so the first row holding a unit ends the
-    search.  Rows from t on hold no entries left of column t.
+    search; its pivot is the unit whose column has the fewest entries, then
+    the least column index, which keeps a sparse matrix sparse.  With no
+    unit left, the pivot is the least (|v|, i, j).  Rows from t on hold no
+    entries left of column t.
     """
     best = 0
-    best_i = best_j = -1
+    best_i = best_j = best_n = -1
     for i in range(t, nrows):
         row = rows.get(i)
         if row is None:
             continue
         for j, v in row.items():
-            a = v if v > 0 else -v
-            if not best or a < best or (a == best and i == best_i and j < best_j):
-                best, best_i, best_j = a, i, j
+            if v == 1 or v == -1:
+                n = len(cols[j])
+                if best != 1 or n < best_n or (n == best_n and j < best_j):
+                    best, best_i, best_j, best_n = 1, i, j, n
+            elif best != 1:
+                a = v if v > 0 else -v
+                if not best or a < best or (a == best and i == best_i and j < best_j):
+                    best, best_i, best_j = a, i, j
         if best == 1:
             break
     return (best_i, best_j) if best else None
@@ -367,10 +379,14 @@ def _find_pivot(rows: dict[int, dict[int, int]], t: int, nrows: int):
 def smith_normal_form(M: IntMatrix) -> SmithForm:
     """Smith normal form over the integers with logged unimodular bases.
 
-    Greedy smallest-magnitude pivoting with deterministic (row, col)
-    tie-breaks; the divisibility chain is enforced during reduction by
-    folding the least offending row into the pivot row.
+    Greedy smallest-magnitude pivoting with deterministic tie-breaks (of
+    the first row's units, the one in the sparsest column); the
+    divisibility chain is enforced during reduction by folding the least
+    offending row into the pivot row.
     """
+    if not M.rows:
+        # a zero matrix: nothing to eliminate, and every transform is the identity
+        return SmithForm([0] * min(M.nrows, M.ncols), 0, (M.nrows, M.ncols), [], [])
     work = M.copy()
     rows, cols = work.rows, work.cols
     nr, nc = M.nrows, M.ncols
@@ -391,7 +407,7 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
     limit = min(nr, nc)
     # rows below t are their diagonal entries alone
     while t < limit and len(rows) > t:
-        pos = _find_pivot(rows, t, nr)
+        pos = _find_pivot(rows, cols, t, nr)
         row_swap(t, pos[0])
         col_swap(t, pos[1])
         while True:

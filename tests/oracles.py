@@ -338,7 +338,7 @@ def reference_smith_normal_form(M):
             for j, val in row.items():
                 if j < t:
                     continue
-                key = (abs(val), i, j)
+                key = (abs(val), i, len(work.cols[j]) if abs(val) == 1 else 0, j)
                 if best is None or key < best[0]:
                     best = (key, i, j)
         return None if best is None else (best[1], best[2])

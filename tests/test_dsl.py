@@ -14,6 +14,7 @@ from homfib import cli
 from homfib.cli import CommandError, Report, emit, main, parse_report, run
 from homfib.dsl import Document, DslError, parse, tokenize
 from homfib.fibration import weak_fibration_check
+from homfib.snf import SmithForm
 
 from corpus import CONE_DOCUMENT, MOORE_DOCUMENT
 from test_fuzz import TEXTS, char_mutant
@@ -470,6 +471,32 @@ def test_main_reports_parse_errors(capsys, tmp_path):
     assert "bad.hfd" in err
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"sset c {\n  v : dim 0 faces [];\xff\n}", "2:22: invalid UTF-8 byte 0xff"),
+    # a truncated sequence is refused at its first byte, and the column
+    # counts characters, a two-byte one included, as a parse error's does
+    (b"sset c {\r\n  v : dim 0 faces []; # \xc3\xa9\xe2\x82\n}",
+     "2:26: invalid UTF-8 byte 0xe2"),
+    (b"\xed\xa0\x80sset c {}", "1:1: invalid UTF-8 byte 0xed"),
+])
+def test_main_refuses_a_byte_that_is_not_utf8(data, message, capsys, tmp_path):
+    bad = tmp_path / "bad.hfd"
+    bad.write_bytes(data)
+    assert main(["homology", "c", "-f", str(bad)]) == 2
+    assert capsys.readouterr().err == f"homfib: {bad}:{message}\n"
+
+
+def test_main_reads_every_newline_convention(capsys, tmp_path):
+    # the position of a parse error counts a CR LF or a lone CR as one
+    # newline, as a file opened in text mode does
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "lines.hfd"
+        path.write_bytes(newline.join(["sset c {", "  v : dim 0 faces [];",
+                                        "  e : dim 1 faces [v, w];", "}"]).encode())
+        assert main(["homology", "c", "-f", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"homfib: {path}:3:23: ")
+
+
 def test_main_missing_file(capsys):
     assert main(["homology", "x", "-f", "/nonexistent.hfd"]) == 2
     capsys.readouterr()
@@ -622,6 +649,25 @@ def test_an_internal_value_error_is_not_a_refusal(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("homfib: internal error: ValueError: "
                             "boundary squared is nonzero in degree 2\n")
+
+
+def test_a_cycle_form_that_disagrees_with_its_boundary_exits_3(monkeypatch, capsys):
+    # the induced maps of subdivide's iso test read cycle bases, so the
+    # cycle form is made and checked against the boundary forms' factors
+    homology_module = importlib.import_module("homfib.homology")
+    real = homology_module._boundary_form
+
+    def doubled(X, k):
+        form = real(X, k)
+        return SmithForm([2 * d for d in form.diagonal], form.rank, form.shape,
+                         form._row_ops, form._col_ops)
+
+    monkeypatch.setattr(homology_module, "_boundary_form", doubled)
+    assert main(["subdivide", "circle", "-f", str(FIXTURES / "circle.hfd")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("homfib: internal error: ValueError: the boundary's Smith form "
+                            "in cycle coordinates disagrees with its invariant factors\n")
 
 
 NOT_SIMPLICIAL = """

@@ -516,19 +516,26 @@ def test_pullback_work_on_vertex_and_edge_preimages(monkeypatch):
 
 
 def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
-    # Built eagerly, U, U^-1, V and V^-1 of every Smith form made 496
-    # transforms on this job.  Built on first read: each _DegreeData reads
-    # at most V1, V1^-1, U2 and U2^-1, a kernel presentation V alone, and the
-    # cokernels the diagonal alone, so 102 were built.  The iso test reads
-    # the homology summaries off the Smith forms, with no cycle basis, so a
-    # target's V1 and U2^-1 are built only if it is also a source: 86.  The
-    # fibre tables read summaries too, and the homology rows build no cycle
-    # basis either: 82.  The kernel and the cokernel of an induced map come
-    # from one Smith form of [matrix | target relations], so 115 forms are
-    # made, where a second one for the kernel made 124.  The face and vertex
-    # comparisons are decided on their relative complexes, with no Smith
-    # form: 36 forms, 18 transforms and 12 cokernel reads are left, where
-    # they were 115, 82 and 18.
+    # The job reads homology in degrees 0..2 of three spaces: the
+    # diagram's value X0 = F(1), two points, whose actions of u and t make
+    # the two iso tests of the morphism-actions gate; the vertex preimage
+    # that the known-fibre check compares with it (summaries); and B Z2
+    # (the homology rows).  The 31 Smith forms are:
+    # - 12 boundary forms, one per boundary d_0..d_3 of each space, each
+    #   read by both degrees it touches;
+    # - 1 cycle-coordinate form, for X0's degree 0, the one basis the
+    #   induced maps read that is not empty; X0's empty bases in degrees 1
+    #   and 2 and the summaries of the other two spaces make none;
+    # - 18 for the 6 induced maps (2 iso tests through degree 2): one of
+    #   [matrix | target relations], whose diagonal presents the cokernel
+    #   and whose kernel columns the kernel, one for the syzygies and one
+    #   for the kernel's presentation.
+    # The 16 transforms built on first read are V of the first two forms
+    # of each induced map (12), and for X0's degree 0, the one with a
+    # nonzero basis, V1 and V1^-1 of d_0 and U2 and U2^-1 of its cycle
+    # form (4).  The 12 cokernels, two per induced map, read a diagonal
+    # alone.  A summary builds none: carrying d_{k+1} into cycle
+    # coordinates for B Z2's rows built V1^-1 of its d_1 and d_2 too.
     replays, snf_forms, diagonal_reads = [], [], []
     real_replay = snf_module._replay
     real_snf = homology_module.smith_normal_form
@@ -554,10 +561,10 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
-    assert len(snf_forms) == 36
-    assert len(replays) == 18
+    assert len(snf_forms) == 31
+    assert len(replays) == 16
     assert all(len(form._built) <= 2 for form in snf_forms)
-    assert sum(len(form._built) for form in snf_forms) == 18
+    assert sum(len(form._built) for form in snf_forms) == 16
     assert len(diagonal_reads) == 12 and not any(diagonal_reads)
 
 

@@ -9,10 +9,13 @@ identifier swaps that keep the syntax valid, so that declarations refer to
 the wrong things, and face lists put in another order, which breaks the
 simplicial identities of a 2-simplex.  A mutant that parses runs through
 all nine commands at --max-dim <= 3; one that does not parse runs through
-one of them, since every command stops at the same parse error.  A command
-whose sset, or whose map's source or target, fails validation must refuse
-it as not a simplicial set rather than compute on it.  The seeds are
-fixed, so a failure reproduces, and the cases together take a few seconds.
+one of them, since every command stops at the same parse error.  A
+command whose sset, or whose map's source or target, fails validation
+must refuse it as not a simplicial set rather than compute on it.  Byte
+mutants put a sequence that is not UTF-8 into a document; every command
+refuses them as a parse error at the line and column of the first bad
+byte.  The seeds are fixed, so a failure reproduces, and the cases
+together take a few seconds.
 """
 
 import contextlib
@@ -174,3 +177,26 @@ def test_fuzzed_documents_keep_the_exit_code_contract(mutate, seed, tmp_path):
     assert seen == {0, 1, 2}
     if mutate is face_shuffle:
         assert malformed
+
+
+# a stray byte, a truncated sequence, an overlong encoding, a surrogate and
+# a code point above U+10FFFF; none decodes from its first byte on
+INVALID_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\xaf", b"\xed\xa0\x80",
+                b"\xf4\x90\x80\x80"]
+
+
+def test_invalid_utf8_is_a_parse_error(tmp_path):
+    rng = random.Random(6104)
+    path = tmp_path / "fuzz.hfd"
+    for case in range(CASES // 4):
+        text = document(rng)
+        at = rng.randrange(len(text) + 1)
+        bad = rng.choice(INVALID_UTF8)
+        path.write_bytes(text[:at].encode() + bad + text[at:].encode())
+        command = cli.COMMANDS[case % len(cli.COMMANDS)]
+        argv = command_line(rng, command, text)
+        code, err = run_main(argv[:2] + ["-f", str(path)] + argv[2:])
+        before = text[:at]
+        line, col = before.count("\n") + 1, at - before.rfind("\n")
+        assert code == 2, (argv, code, err, at, bad)
+        assert err == f"homfib: {path}:{line}:{col}: invalid UTF-8 byte 0x{bad[:1].hex()}\n"

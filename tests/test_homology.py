@@ -1,20 +1,29 @@
+import importlib
 import itertools
 import random
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import homfib as hf
-from homfib import dsl
-from homfib.homology import (InducedMap, chain_map_images, induced_map_kernel_cokernel,
-                             normalized_chains, relative_complex_collapses)
+from homfib import cli, dsl
+from homfib.borel import classifying_space
+from homfib.homology import (InducedMap, _boundary_form, _degree_data, chain_map_images,
+                             induced_map_kernel_cokernel, normalized_chains,
+                             relative_complex_collapses)
 from homfib.sset import PositionMap, SimplexRef, SimplicialMap, SimplicialSet, constant_map
 
 from corpus import MOORE_DOCUMENT, corpus_maps, one_vertex_circle
 from oracles import (bar_resolution_homology, cyclic_table, dense_mod_p_iso_dims,
                      homology_from_boundaries, relative_homology_vanishes)
 from strategies import maps_of_ssets, presentation_complexes
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# the modules, not the functions of the same name that homfib exports
+homology_module = importlib.import_module("homfib.homology")
+snf_module = importlib.import_module("homfib.snf")
 
 
 def summaries(X, upto):
@@ -601,3 +610,117 @@ def test_relative_rule_needs_the_target_built_through_up_to_plus_one():
     assert relative_complex_collapses(f, 0)
     assert not relative_complex_collapses(f, 1)
     assert hf.is_homology_iso(f, 1)[0]
+
+
+# ---------------------------------------------------------------------------
+# one Smith form per boundary; cycle coordinates only when read
+# ---------------------------------------------------------------------------
+
+def forget_homology(*spaces):
+    """Drop the homology each space keeps, its chain complex aside."""
+    for X in spaces:
+        for key in [key for key in X._cache
+                    if isinstance(key, tuple) and key[0] in ("hom", "hdata", "dform")]:
+            del X._cache[key]
+
+
+def homology_reads(f, summaries_first):
+    """Every group, basis, induced map and certificate of f over Z, Z/2 and
+    Z/3 through the degrees both sides are built in, the summaries of
+    every ring read before or after everything else."""
+    up_to = min(f.source.max_dim, f.target.max_dim)
+    groups = [(X, k, ring) for ring in (0, 2, 3)
+              for X in (f.source, f.target) for k in range(up_to + 1)]
+    out = {}
+
+    def summaries():
+        out["summaries"] = [(hf.homology(X, k, ring).summary(),
+                             hf.homology(X, k, ring).invariants) for X, k, ring in groups]
+
+    if summaries_first:
+        summaries()
+    for ring in (0, 2, 3):
+        maps = [hf.induced(f, k, ring) for k in range(up_to + 1)]
+        out[ring] = ([(ind.matrix, ind.src_invariants, ind.dst_invariants,
+                       induced_map_kernel_cokernel(ind)) for ind in maps],
+                     hf.is_homology_iso(f, up_to, ring))
+    out["bases"] = [hf.homology(X, k, ring).basis for X, k, ring in groups]
+    if not summaries_first:
+        summaries()
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(maps_of_ssets())
+def test_read_order_changes_no_group_basis_or_certificate(f):
+    # a summary reads the boundary forms alone and a basis makes the cycle
+    # form on top of them; which comes first must not matter
+    forget_homology(f.source, f.target)
+    first = homology_reads(f, summaries_first=True)
+    forget_homology(f.source, f.target)
+    assert homology_reads(f, summaries_first=False) == first
+
+
+@pytest.mark.parametrize("X,k,orders,tampered", [
+    (hf.presentation_complex(["a"], [["a", "a"]]), 1, [1, 2], [1, 4]),
+    (hf.boundary(2), 1, [0], [3]),
+])
+def test_the_cycle_form_checks_the_boundary_invariant_factors(X, k, orders, tampered):
+    forget_homology(X)
+    data = _degree_data(X, k)
+    assert data.orders == orders
+    data.orders = tampered
+    with pytest.raises(ValueError, match="disagrees with its invariant factors"):
+        hf.homology(X, k).basis
+    with pytest.raises(ValueError, match="disagrees with its invariant factors"):
+        data.coords({}, 0)
+
+
+def test_classify_makes_one_smith_form_per_boundary(monkeypatch):
+    # the homology rows of B Z2 through degree 5 read the boundaries d_0..d_6
+    # once each and build no change of basis; two forms per degree, the
+    # second in cycle coordinates, made 12 forms and 5 transforms
+    forms, boundaries, replays = [], [], [0]
+    real_snf = homology_module.smith_normal_form
+    real_form = homology_module._boundary_form
+    real_replay = snf_module._replay
+
+    def counting_snf(m):
+        forms.append((m, real_snf(m)))
+        return forms[-1][1]
+
+    def recording_form(X, k):
+        boundaries.append((X, k))
+        return real_form(X, k)
+
+    def counting_replay(*args):
+        replays[0] += 1
+        return real_replay(*args)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(homology_module, "_boundary_form", recording_form)
+    monkeypatch.setattr(snf_module, "_replay", counting_replay)
+    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    report = cli.run("classify", doc, {"target": "Z2", "max_dim": 6})
+    assert [(row["degree"], row["torsion"]) for row in report.homology] == [
+        (0, []), (1, [2]), (3, [2]), (5, [2])]
+    spaces = {id(X): X for X, _ in boundaries}
+    assert len(spaces) == 1
+    [X] = spaces.values()
+    assert sorted({k for _, k in boundaries}) == list(range(7))
+    assert len(forms) == 7
+    for k, (m, form) in enumerate(sorted(forms, key=lambda mf: mf[0].ncols)):
+        assert m == normalized_chains(X).boundary(k)
+        assert form is _boundary_form(X, k)
+    assert replays[0] == 0
+
+
+def test_sparse_unit_pivots_on_a_classifying_space_boundary():
+    # B Z2's d_8 at N = 8 is 128 x 256 with one entry +-1 per face.  A unit
+    # in the sparsest column of its row keeps it sparse: the least column
+    # index made 1,325 row and 2,315 column operations
+    doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
+    X = classifying_space(doc.categories["Z2"], 8).space
+    form = _boundary_form(X, 8)
+    assert form.shape == (128, 256) and form.rank == 86
+    assert (len(form._row_ops), len(form._col_ops)) == (358, 1125)
