@@ -370,7 +370,7 @@ def _borel_face(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> list
     """The face d_k : X_n -> X_{n-1} of the Borel levels src = X_n and dst =
     X_{n-1}, as a SimplicialSpace face table: the outer face forgets a
     factor, the inner faces compose and d_0 acts."""
-    ids = members(dst)
+    own = dst._own
     table = []
     for comp, refs in src.all_gens():
         if k == n:
@@ -387,7 +387,7 @@ def _borel_face(cat, diag, n, k, src: SimplicialSet, dst: SimplicialSet) -> list
                                    refs[t], refs[t - 1])
             pieces = refs[: t - 1] + (composed,) + refs[t + 1:]
         image = tuple_into(dst, pieces, component=new_comp)
-        table.append(image if image.word else ids[image.gen][1])
+        table.append(image if image.word else own[image.gen][2])
     return table
 
 
@@ -460,7 +460,7 @@ class SimplicialSpace:
 
     def face(self, n: int, i: int, x: SimplexRef) -> SimplexRef:
         """d_i x in X_{n-1} for any simplex x of X_n, degenerate ones included."""
-        image = self.face_tables[n][i][members(self.levels[n])[x.gen][1]]
+        image = self.face_tables[n][i][self.levels[n]._own[x.gen][2]]
         if image.__class__ is int:
             image = self.levels[n - 1].ref(self._gens[n - 1][image])
         return apply_degeneracies(image, x.word)

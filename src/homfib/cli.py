@@ -35,7 +35,7 @@ from . import borel as bor
 from . import subdivision as sub
 from .dsl import Document, DslError, parse
 from .fibration import weak_fibration_check
-from .homology import homology, is_acyclic, is_homology_iso, is_prime
+from .homology import homology, is_acyclic, is_homology_iso, is_ring
 from .sset import (
     SimplicialMap,
     SimplicialSet,
@@ -122,13 +122,14 @@ class CommandError(ValueError):
 def _coefficients(flag: str) -> int:
     """The ring's characteristic, 0 for Z.  Only the canonical spellings are
     accepted, Z and Zp with p in ASCII digits and no leading zero, so that
-    one ring gives one report."""
-    match = re.fullmatch(r"Z([1-9][0-9]*)?", flag)
+    one ring gives one report.  A prime is taken below 2^64, where it is
+    tested exactly, so p has at most 20 digits."""
+    match = re.fullmatch(r"Z([1-9][0-9]{0,19})?", flag)
     if match:
         p = int(match[1] or 0)
-        if p == 0 or is_prime(p):
+        if is_ring(p):
             return p
-    raise CommandError(f"bad coefficient ring {flag!r} (use Z or Zp, p prime)")
+    raise CommandError(f"bad coefficient ring {flag!r} (use Z or Zp, p a prime below 2^64)")
 
 
 def _homology_rows(space_name: str, X: SimplicialSet, up_to: int,
@@ -405,7 +406,7 @@ def main(argv=None) -> int:
     ap.add_argument("--max-dim", type=int, default=4, dest="max_dim",
                     help="truncation bound (default 4)")
     ap.add_argument("--coefficients", default="Z",
-                    help="Z or Zp for a prime p (default Z)")
+                    help="Z or Zp for a prime p below 2^64 (default Z)")
     ap.add_argument("--format", default="text", choices=("json", "text"))
     ap.add_argument("--deep-ops", action="store_true", dest="deep_ops",
                     help="audit all operator words, not just generators")

@@ -85,12 +85,13 @@ generators' places in dp(rho), in order.  induced and is_homology_iso read
 nothing else; the comparison's assignment is built from the positions
 only when a caller reads it as a map.  Being the inclusion of a
 subcomplex, the comparison is first decided on the relative complex
-dp(rho) / dp(rho . phi), built through the same bound: where unit
-eliminations leave no cell through up_to + 1, H(dp(rho), dp(rho . phi))
-vanishes there and, by the long exact sequence of the pair, the
-comparison is an isomorphism through up_to, with no homology of either
-preimage computed.  Where a cell is left, every failing comparison
-included, the induced maps decide (homology module docstring).
+dp(rho) / dp(rho . phi), built through the same bound: where the Smith
+forms of the quotient leave it no homology through up_to + 1,
+H(dp(rho), dp(rho . phi)) vanishes there and, by the long exact sequence
+of the pair, the comparison is an isomorphism through up_to, with no
+homology of either preimage computed.  Elsewhere, every failing
+comparison included, the induced maps decide (homology module
+docstring).
 
 The degeneracy comparisons cannot fail, by a homotopy lemma.  dp(s_i sigma)
 is the pullback of dp(sigma) along the codegeneracy sigma^i: Delta[n+1] ->

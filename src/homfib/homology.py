@@ -28,12 +28,14 @@ read the diagonal alone.
 
 A PositionMap f: A -> X, such as a face comparison, is first tried on its
 relative complex (relative_complex_collapses).  When its positions carry
-C(A) one-to-one onto a subcomplex of C(X), and pivots on units of the
-ring, lowest degree first, leave no cell of C(X)/C(A) through degree
-up_to + 1, then H_k(X, A) = 0 there and the long exact sequence of the
-pair makes f an isomorphism through up_to: every certificate is ok, and
-no Smith form is built.  Otherwise, every failing comparison included,
-the induced maps decide as for any map.
+C(A) one-to-one onto a subcomplex of C(X), and the Smith forms of the
+quotient C(X)/C(A), truncated at degree up_to + 1, leave it no homology
+over the ring there, then H_k(X, A) = 0 and the long exact sequence of
+the pair makes f an isomorphism through up_to: every certificate is ok,
+and no homology of either side is computed.  The quotient's homology is
+read off its forms' diagonals as a space's is, so Smith forms are the
+one elimination engine here.  Otherwise, every failing comparison
+included, the induced maps decide as for any map.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd
 from types import MappingProxyType
 from typing import Any, Callable
 
@@ -58,15 +60,15 @@ Z = 0  # coefficient tag: 0 means the integers, p >= 2 means Z/p
 
 @dataclass
 class ChainComplex:
-    """Boundary matrices of the normalized chains, indexed by generators."""
+    """Boundary matrices of the normalized chains of a space X: column j of
+    degree k is the generator X.gens(k)[j]."""
 
     max_dim: int
-    gens: dict[int, tuple]            # degree -> ordered generator ids
-    index: dict[int, dict[Any, int]]  # degree -> generator -> column
+    dims: tuple[int, ...]             # degree -> number of generators
     boundaries: dict[int, IntMatrix]  # k -> matrix C_k -> C_{k-1}
 
     def dim(self, k: int) -> int:
-        return len(self.gens.get(k, ()))
+        return self.dims[k] if 0 <= k <= self.max_dim else 0
 
     def boundary(self, k: int) -> IntMatrix:
         """The boundary map out of degree k (zero matrix off the range)."""
@@ -77,25 +79,33 @@ class ChainComplex:
 
 
 def normalized_chains(X: SimplicialSet) -> ChainComplex:
-    """Normalized integer chain complex of X; verifies that d d = 0."""
+    """Normalized integer chain complex of X; verifies that d d = 0.
+
+    A generator's row is its id less the id of the first generator of its
+    degree, which is its place in X.gens of that degree."""
     key = "chains"
     if key in X._cache:
         return X._cache[key]
-    gens = {k: X.gens(k) for k in range(X.max_dim + 1)}
-    index = {k: {g: t for t, g in enumerate(gens[k])} for k in gens}
+    own, dims = X._own, X.counts()
     boundaries = {}
+    first = 0  # the id of degree k - 1's first generator
     for k in range(1, X.max_dim + 1):
         columns = []
-        for g in gens[k]:
+        for g in X.gens(k):
             col: dict[int, int] = {}
             sign = 1
             for r in X.faces[g]:
-                if not r.is_degenerate():
-                    i = index[k - 1][r.gen]
+                if not r.word:
+                    i = own[r.gen][2] - first
                     col[i] = col.get(i, 0) + sign
                 sign = -sign
             columns.append(col)
-        boundaries[k] = IntMatrix.from_columns(len(gens[k - 1]), columns)
+        d = boundaries[k] = IntMatrix.from_columns(dims[k - 1], columns)
+        # a row outside 0..dims[k-1] - 1 is a face that is no generator of
+        # degree k - 1
+        if d.rows and not 0 <= min(d.rows) <= max(d.rows) < dims[k - 1]:
+            raise ValueError(f"a face of a {k}-simplex is no generator of degree {k - 1}")
+        first += dims[k - 1]
     for k in range(2, X.max_dim + 1):
         # d d = 0 with no product matrix, one sum per row of d_{k-1}: degree
         # k - 2 has fewer generators than degree k, so a sum per column of
@@ -108,7 +118,7 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
                     dd[j] = dd.get(j, 0) + v * w
             if any(dd.values()):
                 raise ValueError(f"boundary squared is nonzero in degree {k}")
-    cc = ChainComplex(X.max_dim, gens, index, boundaries)
+    cc = ChainComplex(X.max_dim, dims, boundaries)
     X._cache[key] = cc
     return cc
 
@@ -164,7 +174,7 @@ def _boundary_form(X: SimplicialSet, k: int) -> SmithForm:
 
 
 class _DegreeData:
-    """Homology of one degree of one space, queried per ring.
+    """Homology of one degree of one chain complex, queried per ring.
 
     With U1 d_k V1 = D1 and D the Smith form of d_{k+1}, each made once
     per boundary by _boundary_form, H_k is Z^(n_k - r_k - r_{k+1}) plus
@@ -187,14 +197,16 @@ class _DegreeData:
     U2^-1, so the other four transforms are never built.  Bases are
     cached once computed and handed out read-only, so no caller can
     change what a later read returns.
+
+    relative_complex_collapses gives a degree of a quotient complex its
+    two forms and no d_{k+1}, and reads invariants alone.
     """
 
-    def __init__(self, X: SimplicialSet, k: int):
-        self._boundary = normalized_chains(X).boundary(k + 1)
-        self.snf1 = _boundary_form(X, k)
-        self.rank1 = self.snf1.rank
-        above = _boundary_form(X, k + 1)
-        z = self.snf1.shape[1] - self.rank1
+    def __init__(self, snf1: SmithForm, above: SmithForm, boundary: IntMatrix | None = None):
+        self._boundary = boundary
+        self.snf1 = snf1
+        self.rank1 = snf1.rank
+        z = snf1.shape[1] - self.rank1
         self.orders = above.invariant_factors() + [0] * (z - above.rank)
         self._rings: dict[int, tuple[list[int], list[int], tuple[int, ...]]] = {}
         self._bases: dict[int, list[Mapping[int, int]]] = {}
@@ -263,16 +275,48 @@ class _DegreeData:
 def _degree_data(X: SimplicialSet, k: int) -> _DegreeData:
     key = ("hdata", k)
     if key not in X._cache:
-        X._cache[key] = _DegreeData(X, k)
+        X._cache[key] = _DegreeData(_boundary_form(X, k), _boundary_form(X, k + 1),
+                                    normalized_chains(X).boundary(k + 1))
     return X._cache[key]
 
 
+_MODULUS_BOUND = 1 << 64  # a prime modulus is below it
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    """Whether p is prime, for p < 2^64: Miller-Rabin with the primes up to
+    37 as witnesses, which no composite below 2^64 passes."""
+    if p >= _MODULUS_BOUND:
+        raise ValueError(f"no exact primality test from 2^64 on, for {p}")
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_ring(p: int) -> bool:
+    """Whether p tags a coefficient ring: 0 for Z, or a prime below 2^64."""
+    return p == Z or p < _MODULUS_BOUND and is_prime(p)
 
 
 def _check_ring(ring: int) -> None:
-    if ring != Z and not is_prime(ring):
+    if not is_ring(ring):
         raise ValueError(f"coefficients must be the integers or Z/p for a prime p, not {ring}")
 
 
@@ -287,7 +331,7 @@ def homology(X: SimplicialSet, k: int, coefficients: int = Z) -> HomologyGroup:
         return X._cache[key]
     data = _degree_data(X, k)
     inv = data.invariants(coefficients)
-    cycles = partial(_named_cycles, data, normalized_chains(X).gens[k], coefficients)
+    cycles = partial(_named_cycles, data, X.gens(k), coefficients)
     group = HomologyGroup(k, inv.count(coefficients), [d for d in inv if d != coefficients],
                           cycles, valid, coefficients)
     X._cache[key] = group
@@ -319,9 +363,15 @@ def chain_map_images(f: SimplicialMap, k: int) -> list[int | None]:
     PositionMap gives its positions as they are."""
     if isinstance(f, PositionMap):
         return f.images(k)
-    index = normalized_chains(f.target).index.get(k, {})
-    return [None if r.word else index[r.gen]
-            for r in map(f.assignment.__getitem__, normalized_chains(f.source).gens.get(k, ()))]
+    own, targets = f.target._own, f.target.gens(k)
+    # a place is an id less the first id of degree k, and one outside
+    # 0..len(targets) - 1 is an image that is no generator of degree k
+    first = own[targets[0]][2] if targets else 0
+    images = [None if r.word else own[r.gen][2] - first
+              for r in map(f.assignment.__getitem__, f.source.gens(k))]
+    if any(i is not None and not 0 <= i < len(targets) for i in images):
+        raise ValueError(f"an image of a {k}-simplex is no generator of degree {k}")
+    return images
 
 
 def _push(images: list[int | None], w: Mapping[int, int]) -> dict[int, int]:
@@ -408,98 +458,37 @@ def induced_map_kernel_cokernel(ind: InducedMap) -> tuple[list[int], list[int]]:
 # Relative complexes
 # ---------------------------------------------------------------------------
 
-def _eliminate_rows(rows: dict[int, dict[int, int]], ring: int) -> set[int] | None:
-    """Pivot every row of a sparse matrix on a unit of the ring: the columns
-    of the pivots, or None when rows are left and none holds a unit.
-
-    rows maps a row index to its nonzero entries, reduced in the ring, and
-    is used up.  A unit alone in its column pivots first: that is an
-    elementary collapse, and no other row changes.  When none is left, the
-    first row in index order that holds a unit pivots on the one whose
-    column has the fewest entries (then the least index), and clears that
-    column from the other rows, which leaves the Schur complement.
-    """
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        if not row:
-            return None
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    free = [j for j, s in cols.items() if len(s) == 1]
-    pivots = set()
-
-    def pivot(i: int, c: int) -> bool:
-        """Pivot on (i, c); False when another row is left with no entry."""
-        row = rows.pop(i)
-        column = cols.pop(c)
-        column.discard(i)
-        inverse = pow(row[c], -1, ring) if ring else row[c]
-        for i2 in column:
-            other = rows[i2]
-            q = other.pop(c) * inverse
-            for j, v in row.items():
-                if j == c:
-                    continue
-                w = other.get(j, 0) - q * v
-                if ring:
-                    w %= ring
-                if w:
-                    if j not in other:
-                        cols[j].add(i2)
-                    other[j] = w
-                else:
-                    del other[j]
-                    cols[j].discard(i2)
-            if not other:
-                return False
-        for j in row:
-            if j != c:
-                s = cols[j]
-                s.discard(i)
-                if len(s) == 1:
-                    free.append(j)
-        pivots.add(c)
-        return True
-
-    while rows:
-        if free:
-            c = free.pop()
-            s = cols.get(c)
-            if s and len(s) == 1:
-                (i,) = s
-                if (ring or rows[i][c] in (1, -1)) and not pivot(i, c):
-                    return None
-            continue
-        for i in sorted(rows):
-            c = min((j for j, v in rows[i].items() if ring or v in (1, -1)),
-                    key=lambda j: (len(cols[j]), j), default=None)
-            if c is not None:
-                break
-        else:
-            return None
-        if not pivot(i, c):
-            return None
-    return pivots
+def _quotient_boundary(d: IntMatrix, rows: list[int], cols: list[int]) -> IntMatrix:
+    """d cut to the listed rows and columns, each renumbered by its place
+    in its list."""
+    place = {j: t for t, j in enumerate(cols)}
+    return IntMatrix.from_entries(len(rows), len(cols), (
+        (s, place[j], v) for s, i in enumerate(rows)
+        for j, v in d.rows.get(i, {}).items() if j in place))
 
 
 def relative_complex_collapses(f: SimplicialMap, up_to: int, coefficients: int = Z) -> bool:
-    """Whether unit eliminations empty C(X)/C(A) through degree up_to + 1,
-    for f: A -> X carrying C(A) onto a subcomplex of C(X).
+    """Whether the quotient C(X)/C(A), truncated at degree up_to + 1, has
+    no homology over the ring, for f: A -> X carrying C(A) onto a
+    subcomplex of C(X).
 
     True only when f's chain map sends each generator of degrees
     0..up_to + 1 to a generator, one-to-one in each degree; each boundary
     column of A, carried through f, is the boundary column of its image, so
-    C(A) maps onto a subcomplex; X is built through up_to + 1; and pivoting
-    on units of the ring (+-1 over Z, any entry p does not divide over
-    Z/p), lowest degree first, leaves no cell of the quotient in degrees
-    0..up_to + 1.  Each elimination keeps the quotient's homology, so then
-    H_k(X, A) = 0 for k <= up_to + 1, and by the long exact sequence of the
-    pair f is an isomorphism on H_k for k <= up_to.  False decides nothing.
+    C(A) maps onto a subcomplex; X is built through up_to + 1; and the
+    Smith forms of the quotient's boundaries leave it no homology in
+    degrees 0..up_to + 1, where nothing is a boundary in the top degree.
+    Then H_k(X, A) = 0 for k <= up_to + 1, and by the long exact sequence
+    of the pair f is an isomorphism on H_k for k <= up_to.  False decides
+    nothing.
 
-    Once degree k - 1 is empty, degree k's cells are eliminated against
-    degree k + 1 on the quotient's boundary rows as they are: a pivot
-    changes the boundaries of degree k + 1 only into degree k, and removes
-    its column's row from the boundary out of degree k + 2.
+    The quotient's boundary out of degree k + 1 has a row per k-cell of X
+    outside f's image and a column per (k + 1)-cell outside it, with X's
+    entries.  Lowest degree first, _DegreeData reads each degree's
+    homology over the ring off the forms of the boundaries out of and
+    into it, as for a space, so the first degree with homology ends the
+    test.  So the rule is exact over Z as over Z/p: n_k = r_k + r_{k+1},
+    with the ranks over the ring, and over Z every invariant factor is 1.
     """
     _check_ring(coefficients)
     A, X = f.source, f.target
@@ -511,8 +500,10 @@ def relative_complex_collapses(f: SimplicialMap, up_to: int, coefficients: int =
     inside = [set(pos) for pos in images]
     if any(None in s or len(s) != len(pos) for s, pos in zip(inside, images)):
         return False
-    # a quotient that collapses has Euler characteristic 0: a cheap way to fail
-    if sum((-1) ** k * (target.dim(k) - len(images[k])) for k in range(top + 1)):
+    left = [[i for i in range(target.dim(k)) if i not in s] for k, s in enumerate(inside)]
+    n = [len(cells) for cells in left] + [0]  # nothing is left above top
+    # a quotient with no homology has Euler characteristic 0: a cheap way to fail
+    if sum((-1) ** k * n_k for k, n_k in enumerate(n)):
         return False
     for k in range(1, top + 1):
         d_a, d_x, below, here = source.boundary(k), target.boundary(k), images[k - 1], images[k]
@@ -522,19 +513,16 @@ def relative_complex_collapses(f: SimplicialMap, up_to: int, coefficients: int =
             image = d_x.rows.get(below[i], {})
             if list(map(image.get, map(here.__getitem__, row))) != list(row.values()):
                 return False
-    left = [i for i in range(target.dim(0)) if i not in inside[0]]
-    for k in range(top):
-        d = target.boundary(k + 1).rows
-        rows = {i: {j: v for j, v in d.get(i, {}).items() if j not in inside[k + 1]}
-                for i in left}
-        if coefficients:
-            rows = {i: {j: r for j, v in row.items() if (r := v % coefficients)}
-                    for i, row in rows.items()}
-        pivots = _eliminate_rows(rows, coefficients)
-        if pivots is None:
+    # a boundary with no row or no column, such as the one out of degree 0
+    # or into degree top, is zero and needs no elimination
+    out = SmithForm([], 0, (0, n[0]), [], [])
+    for k in range(top + 1):
+        into = (smith_normal_form(_quotient_boundary(target.boundary(k + 1), left[k], left[k + 1]))
+                if n[k] and n[k + 1] else SmithForm([], 0, (n[k], n[k + 1]), [], []))
+        if _DegreeData(out, into).invariants(coefficients):
             return False
-        left = [j for j in range(target.dim(k + 1)) if j not in inside[k + 1] and j not in pivots]
-    return not left
+        out = into
+    return True
 
 
 @dataclass
@@ -551,10 +539,11 @@ def is_homology_iso(f: SimplicialMap, up_to: int,
 
     Over Z/p the induced map is presented with relations p, so it is
     invertible exactly when its kernel and cokernel vanish, as over Z.  A
-    PositionMap is first tried on its relative complex: where
-    relative_complex_collapses holds, every degree is an isomorphism and
-    no homology of either side is computed; elsewhere the induced maps
-    decide, so every failing certificate comes from them.
+    PositionMap is first tried on its relative complex: where the Smith
+    forms of the quotient show relative_complex_collapses, every degree
+    is an isomorphism and no homology of either side is computed;
+    elsewhere the induced maps decide, so every failing certificate
+    comes from them.
     """
     if isinstance(f, PositionMap) and relative_complex_collapses(f, up_to, coefficients):
         return True, [IsoCertificate(k, [], [], True) for k in range(up_to + 1)]

@@ -58,10 +58,11 @@ tuples of the factors' vertices, and product_many lists them directly,
 in the enumerator's order and with its keys, (rank, ()) per factor; the
 thick realization of discrete levels needs no enumerator either.
 
-A generator's id is its place in X.all_gens().  members(X) gives each
-generator its canonical rank and id, and face_ids(X) gives X's face table
-by ids, None where a face is degenerate; both are kept on X.  The
-enumerator and the thick realization follow cores by these ids.
+A generator's id is its place in X.all_gens(), set once when the space
+is made.  members(X) gives each generator its canonical rank and id, and
+face_ids(X) gives X's face table by ids, None where a face is degenerate;
+both are kept on X.  The enumerator and the thick realization follow
+cores by these ids, and a chain complex numbers its rows by them.
 
 A map that sends generators to generators of the same degree can be given
 by positions (PositionMap): per degree, the place of each image in the
@@ -279,10 +280,11 @@ class SimplicialSet:
         self.generators = generators
         self.faces = dict(faces)
         # each generator is hashed once: the dicts are copied degree by
-        # degree, which keeps the stored hashes
+        # degree, which keeps the stored hashes.  _own holds (generator,
+        # degree, id) per generator.
         self._own, self.dim_of = {}, {}
         for k, gs in generators.items():
-            own = {g: (g, k) for g in gs}
+            own = {g: (g, k, i) for i, g in enumerate(gs, len(self._own))}
             self._own.update(own)
             self.dim_of.update(dict.fromkeys(own, k))
         if len(self._own) != sum(map(len, generators.values())):
@@ -312,7 +314,7 @@ class SimplicialSet:
 
     def ref(self, gen: Any, word: tuple[int, ...] = ()) -> SimplexRef:
         """The simplex (gen, word), on this space's own generator object."""
-        gen, k = self._own[gen]
+        gen, k, _ = self._own[gen]
         return SimplexRef(gen, word, k + len(word))
 
     def has_ref(self, ref: SimplexRef) -> bool:
@@ -802,10 +804,10 @@ def face_ids(X: SimplicialSet) -> list[tuple]:
     generator g (None for a degenerate face).  Kept on X."""
     faces = X._cache.get("face ids")
     if faces is None:
-        ids = members(X)
+        own = X._own
         faces = X._cache["face ids"] = [
-            tuple(None if r.word else ids[r.gen][1] for r in X.faces.get(g, ()))
-            for g in ids]
+            tuple(None if r.word else own[r.gen][2] for r in X.faces.get(g, ()))
+            for g in own]
     return faces
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,32 @@ def test_noncanonical_coefficients_exit_2(flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bad coefficient ring {flag!r}" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["Z1000000000000000001", "Z18446744073709551629",
+                                  "Z" + "1" * 5000],
+                         ids=["composite", "prime_from_2_to_the_64", "5000_digits"])
+def test_large_moduli_exit_2(flag, capsys):
+    # 10^18 + 1 is composite; 2^64 + 13 is prime but from 2^64 on no modulus
+    # is taken; a modulus of 5,000 digits is refused before it is read
+    argv = ["homology", "circle", "-f", str(FIXTURES / "circle.hfd")]
+    assert main(argv + ["--coefficients", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad coefficient ring {flag!r}" in captured.err
+
+
+def test_a_large_prime_modulus_is_tested_at_once(capsys):
+    # 10^18 + 3 is prime; trial division up to its square root ran for
+    # longer than 20 s
+    argv = ["homology", "circle", "-f", str(FIXTURES / "circle.hfd"),
+            "--coefficients", "Z1000000000000000003", "--format", "json", "--stable"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"]["coefficients"] == "Z1000000000000000003"
+    assert [row["free_rank"] for row in report["homology"]] == [1, 1]
 
 
 @pytest.mark.parametrize("flag", ["Z", "Z2", "Z3", "Z13"])

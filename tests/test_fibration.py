@@ -520,7 +520,7 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     # diagram's value X0 = F(1), two points, whose actions of u and t make
     # the two iso tests of the morphism-actions gate; the vertex preimage
     # that the known-fibre check compares with it (summaries); and B Z2
-    # (the homology rows).  The 31 Smith forms are:
+    # (the homology rows).  The 33 Smith forms are:
     # - 12 boundary forms, one per boundary d_0..d_3 of each space, each
     #   read by both degrees it touches;
     # - 1 cycle-coordinate form, for X0's degree 0, the one basis the
@@ -529,17 +529,27 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
     # - 18 for the 6 induced maps (2 iso tests through degree 2): one of
     #   [matrix | target relations], whose diagonal presents the cokernel
     #   and whose kernel columns the kernel, one for the syzygies and one
-    #   for the kernel's presentation.
+    #   for the kernel's presentation;
+    # - 2 for the two comparisons of the weak check, dp(vertex) -> dp(edge)
+    #   for the two faces of B Z2's edge, two points into four vertices
+    #   and two edges, which the relative rule decides through up_to + 1
+    #   = 3: the quotient's d_1, the 2 x 2 of its two vertices and two
+    #   edges.  A quotient boundary with no row or no column is zero and
+    #   gets no form: its d_2 and d_3 (no cell in degrees 2 and 3), and the
+    #   boundary above the top degree, zero by truncation.  A form of each
+    #   of those would make 39.
     # The 16 transforms built on first read are V of the first two forms
     # of each induced map (12), and for X0's degree 0, the one with a
     # nonzero basis, V1 and V1^-1 of d_0 and U2 and U2^-1 of its cycle
     # form (4).  The 12 cokernels, two per induced map, read a diagonal
     # alone.  A summary builds none: carrying d_{k+1} into cycle
-    # coordinates for B Z2's rows built V1^-1 of its d_1 and d_2 too.
-    replays, snf_forms, diagonal_reads = [], [], []
+    # coordinates for B Z2's rows built V1^-1 of its d_1 and d_2 too.  The
+    # relative rule reads its forms' diagonals alone, so builds none.
+    replays, snf_forms, diagonal_reads, relative_forms = [], [], [], []
     real_replay = snf_module._replay
     real_snf = homology_module.smith_normal_form
     real_cokernel = homology_module._cokernel
+    real_relative = homology_module.relative_complex_collapses
 
     def counting_replay(*args):
         replays.append(args)
@@ -555,13 +565,21 @@ def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):
         diagonal_reads.append(len(replays) - before)
         return out
 
+    def relative(*args):
+        before = len(snf_forms)
+        out = real_relative(*args)
+        relative_forms.extend(snf_forms[before:])
+        return out
+
     monkeypatch.setattr(snf_module, "_replay", counting_replay)
     monkeypatch.setattr(homology_module, "smith_normal_form", counting_snf)
     monkeypatch.setattr(homology_module, "_cokernel", cokernel)
+    monkeypatch.setattr(homology_module, "relative_complex_collapses", relative)
     doc = dsl.parse((FIXTURES / "z2.hfd").read_text())
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
-    assert len(snf_forms) == 31
+    assert len(snf_forms) == 33
+    assert len(relative_forms) == 2 and not any(form._built for form in relative_forms)
     assert len(replays) == 16
     assert all(len(form._built) <= 2 for form in snf_forms)
     assert sum(len(form._built) for form in snf_forms) == 16

@@ -11,7 +11,7 @@ import homfib as hf
 from homfib import cli, dsl
 from homfib.borel import classifying_space
 from homfib.homology import (InducedMap, _boundary_form, _degree_data, chain_map_images,
-                             induced_map_kernel_cokernel, normalized_chains,
+                             induced_map_kernel_cokernel, is_prime, normalized_chains,
                              relative_complex_collapses)
 from homfib.sset import PositionMap, SimplexRef, SimplicialMap, SimplicialSet, constant_map
 
@@ -113,9 +113,50 @@ def test_basis_elements_are_cycles():
                 assert "basis" not in vars(h)
                 assert len(h.basis) == h.free_rank + len(h.torsion)
                 for cycle in h.basis:
-                    vec = {cc.index[k][g]: v for g, v in cycle.items()}
+                    vec = {X.gens(k).index(g): v for g, v in cycle.items()}
                     assert all(v % p == 0 if p else v == 0
                                for v in m.apply(vec).values())
+
+
+def test_is_prime_is_exact_below_2_to_the_64():
+    # against trial division, then on strong pseudoprimes to the first
+    # witnesses (2047 to base 2, 3215031751 to 2, 3, 5 and 7,
+    # 3825123056546413051 to every prime up to 23), and the primes next to
+    # the bound
+    assert [p for p in range(-3, 10_000) if is_prime(p)] == \
+        [p for p in range(2, 10_000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    for n in (2047, 3215031751, 3825123056546413051, 10 ** 18 + 1):
+        assert not is_prime(n), n
+    for p in (10 ** 18 + 3, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert is_prime(p), p
+    with pytest.raises(ValueError, match="no exact primality test"):
+        is_prime(2 ** 64 + 13)
+
+
+@pytest.mark.parametrize("ring", [2 ** 64 + 13, 10 ** 18 + 1, 1, -3])
+def test_homology_refuses_a_ring_that_is_no_prime_below_2_to_the_64(ring):
+    with pytest.raises(ValueError, match="coefficients must be the integers or Z/p "
+                                         f"for a prime p, not {ring}"):
+        hf.homology(hf.boundary(2), 1, coefficients=ring)
+
+
+def test_chains_refuse_a_face_of_another_degree():
+    # e names the edge f as its d_1; its row would be f's place among the
+    # vertices, past their end
+    X = SimplicialSet(1, {0: ["a", "b"], 1: ["e", "f"]},
+                      {"e": (SimplexRef("a", (), 0), SimplexRef("f", (), 0)),
+                       "f": (SimplexRef("a", (), 0), SimplexRef("b", (), 0))})
+    with pytest.raises(ValueError, match="a face of a 1-simplex is no generator of degree 0"):
+        normalized_chains(X)
+
+
+def test_chain_map_images_refuse_an_image_of_another_degree():
+    # the vertex v is sent to a simplex that claims dimension 0 but names
+    # the edge e of the circle
+    point, circle = hf.point(), one_vertex_circle()
+    f = SimplicialMap(point, circle, {point.gens(0)[0]: SimplexRef("e", (), 0)})
+    with pytest.raises(ValueError, match="an image of a 0-simplex is no generator of degree 0"):
+        chain_map_images(f, 0)
 
 
 def test_torus_like_presentation():
@@ -354,7 +395,7 @@ def test_random_presentations_against_dense_oracle(X):
             assert group.free_rank == expected, (p, k)
             assert len(group.basis) == expected, (p, k)
             for cycle in group.basis:
-                image = cc.boundary(k).apply({cc.index[k][g]: v for g, v in cycle.items()})
+                image = cc.boundary(k).apply({X.gens(k).index(g): v for g, v in cycle.items()})
                 assert all(v % p == 0 for v in image.values()), (p, k)
 
 
@@ -516,19 +557,16 @@ def by_induced_maps(f, up_to, ring):
 
 
 def assert_relative_rule(f):
-    # over Z/p the eliminations empty C(X)/C(A) exactly when its homology
-    # vanishes through up_to + 1, over Z only where it does; where they
-    # do, the induced maps agree in every degree, and by universal
-    # coefficients a collapse over Z is one over every Z/p
+    # over Z and over Z/p the rule holds exactly when the homology of
+    # C(X)/C(A) vanishes through up_to + 1, as the dense oracle reads it;
+    # where it holds, the induced maps agree in every degree, and by
+    # universal coefficients a collapse over Z is one over every Z/p
     for up_to in range(f.target.max_dim):
         collapses = {}
         for ring in (0, 2, 3):
             collapses[ring] = relative_complex_collapses(f, up_to, ring)
             vanishes = relative_homology_vanishes(f, up_to + 1, ring)
-            if ring:
-                assert collapses[ring] == bool(vanishes), (up_to, ring)
-            else:
-                assert vanishes or not collapses[ring], up_to
+            assert collapses[ring] == bool(vanishes), (up_to, ring)
             if collapses[ring]:
                 ok, certs = by_induced_maps(f, up_to, ring)
                 assert ok and all(c.ok for c in certs), (up_to, ring)

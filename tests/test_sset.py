@@ -13,6 +13,7 @@ from homfib.sset import (
     apply_degeneracies,
     constant_map,
     degenerate,
+    face_ids,
     factor_common,
     full_word,
     members,
@@ -744,6 +745,18 @@ def test_pullbacks_rank_by_their_keys(data, m, N):
     assert_ranked_by_keys(hf.pullback(f, g, N).space)
     sigma = data.draw(st.sampled_from(list(f.target.refs_of_dim(data.draw(st.integers(0, m))))))
     assert_ranked_by_keys(hf.pullback(hf.representing_map(f.target, sigma), g, N).space)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(random_ssets(max_dim=2), min_size=1, max_size=2), st.integers(0, 3))
+def test_each_generator_keeps_the_id_it_is_made_with(spaces, N):
+    # the id a space sets beside each generator is its place in all_gens(),
+    # the id members gives it, and the face table by ids reads the same
+    for X in spaces + [hf.product_many(spaces, N).space]:
+        ids = {g: i for g, (_, i, _) in members(X).items()}
+        assert {g: (g, X.dim_of[g], ids[g]) for g in X.all_gens()} == X._own
+        assert face_ids(X) == [tuple(None if r.word else ids[r.gen] for r in X.faces.get(g, ()))
+                               for g in X.all_gens()]
 
 
 def test_spaces_without_keys_rank_by_canonical_key():
