@@ -724,8 +724,9 @@ class BorelConstruction:
         return self.base.space.ref(gen)
 
     def fiber_inclusion(self, i) -> SimplicialMap:
-        """F(i) -> total realization through level zero."""
-        F = self.diagram.value(i)
+        """F(i)'s N-skeleton -> total realization through level zero, N the
+        bound the construction is truncated at."""
+        F = _skeleton(self.diagram.value(i), self.total.N)
         E0 = self.total_space.levels[0]
         assignment = {}
         for g in F.all_gens():
@@ -943,9 +944,11 @@ def group_completion_check(cat: SimplicialCategory, diag: Diagram, N: int,
     4. the realized projection is a weak homology fibration whose vertex
        preimages match the registered fibers F(i).
 
-    deep_ops hands gate 4's weak check every operator word, as in
-    weak_fibration_check.  Gates 1 and 4 compare homology over the
-    coefficients, Z or Z/p.
+    Gates 2 and 4 compare F(i)'s N-skeleton, as the construction is
+    truncated at N, with each vertex preimage at N; for pi that preimage is
+    the weak and strong checks' record.  deep_ops hands gate 4's weak check
+    every operator word, as in weak_fibration_check.  Gates 1 and 4
+    compare homology over the coefficients, Z or Z/p.
     """
     up_to = N - 1
     gates = []
@@ -1016,7 +1019,7 @@ def _level_fiber_isomorphic(cat, diag, construction, n, comp) -> bool:
     leaves the component empty, with no fibre to compare.
     """
     src = construction.total_space.levels[n]
-    F = diag.value(comp[0])
+    F = _skeleton(diag.value(comp[0]), src.max_dim)
     vertex_refs = []
     for t in range(n):
         if comp[t + 1] == comp[t]:
@@ -1036,16 +1039,31 @@ def _level_fiber_isomorphic(cat, diag, construction, n, comp) -> bool:
 
 
 def vertex_fiber_isomorphic(construction: BorelConstruction, i) -> bool:
-    """dp(pi, vertex i) is isomorphic to F(i), not merely equivalent."""
-    F = construction.diagram.value(i)
-    return _fiber_onto_preimage(F, construction.pi, construction.base_vertex_ref(i),
-                                construction.fiber_inclusion(i).assignment)
+    """dp(pi, vertex i) is isomorphic to F(i)'s N-skeleton, not merely
+    equivalent."""
+    inclusion = construction.fiber_inclusion(i)
+    return _fiber_onto_preimage(inclusion.source, construction.pi,
+                                construction.base_vertex_ref(i), inclusion.assignment)
+
+
+def _skeleton(X: SimplicialSet, n: int) -> SimplicialSet:
+    """X's n-skeleton, its generators of dimension <= n: X itself when it
+    is built through n at most."""
+    if X.max_dim <= n:
+        return X
+    return full_subcomplex(X, [g for g, d in X.dim_of.items() if d <= n])
 
 
 def _fiber_onto_preimage(F: SimplicialSet, p: SimplicialMap, vertex: SimplexRef,
                          lifts: dict) -> bool:
-    """Whether x -> (0, lifts[x]) is an isomorphism of F onto dp(p, vertex)."""
-    rec = preimage_calculator(p, F.max_dim).record(vertex)
+    """Whether x -> (0, lifts[x]) is an isomorphism of F onto dp(p, vertex).
+
+    The preimage is read on p's calculator at the bound p's base is
+    truncated at, N for pi and for every level projection, so pi keeps one
+    calculator.  F is a diagram value's N-skeleton, the part of it that dp
+    at N can hold; is_isomorphism pads the degrees past either truncation.
+    """
+    rec = preimage_calculator(p, p.target.max_dim).record(vertex)
     assignment = {x: tuple_into(rec.space, (SimplexRef((0,), full_word(d), d), lifts[x]))
                   for x, d in F.dim_of.items()}
     return is_isomorphism(SimplicialMap(F, rec.space, assignment))

@@ -83,9 +83,10 @@ canonical_key order of vertex tuples, and b's ranks are shared: the
 comparison keeps generator order, and the images in degree k are those
 generators' places in dp(rho), in order.  induced and is_homology_iso read
 nothing else; the comparison's assignment is built from the positions
-only when a caller reads it as a map.  Being the inclusion of a
-subcomplex, the comparison is first decided on the relative complex
-dp(rho) / dp(rho . phi), built through the same bound: where the Smith
+only when a caller reads it as a map.  is_homology_iso tries every map
+on its relative complex first, and a comparison, being the inclusion of
+a subcomplex, meets that rule's preconditions.  So it is first decided
+on dp(rho) / dp(rho . phi), built through the same bound: where the Smith
 forms of the quotient leave it no homology through up_to + 1,
 H(dp(rho), dp(rho . phi)) vanishes there and, by the long exact sequence
 of the pair, the comparison is an isomorphism through up_to, with no
@@ -122,7 +123,12 @@ record holds per ring and per bound: a pass over Z/2, or at another
 bound, certifies nothing over Z or at this one.
 
 Each map keeps one PreimageCalculator per truncation bound, so all checks
-on one map share the preimages they build.  A preimage pairs the
+on one map share the preimages they build.  The group-completion gates
+read each vertex fibre at the bound the construction is truncated at, N,
+which is the bound of the weak and strong checks, so a Borel projection
+keeps one calculator, and builds each representing map Delta[n] -> B
+once, in its record; a comparison reads the one face of rho it needs
+with restrict.  A preimage pairs the
 generators of Delta[n] with those of E over the same cores of B, from the
 core index and path tables that pullback keeps on p.  The pairs over a
 generator x of Delta[n] depend only on the face of sigma that x spans, so
@@ -145,7 +151,6 @@ from .sset import (
     SimplicialSet,
     apply_degeneracies,
     degenerate,
-    faces_spanned,
     monotone_of_ref,
     pullback,
     ref_from_monotone,
@@ -255,7 +260,7 @@ def classify_image(B: SimplicialSet, rho: SimplexRef, phi: tuple[int, ...]) -> S
     if any(a > b for a, b in zip(phi, phi[1:])):
         raise ValueError(f"vertex table {phi!r} is not monotone")
     top = ref_from_monotone(phi)
-    return apply_degeneracies(faces_spanned(B, rho)[top.gen], top.word)
+    return apply_degeneracies(B.restrict(rho, top.gen), top.word)
 
 
 def dp(p: SimplicialMap, sigma: SimplexRef, max_dim: int | None = None) -> PullbackResult:

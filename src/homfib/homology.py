@@ -26,16 +26,17 @@ basis only when it is read: _DegreeData reads V1, V1^-1, U2 and U2^-1
 for bases and coordinates, a kernel presentation reads V, and cokernels
 read the diagonal alone.
 
-A PositionMap f: A -> X, such as a face comparison, is first tried on its
-relative complex (relative_complex_collapses).  When its positions carry
-C(A) one-to-one onto a subcomplex of C(X), and the Smith forms of the
-quotient C(X)/C(A), truncated at degree up_to + 1, leave it no homology
-over the ring there, then H_k(X, A) = 0 and the long exact sequence of
-the pair makes f an isomorphism through up_to: every certificate is ok,
-and no homology of either side is computed.  The quotient's homology is
-read off its forms' diagonals as a space's is, so Smith forms are the
-one elimination engine here.  Otherwise, every failing comparison
-included, the induced maps decide as for any map.
+Every map f: A -> X, a face comparison or any other, is first tried on
+its relative complex (relative_complex_collapses), whose own
+preconditions refuse what it cannot decide.  When f's chain map carries
+C(A) one-to-one onto a subcomplex of C(X), X is built through up_to + 1,
+and the Smith forms of the quotient C(X)/C(A), truncated at degree
+up_to + 1, leave it no homology over the ring there, then H_k(X, A) = 0
+and the long exact sequence of the pair makes f an isomorphism through
+up_to: every certificate is ok, and no homology of either side is
+computed.  The quotient's homology is read off its forms' diagonals as a
+space's is, so Smith forms are the one elimination engine here.
+Otherwise, every failing comparison included, the induced maps decide.
 """
 
 from __future__ import annotations
@@ -538,14 +539,14 @@ def is_homology_iso(f: SimplicialMap, up_to: int,
     """Degree-by-degree isomorphism test through explicit induced maps.
 
     Over Z/p the induced map is presented with relations p, so it is
-    invertible exactly when its kernel and cokernel vanish, as over Z.  A
-    PositionMap is first tried on its relative complex: where the Smith
+    invertible exactly when its kernel and cokernel vanish, as over Z.
+    Every map is first tried on its relative complex: where the Smith
     forms of the quotient show relative_complex_collapses, every degree
     is an isomorphism and no homology of either side is computed;
-    elsewhere the induced maps decide, so every failing certificate
-    comes from them.
+    elsewhere, a map the rule's preconditions refuse included, the
+    induced maps decide, so every failing certificate comes from them.
     """
-    if isinstance(f, PositionMap) and relative_complex_collapses(f, up_to, coefficients):
+    if relative_complex_collapses(f, up_to, coefficients):
         return True, [IsoCertificate(k, [], [], True) for k in range(up_to + 1)]
     certificates = []
     verdict = True

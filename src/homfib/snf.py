@@ -54,25 +54,10 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, nrows: int, columns: list[dict[int, int]]) -> "IntMatrix":
-        """The matrix whose column j is the sparse vector columns[j].
-
-        The same as from_entries in column-major order, as a loop of its own
-        because the chain and chain-map builders run it on every complex.
-        """
-        m = cls(nrows, len(columns))
-        rows, cols = m.rows, m.cols
-        for j, column in enumerate(columns):
-            s = None
-            for i, v in column.items():
-                if v:
-                    row = rows.get(i)
-                    if row is None:
-                        row = rows[i] = {}
-                    row[j] = v
-                    if s is None:
-                        s = cols[j] = set()
-                    s.add(i)
-        return m
+        """The matrix whose column j is the sparse vector columns[j]:
+        from_entries in column-major order."""
+        return cls.from_entries(nrows, len(columns), (
+            (i, j, v) for j, column in enumerate(columns) for i, v in column.items()))
 
     @classmethod
     def from_rows(cls, data) -> "IntMatrix":

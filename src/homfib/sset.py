@@ -33,9 +33,7 @@ shallow:
 - a space the enumerator builds ranks its own generators by its cells'
   keys, (rank, word) per factor, which are in canonical_key order
   already, so canonical_key is never called on its generators (rank_by),
-  and so does a product of discrete factors;
-- faces_spanned works out the faces of a base simplex once and keeps
-  them on the base.
+  and so does a product of discrete factors.
 
 Products, pullbacks and the cells of borel.ThickRealization come from one
 enumerator, and none of them scans simplices.  By the Eilenberg-Zilber
@@ -622,29 +620,13 @@ def standard_map(m: int, n: int, values: Iterable[int],
 
 def representing_map(B: SimplicialSet, ref: SimplexRef,
                      domain: SimplicialSet | None = None) -> SimplicialMap:
-    """The map Delta[n] -> B classifying a (possibly degenerate) n-simplex.
+    """The map Delta[n] -> B classifying a (possibly degenerate) n-simplex:
+    each vertex set S of Delta[n] goes to the face of ref spanned by S.
 
-    domain, when given, is the Delta[n] to use as the source.  Its images
-    are faces_spanned(B, ref).
+    domain, when given, is the Delta[n] to use as the source.
     """
     dom = domain if domain is not None else standard_simplex(ref.dim)
-    return SimplicialMap(dom, B, faces_spanned(B, ref))
-
-
-def faces_spanned(B: SimplicialSet, ref: SimplexRef) -> dict[tuple, SimplexRef]:
-    """Vertex set S of Delta[n] -> the face of ref spanned by S, for an
-    n-simplex ref of B; built once per simplex and kept on B."""
-    built = B._cache.setdefault("representing", {})
-    faces = built.get(ref)
-    if faces is None:
-        faces = built[ref] = _representing_assignment(B, ref)
-    return faces
-
-
-def _representing_assignment(B: SimplicialSet, ref: SimplexRef) -> dict[tuple, SimplexRef]:
-    n = ref.dim
-    return {S: B.restrict(ref, S)
-            for k in range(n + 1) for S in itertools.combinations(range(n + 1), k + 1)}
+    return SimplicialMap(dom, B, {S: B.restrict(ref, S) for S in dom.all_gens()})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
 
 from .sset import (
     SimplexRef,
@@ -164,6 +163,7 @@ class SubdividedMap:
     target: SimplicialSet   # Delta'[n]
     original: SimplicialMap
     n: int
+    vertex_tables: dict     # generator x of E -> the vertex table of f(x)
 
     def image_chain(self, gen) -> tuple:
         """The strict chain of faces of Delta[n] under a Sd E generator."""
@@ -182,14 +182,15 @@ def sd_over_simplex(f: SimplicialMap) -> SubdividedMap:
         raise ValueError("sd_over_simplex needs a standard simplex target")
     sub = sd(f.source)
     dprime = barycentric_delta(n)
+    tables = {g: monotone_of_ref(r) for g, r in f.assignment.items()}
     assignment = {}
     for gen in sub.space.all_gens():
         g, ch = gen
-        psi = monotone_of_ref(f(f.source.ref(g)))
+        psi = tables[g]
         images = tuple(tuple(sorted({psi[v] for v in c})) for c in ch)
         assignment[gen] = _weak_chain_ref(images, lambda core: core)
     return SubdividedMap(SimplicialMap(sub.space, dprime, assignment),
-                         sub, dprime, f, n)
+                         sub, dprime, f, n, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ def star_retraction(sf: SubdividedMap, alpha: tuple[int, ...]) -> StarRetraction
     a = set(alpha)
 
     def retract_chain(g, ch):
-        psi = monotone_of_ref(sf.original(E.ref(g)))
+        psi = sf.vertex_tables[g]
         return tuple(tuple(v for v in c if psi[v] in a) for c in ch)
 
     r_assignment = {}
@@ -298,7 +299,8 @@ def cube_decomposition(sf: SubdividedMap) -> CubeDecomposition:
 
     Objects are the nonempty faces; arrows drop one vertex.  The strict
     colimit is recomputed through the identifications and must coincide
-    with Sd E generator-for-generator, else a hard error is raised.
+    with Sd E generator-for-generator, each generator in one class, else a
+    hard error is raised.
     """
     n = sf.n
     objects = sorted(_subsets(n), key=canonical_key)
@@ -329,15 +331,13 @@ def cube_decomposition(sf: SubdividedMap) -> CubeDecomposition:
             ra, rb = find((sigma, g)), find((tau, g))
             if ra != rb:
                 parent[ra] = rb
-    classes: dict[Any, set] = {}
-    for key in parent:
-        classes.setdefault(find(key), set()).add(key[1])
+    # arrows join only equal generators, so each class holds one; a
+    # generator in two classes that no arrow joins is split by the colimit
+    classes = {find(key): key[1] for key in parent}
+    class_gens = set(classes.values())
+    if len(classes) != len(class_gens):
+        raise RuntimeError("cube colimit splits a generator of Sd E")
     sd_space = sf.subdivision.space
-    class_gens = set()
-    for members in classes.values():
-        if len(members) != 1:
-            raise RuntimeError("cube colimit identifies distinct generators")
-        class_gens.add(next(iter(members)))
     if class_gens != set(sd_space.all_gens()):
         raise RuntimeError("cube colimit does not reproduce Sd E")
     colimit = full_subcomplex(sd_space, class_gens)

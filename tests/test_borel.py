@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 from functools import cached_property
 from pathlib import Path
 
@@ -398,6 +400,86 @@ def test_gates_fail_on_corrupted_action():
     gate = rep.gates[0]
     assert gate.name == "morphism-actions" and not gate.ok
     assert ("1", "1", "e") in gate.witnesses
+
+
+def test_gate_witnesses_name_the_fibres_that_are_not_isomorphic(monkeypatch):
+    # F(1) = hom(1, 1) is two points; sending both to one simplex of each
+    # preimage over a vertex makes every fibre check fail: gate 2 names
+    # each level's component, gate 4 the object, after its weak and strong
+    # checks have passed
+    cat = z2_category()
+    real = borel_module._fiber_onto_preimage
+
+    def collapsing(F, p, vertex, lifts):
+        return real(F, p, vertex, dict.fromkeys(lifts, lifts[F.gens(0)[0]]))
+
+    monkeypatch.setattr(borel_module, "_fiber_onto_preimage", collapsing)
+    rep = group_completion_check(cat, restriction_diagram(cat, "1"), 2)
+    assert [(g.name, g.ok, g.witnesses) for g in rep.gates] == [
+        ("morphism-actions", True, []),
+        ("levelwise-projections", False, [(0, ("1",)), (1, ("1", "1")), (2, ("1", "1", "1"))]),
+        ("d0-fiber-maps", True, []),
+        ("realized-fibration", False, [("vertex-fiber-iso", "1")])]
+
+
+def test_gate_4_names_a_known_fibre_that_does_not_match(monkeypatch):
+    # a point registered as F(1), two points, fails the strong check on its
+    # homology table after the weak check has passed; the vertex fibre
+    # itself still matches F(1)
+    cat = z2_category()
+    real = borel_module.KnownFiberSpec
+    monkeypatch.setattr(borel_module, "KnownFiberSpec",
+                        lambda vertex, fiber, note: real(vertex, hf.point(), note))
+    rep = group_completion_check(cat, restriction_diagram(cat, "1"), 2)
+    vertex = rep.construction.base_vertex_ref("1").gen
+    assert [(g.name, g.ok) for g in rep.gates[:3]] == [
+        ("morphism-actions", True), ("levelwise-projections", True), ("d0-fiber-maps", True)]
+    assert rep.gates[3].name == "realized-fibration"
+    assert not rep.gates[3].ok
+    assert rep.gates[3].witnesses == [("known-fiber", vertex)]
+
+
+def test_a_diagram_value_above_the_bound_is_read_through_its_skeleton(capsys, tmp_path):
+    # the cone F(1) has a 2-simplex, above N = 1: gates 2 and 4 compare its
+    # 1-skeleton with each vertex fibre at the construction's bound, where
+    # lifting the 2-simplex into a level truncated at 1 raised a KeyError,
+    # exit 3
+    path = tmp_path / "cone.hfd"
+    path.write_text(CONE_DOCUMENT)
+    assert cli.main(["group-completion", "Z2", "-f", str(path), "--diagram", "still",
+                     "--max-dim", "1", "--format", "json", "--stable"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["verdict"], c["witnesses"]) for c in checks] == [
+        (f"gate: {name}", True, []) for name in (
+            "morphism-actions", "levelwise-projections", "d0-fiber-maps", "realized-fibration")]
+
+
+def test_fiber_inclusion_of_a_value_above_the_bound():
+    # at N = 1 the cone's inclusion is that of its 1-skeleton, the vertices
+    # v, w and the edge e; from N = 2 on, of the whole cone
+    doc = dsl.parse(CONE_DOCUMENT)
+    cat, diag = doc.categories["Z2"], doc.diagrams["still"]
+    for N, counts in ((1, (2, 1, 0)), (2, (2, 1, 1))):
+        bc = borel_total(cat, diag, N)
+        inclusion = bc.fiber_inclusion("1")
+        assert inclusion.source.counts() == counts
+        assert hf.validate_map(inclusion).ok
+        assert vertex_fiber_isomorphic(bc, "1")
+
+
+def test_last_vertex_lemma_fails_when_a_level_projection_moves_a_morphism():
+    # hypothesis (c): pi_1 must keep each generator's morphism slot; sending
+    # the generators over u to the base generator over t, and back, breaks it
+    cat = z2_category()
+    bc = borel_total(cat, restriction_diagram(cat, "1"), 2)
+    assert last_vertex_lemma_holds(bc)
+    pi_1 = bc.pi_levels[1]
+    images = list(pi_1.assignment.values())
+    assert {r.gen[1][0].gen for r in images} == {0, 1}
+    swapped = SimplicialMap(pi_1.source, pi_1.target,
+                            dict(zip(pi_1.assignment, reversed(images))))
+    levels = [swapped if n == 1 else m for n, m in enumerate(bc.pi_levels)]
+    assert not last_vertex_lemma_holds(dataclasses.replace(bc, pi_levels=levels))
 
 
 def two_object_category(indiscrete: bool):

@@ -734,6 +734,28 @@ def test_non_simplicial_map_is_refused(command, capsys, tmp_path):
                             "'e': f(d_0 x) = <x> but d_0 f(x) = <y>\n")
 
 
+POINT_INTO_INTERVAL = """
+sset pt { p : dim 0 faces []; }
+sset interval { a : dim 0 faces []; b : dim 0 faces []; ab : dim 1 faces [b, a]; }
+map at_a : pt -> interval { p -> a; }
+"""
+
+
+def test_star_lemma_skips_a_star_with_an_empty_preimage(capsys, tmp_path):
+    # pt lies over the vertex a alone, so nothing of Sd pt lies over the
+    # stars of b and of the edge: each is one passing "skipped" check
+    path = tmp_path / "at_a.hfd"
+    path.write_text(POINT_INTO_INTERVAL)
+    assert main(["star-lemma", "at_a", "-f", str(path), "--format", "json", "--stable"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["verdict"], c["witnesses"]) for c in checks] == [
+        ("alpha=(0,): retraction exact", True, []),
+        ("alpha=(0,): homotopy ends exact", True, []),
+        ("alpha=(0,): fiber inclusion homology iso", True, []),
+        ("alpha=(1,): ESt empty (skipped)", True, []),
+        ("alpha=(0, 1): ESt empty (skipped)", True, [])]
+
+
 MALFORMED = """
 sset bad {
   a : dim 0 faces [];

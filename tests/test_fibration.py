@@ -47,7 +47,6 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 homology_module = importlib.import_module("homfib.homology")
 fibration_module = importlib.import_module("homfib.fibration")
 borel_module = importlib.import_module("homfib.borel")
-sset_module = importlib.import_module("homfib.sset")
 snf_module = importlib.import_module("homfib.snf")
 
 
@@ -330,30 +329,32 @@ def test_group_completion_work_counts(monkeypatch):
     # each distinct dp(sigma) is pulled back once per map and bound, and
     # the job makes at most 250 Smith forms.  Only face comparisons build
     # preimages, so no dp(s_i sigma) is pulled back: 20 pullbacks, where
-    # 69 were built with the degeneracies.  The faces of a base simplex are
-    # worked out once, on 19 distinct simplices.  Only the pullbacks build
-    # representing maps, 20 of them; comparisons read the faces of rho
-    # from faces_spanned, where they made 82 representing maps before.
-    # Gate 4's strong check reads what the weak check certified: its 14
-    # vertex comparisons dp(sigma(0)) -> dp(sigma) compose from certified
-    # ones, so no comparison is built once the weak check has returned,
-    # where 14 were.  The projection satisfies the last-vertex lemma, so
-    # the weak check builds only each edge's vertex inclusion
-    # dp(e(0)) -> dp(e), the action of u and of t, and decides every other
-    # face from those: fibration makes 2 iso tests and pulls back 8
-    # preimages (the vertex at two bounds, 2 edges, and 4 for the levels),
-    # with the faces worked out on 7 distinct simplices.  It made 16 iso
-    # tests and 20 pullbacks on 19 simplices deciding faces on the vertex
-    # inclusions dp(sigma(0)) -> dp(sigma) of 4 2-simplices and 8
-    # 3-simplices, 48 building every face, and 62 before the strong check
-    # read what the weak check certified.  No preimage of dimension >= 2 is
-    # left on any calculator of the projection.
-    snf_calls, pullbacks, representing, built, made = [], [], [], [], []
+    # 69 were built with the degeneracies.  Only the pullbacks build
+    # representing maps, one per record; a comparison reads the one face of
+    # rho it needs with restrict, where comparisons made 82 representing
+    # maps before.  Gate 4's strong check reads what the weak check
+    # certified: its 14 vertex comparisons dp(sigma(0)) -> dp(sigma)
+    # compose from certified ones, so no comparison is built once the weak
+    # check has returned, where 14 were.  The projection satisfies the
+    # last-vertex lemma, so the weak check builds only each edge's vertex
+    # inclusion dp(e(0)) -> dp(e), the action of u and of t, and decides
+    # every other face from those: fibration makes 2 iso tests and pulls
+    # back 7 preimages (the vertex, 2 edges, and 4 for the levels), each
+    # with one representing map.  Gate 4 reads the vertex fibre at the
+    # construction's bound, on the calculator the weak and strong checks
+    # use, so the projection keeps one calculator; reading it at F's
+    # dimension took a second calculator, 8 pullbacks and 8 representing
+    # maps.  It made 16 iso tests and 20 pullbacks on 19 simplices deciding
+    # faces on the vertex inclusions dp(sigma(0)) -> dp(sigma) of 4
+    # 2-simplices and 8 3-simplices, 48 building every face, and 62 before
+    # the strong check read what the weak check certified.  No preimage of
+    # dimension >= 2 is left on the projection's calculator, and no space
+    # keeps a table of its simplices' faces.
+    snf_calls, pullbacks, representing, made = [], [], [], []
     isos, late_comparisons, weak_done, projection = [0], [0], [False], []
     real_snf = homology_module.smith_normal_form
     real_pullback = fibration_module.pullback
     real_representing = fibration_module.representing_map
-    real_build = sset_module._representing_assignment
     real_iso = fibration_module.is_homology_iso
     real_comparison = PreimageCalculator.comparison
     real_weak = borel_module.weak_fibration_check
@@ -377,10 +378,6 @@ def test_group_completion_work_counts(monkeypatch):
         representing.append((B, ref))
         return real_representing(B, ref, domain)
 
-    def counting_build(B, ref):
-        built.append((B, ref))
-        return real_build(B, ref)
-
     def counting_snf(m):
         snf_calls.append(m)
         return real_snf(m)
@@ -393,7 +390,6 @@ def test_group_completion_work_counts(monkeypatch):
     monkeypatch.setattr(homology_module, "smith_normal_form", counting_snf)
     monkeypatch.setattr(fibration_module, "pullback", counting_pullback)
     monkeypatch.setattr(fibration_module, "representing_map", counting_representing)
-    monkeypatch.setattr(sset_module, "_representing_assignment", counting_build)
     monkeypatch.setattr(fibration_module, "is_homology_iso", counting_iso)
     monkeypatch.setattr(PreimageCalculator, "comparison", counting_comparison)
     monkeypatch.setattr(borel_module, "weak_fibration_check", watched_weak)
@@ -405,17 +401,15 @@ def test_group_completion_work_counts(monkeypatch):
     # a passing check builds no comparison into a simplex of dimension >= 2
     assert [(rho.dim, phi) for rho, phi in made] == [(1, (0,)), (1, (0,))]
     assert len(snf_calls) <= 250
-    assert len(pullbacks) == 8
-    assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 8
+    assert len(pullbacks) == 7
+    assert len({(id(g), sigma, N) for g, sigma, N in pullbacks}) == 7
     assert not any(sigma.is_degenerate() for _, sigma, _ in pullbacks)
-    distinct = {(id(B), sigma) for B, sigma in representing}
-    assert len(representing) == 8
-    assert len(built) == len(distinct) == 7
-    assert len({(id(B), sigma) for B, sigma in built}) == len(built)
+    assert len(representing) == len({(id(B), sigma) for B, sigma in representing}) == 7
+    assert not any("representing" in B._cache for B, _ in representing)
     [pi] = projection
     assert preimage_calculator(pi, 3).retracts
     calculators = [calc for key, calc in pi._cache.items() if key[0] == "preimages"]
-    assert len(calculators) == 2
+    assert calculators == [preimage_calculator(pi, 3)]
     assert max(sigma.dim for calc in calculators for sigma in calc._records) == 1
 
 
@@ -425,9 +419,11 @@ def test_comparisons_build_no_standard_maps(monkeypatch):
     # comparison made 318 simplicial maps on this job, 62 of them standard
     # maps.  A face comparison is a PositionMap whose assignment nobody
     # reads, and the legs of a pullback or a product are built when read,
-    # which the weak check never does: 24 maps, where 164 were built with
-    # the comparisons as assignments and every leg built eagerly, and 36
-    # before the weak check decided faces by the last-vertex lemma.
+    # which the weak check never does: 23 maps, where 164 were built with
+    # the comparisons as assignments and every leg built eagerly, 36
+    # before the weak check decided faces by the last-vertex lemma, and 24
+    # while gate 4 read the vertex fibre on a calculator of its own, whose
+    # pullback built one more representing map.
     built, standard, assigned = [0], [0], [0]
     real_init = SimplicialMap.__init__
     real_assignment = PositionMap.assignment.func
@@ -457,7 +453,7 @@ def test_comparisons_build_no_standard_maps(monkeypatch):
     report = cli.run("group-completion", doc, {"target": "Z2", "max_dim": 3})
     assert report.all_pass
     assert standard[0] == 0
-    assert built[0] == 24
+    assert built[0] == 23
     assert assigned[0] == 0
 
 
@@ -498,21 +494,23 @@ def pullback_work(monkeypatch, fixture, target):
 def test_pullback_work_is_bounded_by_its_output(monkeypatch):
     # pullback lists the nondegenerate pairs from the generators, so the
     # simplices it builds (SimplexRefs made) and tests (simplices mapped
-    # to the base) stay below one per generator it keeps: 149 for 200 on
-    # this job, as preimages share the cells over common faces.  Its
+    # to the base) stay below one per generator it keeps: 146 for 198 on
+    # this job, as preimages share the cells over common faces; 149 for 200
+    # while gate 4 pulled back the vertex fibre a second time.  Its
     # actions of e fail, so the faces over them, and their preimages of
     # 2- and 3-simplices, are built.  Scanning every simplex of Delta[n]
     # and of E, degenerate ones included, built 2,274 and tested 835, 9.7
     # per generator, on the Z2 job when it kept 320 generators too.
-    assert pullback_work(monkeypatch, "idem.hfd", "M2") == (149, 200, False)
+    assert pullback_work(monkeypatch, "idem.hfd", "M2") == (146, 198, False)
 
 
 def test_pullback_work_on_vertex_and_edge_preimages(monkeypatch):
     # a passing group-completion check pulls back the preimages of
-    # vertices and edges only: 24 generators for 30 simplices, where each
+    # vertices and edges only: 22 generators for 27 simplices, where each
     # pullback's own few simplices outweigh its output.  It was 189 for
-    # 320 with the preimages of 2- and 3-simplices.
-    assert pullback_work(monkeypatch, "z2.hfd", "Z2") == (30, 24, True)
+    # 320 with the preimages of 2- and 3-simplices, and 24 for 30 while
+    # gate 4 pulled back the vertex fibre a second time.
+    assert pullback_work(monkeypatch, "z2.hfd", "Z2") == (27, 22, True)
 
 
 def test_group_completion_builds_only_the_transforms_it_reads(monkeypatch):

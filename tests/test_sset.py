@@ -660,7 +660,7 @@ def fresh_representing_assignment(B, sigma):
 
 
 @pytest.mark.parametrize("name", sorted(corpus_maps()))
-def test_memoized_representing_map_matches_fresh_build(name):
+def test_representing_map_matches_fresh_build(name):
     B = corpus_maps()[name].target
     for n in range(B.max_dim + 2):
         delta = hf.standard_simplex(n)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 import homfib as hf
@@ -16,6 +18,8 @@ from homfib.subdivision import (
 )
 
 from corpus import simplex_maps_small, subdivision_corpus
+
+subdivision_module = importlib.import_module("homfib.subdivision")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +200,25 @@ def test_cube_over_delta3_projection():
     cube = cube_decomposition(sf)
     assert cube.colimit == sf.subdivision.space
     assert len(cube.objects) == 15
+
+
+def test_cube_decomposition_refuses_a_generator_split_in_two(monkeypatch):
+    # the vertex over (1,), put into the piece over (0,) as well, lies in
+    # two classes that no arrow joins: a set of class generators merged the
+    # two copies, and the colimit still read as Sd E
+    sf = sd_over_simplex(hf.identity_map(hf.standard_simplex(1)))
+    [stray] = fiber_over_vertex(sf, (1,)).gens(0)
+    real_est = subdivision_module.est
+
+    def leaky_est(sf, alpha):
+        piece, inclusion = real_est(sf, alpha)
+        if alpha == (0,):
+            piece = hf.full_subcomplex(sf.subdivision.space, [*piece.all_gens(), stray])
+        return piece, inclusion
+
+    monkeypatch.setattr(subdivision_module, "est", leaky_est)
+    with pytest.raises(RuntimeError, match="splits a generator"):
+        cube_decomposition(sf)
 
 
 # ---------------------------------------------------------------------------
